@@ -131,27 +131,51 @@ def _vector_from_args(args, parse_monomial) -> SparseVec:
 _FOCK_SPACES = ("m1", "m1+", "m1-", "vl", "vl+", "vl-")
 
 
+def _reject_flags(args, *names) -> None:
+    """Usage error for any of the named flags, which this algebra ignores."""
+    given = [f"--{n}" for n in names if getattr(args, n, None) not in (None, False)]
+    if given:
+        raise UsageError(f"{', '.join(given)} not used with --algebra {args.algebra}")
+
+
 def _vir_module(args) -> VirasoroModule:
+    _reject_flags(args, "lam", "mu")
     c = _fraction(args.c, "--c")
     if args.vacuum:
+        if args.h is not None:
+            raise UsageError("--vacuum fixes h = 0; do not combine it with --h")
         return VirasoroModule.get(c, 0, vacuum=True)
     if args.h is None:
         raise UsageError("--h is required unless --vacuum is given")
     return VirasoroModule.get(c, _fraction(args.h, "--h"))
 
 
+def _w3_get(c, *lowest) -> W3Module:
+    try:
+        return W3Module.get(c, *lowest)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _w3_module(args) -> W3Module:
+    _reject_flags(args, "h", "vacuum")
     c = _fraction(args.c, "--c")
     lam = getattr(args, "lam", None)
     mu = getattr(args, "mu", None)
     if (lam is None) != (mu is None):
         raise UsageError("--lam and --mu must be given together")
     if lam is None:
-        return W3Module.get(c)
-    return W3Module.get(c, _fraction(lam, "--lam"), _fraction(mu, "--mu"))
+        return _w3_get(c)
+    return _w3_get(c, _fraction(lam, "--lam"), _fraction(mu, "--mu"))
+
+
+def _hw_module(args):
+    """The Virasoro or W3 module the flags describe."""
+    return _vir_module(args) if args.algebra == "vir" else _w3_module(args)
 
 
 def _fock_space(args) -> FockSpace:
+    _reject_flags(args, "h", "vacuum", "lam", "mu")
     if args.k < 1:
         raise UsageError("--k must be a positive integer")
     return FockSpace(args.k)
@@ -162,13 +186,7 @@ def _cmd_dims(args):
     if lo < 0 or hi < lo:
         raise UsageError("need 0 <= --min-weight <= --max-weight")
     weights = list(range(lo, hi + 1))
-    if args.algebra == "vir":
-        module = _vir_module(args)
-        dims = [module.dim(w) for w in weights]
-    elif args.algebra == "w3":
-        module = _w3_module(args)
-        dims = [module.dim(w) for w in weights]
-    elif args.algebra in _FOCK_SPACES:
+    if args.algebra in _FOCK_SPACES:
         space = _fock_space(args)
         base = args.algebra.rstrip("+-")
         sign = args.algebra[len(base):]
@@ -177,7 +195,8 @@ def _cmd_dims(args):
         else:
             dims = [len(space.basis(base, w)) for w in weights]
     else:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
+        module = _hw_module(args)
+        dims = [module.dim(w) for w in weights]
     return {"weights": weights, "dims": dims}, False
 
 
@@ -203,17 +222,12 @@ def _cmd_char(args):
 def _cmd_basis(args):
     if args.weight < 0:
         raise UsageError("--weight must be nonnegative")
-    if args.algebra == "vir":
-        module = _vir_module(args)
-        names = [virasoro.monomial_str(m) for m in module.basis(args.weight)]
-    elif args.algebra == "w3":
-        module = _w3_module(args)
-        names = [w3.w3_monomial_str(m) for m in module.basis(args.weight)]
-    elif args.algebra in ("m1", "vl"):
+    if args.algebra in ("m1", "vl"):
         space = _fock_space(args)
         names = [fock.monomial_str(m) for m in space.basis(args.algebra, args.weight)]
     else:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
+        module = _hw_module(args)
+        names = [module.monomial_str(m) for m in module.basis(args.weight)]
     return {"weight": args.weight, "dimension": len(names), "basis": names}, False
 
 
@@ -260,20 +274,12 @@ def _cmd_act(args):
 def _cmd_gram(args):
     if args.level < 0:
         raise UsageError("--level must be nonnegative")
-    if args.algebra == "vir":
-        module = _vir_module(args)
-        matrix = module.gram(args.level)
-        names = [virasoro.monomial_str(m) for m in module.basis(args.level)]
-    elif args.algebra == "w3":
-        module = _w3_module(args)
-        matrix = module.gram(args.level)
-        names = [w3.w3_monomial_str(m) for m in module.basis(args.level)]
-    else:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
-    r = rank(matrix) if matrix else 0
+    module = _hw_module(args)
+    matrix = module.gram(args.level)
+    r = rank(matrix)
     return {
         "level": args.level,
-        "basis": names,
+        "basis": [module.monomial_str(m) for m in module.basis(args.level)],
         "matrix": [[str(x) for x in row] for row in matrix],
         "rank": r,
         "nullity": len(matrix) - r,
@@ -284,8 +290,8 @@ def _cmd_primary(args):
     if args.algebra != "w3":
         raise UsageError("primary vectors are computed in the w3 algebra")
     module = _w3_module(args)
-    if args.weight < 0:
-        raise UsageError("--weight must be nonnegative")
+    if args.weight < 1:
+        raise UsageError("--weight must be at least 1")
     vectors = module.primary_space(args.weight)
     return {
         "weight": args.weight,
@@ -297,7 +303,10 @@ def _cmd_primary(args):
 def _cmd_decompose(args):
     module = _w3_module(args)
     v = _vector_from_args(args, lambda t: _parse_w3_monomial(t, module))
-    weight = module.vector_weight(v)
+    try:
+        weight = module.vector_weight(v)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     primaries = [("w", SparseVec.unit(((), (3,))))]
     if weight >= 6:
         prims6 = module.primary_space(6)
@@ -341,9 +350,12 @@ def _parse_m_range(text: str) -> tuple[int, ...]:
             raise UsageError(f"empty range {text!r}")
         return tuple(range(lo, hi + 1))
     try:
-        return tuple(int(x) for x in s.split(","))
+        ms = tuple(int(x) for x in s.split(","))
     except ValueError as exc:
         raise UsageError(f"--m expects e.g. '0..2' or '0,1,2', got {text!r}") from exc
+    if min(ms) < 0:
+        raise UsageError(f"--m entries must be nonnegative, got {text!r}")
+    return ms
 
 
 def _cmd_verify(args):
@@ -351,14 +363,22 @@ def _cmd_verify(args):
 
     def run(name: str) -> dict:
         if name == "thm32":
-            return w3.verify_theorem32(_fraction(args.c, "--c"))
+            c = _fraction(args.c, "--c")
+            _w3_get(c)  # usage error where the W,W bracket is undefined
+            return w3.verify_theorem32(c)
         if name == "prop21":
+            if args.max_level < 1:
+                raise UsageError("--max-level must be at least 1")
             return virasoro.verify_prop21(_parse_m_range(args.m), args.max_level)
         if name == "lemma57":
             if args.k < 1:
                 raise UsageError("--k must be a positive integer")
+            if cutoff < 0:
+                raise UsageError("--cutoff must be nonnegative")
             return fock.verify_lemma57(args.k, cutoff)
         if name == "fusion-symmetry":
+            if args.samples < 1:
+                raise UsageError("--samples must be at least 1")
             return fusion.verify_fusion_symmetry(samples=args.samples,
                                                  seed=args.seed)
         if name == "fock":

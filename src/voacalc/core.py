@@ -1,5 +1,6 @@
-"""Shared exact-arithmetic substrate: scalars, partitions, sparse vectors,
-fraction-free linear algebra and integer q-series helpers.
+"""Shared exact-arithmetic substrate: partitions, sparse vectors,
+fraction-free linear algebra, integer q-series helpers and the check entries
+of verification reports.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -11,21 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def scalar(x) -> Fraction:
-    """Coerce an int, string like "3/4", or Fraction to an exact Scalar."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +158,6 @@ class SparseVec:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def map_keys(self, f) -> "SparseVec":
-        out: dict = {}
-        for k, c in self._terms.items():
-            _add_term(out, f(k), c)
-        return SparseVec._raw(out)
-
     def dense(self, basis: Sequence) -> list[Fraction]:
         """Coordinates against an ordered basis; every key must appear in it."""
         index = {key: i for i, key in enumerate(basis)}
@@ -211,18 +193,8 @@ def _accumulate(dst: dict, src: Mapping, factor: Fraction) -> None:
         _add_term(dst, key, c * factor)
 
 
-def vec_sum(parts: Iterable[SparseVec]) -> SparseVec:
-    d: dict = {}
-    for v in parts:
-        _accumulate(d, v._terms, ONE)
-    return SparseVec._raw(d)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra (fraction-free Bareiss elimination)
-
-Matrix = list  # list of rows; each row a list of Fraction
-
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (row space, null space
@@ -318,11 +290,6 @@ def null_space(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def kernel(rows: Sequence[Sequence[Fraction]]) -> list[SparseVec]:
-    """null_space with vectors packaged as SparseVec over column indices."""
-    return [SparseVec({j: c for j, c in enumerate(x) if c}) for x in null_space(rows)]
-
-
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
     """One exact solution of rows . x = rhs, or None if inconsistent.
 
@@ -377,18 +344,9 @@ def normalized_integer_vector(v: SparseVec, key_order) -> SparseVec:
 # integer q-series (coefficient lists indexed by q^0 .. q^cutoff)
 
 
-def series_zero(cutoff: int) -> list[int]:
-    return [0] * (cutoff + 1)
-
-
 def series_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def series_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
 
 
 def series_mul(a: Sequence[int], b: Sequence[int], cutoff: int) -> list[int]:
@@ -406,3 +364,15 @@ def series_mul(a: Sequence[int], b: Sequence[int], cutoff: int) -> list[int]:
 def inverse_euler(cutoff: int) -> list[int]:
     """Coefficients of 1/phi(q) = prod_{m>=1} 1/(1-q^m): the partition numbers."""
     return [partition_count(n) for n in range(cutoff + 1)]
+
+
+# ---------------------------------------------------------------------------
+# verification reports
+
+
+def check(name, source, expected, computed, ok, **extra) -> dict:
+    """One entry of a suite's "checks" list; `extra` keys follow "pass"."""
+    entry = {"name": name, "source": source, "expected": expected,
+             "computed": computed, "pass": bool(ok)}
+    entry.update(extra)
+    return entry

@@ -31,8 +31,8 @@ from .core import (
     ONE,
     SparseVec,
     ZERO,
-    _accumulate,
     _add_term,
+    check,
     partitions,
     series_add,
     inverse_euler,
@@ -99,13 +99,6 @@ class FockSpace:
                     _add_term(out, (tuple(reduced), charge),
                               coef * 2 * self.k * m * mult)
         return SparseVec._raw(out)
-
-    def apply_heis_word(self, word, v=None) -> SparseVec:
-        out = v if isinstance(v, SparseVec) else SparseVec.unit(
-            v if v is not None else self.VACUUM)
-        for m in reversed(list(word)):
-            out = self.heis_act(m, out)
-        return out
 
     # -- distinguished vectors ------------------------------------------------
 
@@ -396,13 +389,6 @@ def lattice_charge_tail_series(k: int, cutoff: int) -> list[int]:
 # -- named verification suites ------------------------------------------------
 
 
-def _check(name, source, expected, computed, ok, **extra) -> dict:
-    entry = {"name": name, "source": source, "expected": expected,
-             "computed": computed, "pass": bool(ok)}
-    entry.update(extra)
-    return entry
-
-
 def verify_lemma57(k: int = 3, cutoff: int = 20) -> dict:
     """Character decomposition of the orbifold spaces and the degree-4
     eigenvalue separating the charged summands."""
@@ -411,7 +397,7 @@ def verify_lemma57(k: int = 3, cutoff: int = 20) -> dict:
 
     head = space.char_series("m1+", 9)
     expected_head = [1, 0, 1, 1, 3, 3, 6, 7, 12, 14]
-    checks.append(_check(
+    checks.append(check(
         "m1plus-series-head", "PAPER",
         ",".join(str(x) for x in expected_head),
         ",".join(str(x) for x in head),
@@ -419,7 +405,7 @@ def verify_lemma57(k: int = 3, cutoff: int = 20) -> dict:
 
     m1p = space.char_series("m1+", cutoff)
     square_sum = even_square_sum_series(cutoff)
-    checks.append(_check(
+    checks.append(check(
         "m1plus-equals-even-square-character-sum", "PAPER",
         ",".join(str(x) for x in square_sum),
         ",".join(str(x) for x in m1p),
@@ -427,7 +413,7 @@ def verify_lemma57(k: int = 3, cutoff: int = 20) -> dict:
 
     vlp = space.char_series("vl+", cutoff)
     decomposition = series_add(m1p, lattice_charge_tail_series(k, cutoff))
-    checks.append(_check(
+    checks.append(check(
         "vlplus-orbifold-decomposition", "PAPER",
         ",".join(str(x) for x in decomposition),
         ",".join(str(x) for x in vlp),
@@ -438,7 +424,7 @@ def verify_lemma57(k: int = 3, cutoff: int = 20) -> dict:
         ev = Fraction(4 * m ** 4 * k ** 2 - m ** 2 * k)
         target = space.evec(m).scaled(ev)
         got = space.vertex_mode(j, 3, space.evec(m))
-        checks.append(_check(
+        checks.append(check(
             f"j3-eigenvalue-E{m}", "PAPER",
             f"(4*{m}^4*{k}^2 - {m}^2*{k})*E({m}) = {ev}*E({m})",
             "match" if got == target else "mismatch",
@@ -473,15 +459,15 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
         got = sp.vertex_mode(j, 7, j)
         j7j.append("54*1" if got == one.scaled(Fraction(54)) else
                    "unexpected")
-    checks.append(_check(
+    checks.append(check(
         "vacuum-norm", "PAPER", ",".join("1" for _ in ks),
         ",".join(str(x) for x in vac_norms),
         all(x == 1 for x in vac_norms), ks=list(ks)))
-    checks.append(_check(
+    checks.append(check(
         "e1-norm", "PAPER", ",".join("2" for _ in ks),
         ",".join(str(x) for x in e_norms),
         all(x == 2 for x in e_norms), ks=list(ks)))
-    checks.append(_check(
+    checks.append(check(
         "j7-on-j", "PAPER", ",".join("54*1" for _ in ks),
         ",".join(j7j), all(x == "54*1" for x in j7j), ks=list(ks)))
 
@@ -492,7 +478,7 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
             ev = Fraction(4 * m ** 4 * k ** 2 - m ** 2 * k)
             got = sp.vertex_mode(j, 3, sp.evec(m))
             ok = got == sp.evec(m).scaled(ev)
-            checks.append(_check(
+            checks.append(check(
                 f"j3-eigenvalue-k{k}-m{m}", "PAPER",
                 f"{ev}*E({m})", "match" if ok else "mismatch", ok))
 
@@ -501,24 +487,24 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
         x1, x2, x3 = sp.xvec(1), sp.xvec(-1), sp.xvec(-2)
 
         vals = (sp.bilinear(x1, x1), sp.bilinear(x2, x2), sp.bilinear(x1, x2))
-        checks.append(_check(
+        checks.append(check(
             f"x-doublet-pairings-n{n}", "PAPER", "0,0,1",
             ",".join(str(v) for v in vals), vals == (0, 0, 1)))
 
         got = sp.lattice_vertex_mode(Fraction(-1), -2 * n - 1, x2)
-        checks.append(_check(
+        checks.append(check(
             f"x2-lowering-product-n{n}", "PAPER", "X3",
             "X3" if got == x3 else "unexpected", got == x3))
 
         got = sp.lattice_vertex_mode(Fraction(1), 4 * n - 1, x3)
-        checks.append(_check(
+        checks.append(check(
             f"x1-raising-product-n{n}", "PAPER", "X2",
             "X2" if got == x2 else "unexpected", got == x2))
 
         trunc_ok = all(
             sp.lattice_vertex_mode(Fraction(-1), i, x2).is_zero()
             for i in range(-2 * n, -2 * n + 6))
-        checks.append(_check(
+        checks.append(check(
             f"x2-truncation-n{n}", "PAPER", "0 for modes >= -2n",
             "0" if trunc_ok else "nonzero", trunc_ok))
 
@@ -526,7 +512,7 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
         inner = sp.lattice_vertex_mode(Fraction(1), 2 * n - 2, x2)
         zero_mode = sp.vertex_mode(inner, 0, x2)
         engine = x2.scaled(Fraction(-2 * n))
-        checks.append(_check(
+        checks.append(check(
             f"x1x2-zero-mode-eigenvalue-n{n}", "DERIVED",
             f"{-2 * n}*X2",
             f"{-2 * n}*X2" if zero_mode == engine else "unexpected",
@@ -551,7 +537,7 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
         tail_ok = all(
             sp.lattice_vertex_mode(Fraction(1), nn, em).is_zero()
             for nn in range(2 * k, 2 * k + 3))
-        checks.append(_check(
+        checks.append(check(
             f"e-leading-mode-k{k}", "DERIVED", "1 at mode 2k-1, 0 above",
             "match" if (ok and tail_ok) else "unexpected", ok and tail_ok))
 

@@ -29,6 +29,8 @@ import re
 from fractions import Fraction
 from math import isqrt
 
+from .core import check
+
 Label = tuple
 
 VIR = "vir"
@@ -184,12 +186,6 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
     recorded example triples."""
     checks: list[dict] = []
 
-    def add(name, source, expected, computed, ok, **extra):
-        entry = {"name": name, "source": source, "expected": expected,
-                 "computed": computed, "pass": bool(ok)}
-        entry.update(extra)
-        checks.append(entry)
-
     # recorded example triples
     examples = [
         ("vir-square-triple", VIR, "L(1,1)", "L(1,1)", "L(1,4)", 1),
@@ -205,9 +201,9 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
     ]
     for name, alg, sa, sb, st, want in examples:
         got = fusion_dim(alg, parse_label(sa), parse_label(sb), parse_label(st))
-        add(name, "PAPER", str(want),
-            "unknown" if got is None else str(got), got == want,
-            triple=[sa, sb, st])
+        checks.append(check(name, "PAPER", str(want),
+                            "unknown" if got is None else str(got), got == want,
+                            triple=[sa, sb, st]))
 
     # exhaustive square grid: interval rule, exchange and bottom/target moves
     grid_total = 0
@@ -226,12 +222,12 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
                     swap_bad += 1
                 if d != fusion_dim(VIR, a, t, b):
                     dual_bad += 1
-    add("vir-grid-interval-rule", "PAPER", "0 violations",
-        f"{rule_bad} violations", rule_bad == 0, triples=grid_total)
-    add("vir-grid-exchange", "TRIVIAL", "0 violations",
-        f"{swap_bad} violations", swap_bad == 0)
-    add("vir-grid-bottom-target-exchange", "PAPER", "0 violations",
-        f"{dual_bad} violations", dual_bad == 0)
+    checks.append(check("vir-grid-interval-rule", "PAPER", "0 violations",
+                        f"{rule_bad} violations", rule_bad == 0, triples=grid_total))
+    checks.append(check("vir-grid-exchange", "TRIVIAL", "0 violations",
+                        f"{swap_bad} violations", swap_bad == 0))
+    checks.append(check("vir-grid-bottom-target-exchange", "PAPER", "0 violations",
+                        f"{dual_bad} violations", dual_bad == 0))
 
     # seeded random orbifold triples
     rng = random.Random(seed)
@@ -254,13 +250,13 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
                     for lab in (a, b, t))
         if fusion_dim("m1+", *neg) != d:
             ident_bad += 1
-    add("m1-random-exchange", "DERIVED", "0 violations",
-        f"{swap_bad} violations", swap_bad == 0,
-        samples=samples, comparable=known)
-    add("m1-random-bottom-target-exchange", "DERIVED", "0 violations",
-        f"{dual_bad} violations", dual_bad == 0)
-    add("m1-random-charge-negation", "PAPER", "0 violations",
-        f"{ident_bad} violations", ident_bad == 0)
+    checks.append(check("m1-random-exchange", "DERIVED", "0 violations",
+                        f"{swap_bad} violations", swap_bad == 0,
+                        samples=samples, comparable=known))
+    checks.append(check("m1-random-bottom-target-exchange", "DERIVED", "0 violations",
+                        f"{dual_bad} violations", dual_bad == 0))
+    checks.append(check("m1-random-charge-negation", "PAPER", "0 violations",
+                        f"{ident_bad} violations", ident_bad == 0))
 
     return {
         "suite": "fusion-symmetry",

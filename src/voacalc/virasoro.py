@@ -3,7 +3,9 @@
 Implements Verma modules V(c, h) and the vacuum quotient Vbar(c, 0) =
 V(c, 0)/U(Vir)L_{-1}v over exact rationals: PBW bases, straightened L_n
 action, the contravariant (Shapovalov) form, singular vectors and c = 1
-character series.
+character series. The module machinery that does not depend on the
+straightening rules (shared instances, forms, Gram matrices, primary
+spaces) sits in HighestWeightModule, which the W3 modules share.
 
 Conventions
 -----------
@@ -25,6 +27,8 @@ from .core import (
     ZERO,
     _accumulate,
     _add_term,
+    check,
+    normalized_integer_vector,
     null_space,
     partition_count,
     partitions,
@@ -34,7 +38,105 @@ from .core import (
 VirMonomial = tuple  # descending tuple of positive ints
 
 
-class VirasoroModule:
+def monomial_str(mono: VirMonomial) -> str:
+    if not mono:
+        return "1"
+    return "".join(f"L({-m})" for m in mono)
+
+
+class HighestWeightModule:
+    """What a highest-weight module needs beyond its own straightening.
+
+    A subclass sets `params` (the normalized constructor arguments) and
+    supplies `basis(weight)`, the memoized L-mode recursion
+    `_act_l(n, mono)` and `_modes(mono)`, which yields (recursion, part) for
+    the raising modes adjoint to a monomial's creation modes, in the order
+    they act. `EMPTY` is the lowest-weight monomial. On that this class builds
+    the shared instances, the action on vectors, the contravariant form with
+    its Gram matrices, and primary spaces.
+    """
+
+    EMPTY = ()
+
+    _instances: dict = {}
+    _instances_lock = threading.Lock()
+
+    @classmethod
+    def get(cls, *args, **kwargs):
+        """Shared instance per class and parameters; memo caches are per instance."""
+        fresh = cls(*args, **kwargs)
+        with cls._instances_lock:
+            return cls._instances.setdefault((cls, fresh.params), fresh)
+
+    def dim(self, weight: int) -> int:
+        return len(self.basis(weight))
+
+    @staticmethod
+    def _apply(rec, n: int, v) -> SparseVec:
+        """The mode with recursion `rec` and index n on a vector or monomial."""
+        if not isinstance(v, SparseVec):
+            return SparseVec._raw(dict(rec(n, v)))
+        out: dict = {}
+        for mono, coef in v.items():
+            _accumulate(out, rec(n, mono), coef)
+        return SparseVec._raw(out)
+
+    # -- contravariant form -------------------------------------------------
+
+    def pair(self, u, v) -> Fraction:
+        """Contravariant form <u, v>: each mode is adjoint to its negative,
+        and <v, v> = 1 on the lowest-weight vector."""
+        if not isinstance(u, SparseVec):
+            u = SparseVec.unit(u)
+        if not isinstance(v, SparseVec):
+            v = SparseVec.unit(v)
+        total = ZERO
+        for mono, coef in u.items():
+            w = v
+            for rec, part in self._modes(mono):
+                w = self._apply(rec, part, w)
+                if w.is_zero():
+                    break
+            total += coef * w.coeff(self.EMPTY)
+        return total
+
+    def gram(self, weight: int) -> list[list[Fraction]]:
+        """Contravariant Gram matrix at a weight, rows/cols in basis order."""
+        units = [SparseVec.unit(b) for b in self.basis(weight)]
+        return [[self.pair(a, b) for b in units] for a in units]
+
+    def gram_rank(self, weight: int) -> int:
+        return rank(self.gram(weight))
+
+    def gram_nullity(self, weight: int) -> int:
+        g = self.gram(weight)
+        return len(g) - rank(g)
+
+    # -- primary vectors ----------------------------------------------------
+
+    def primary_space(self, weight: int) -> list[SparseVec]:
+        """Deterministic basis of {x at the weight : L_1 x = L_2 x = 0}
+        (weight >= 1; L_1 and L_2 generate all positive Virasoro modes), each
+        vector scaled to coprime integers, first coefficient positive."""
+        if weight < 1:
+            raise ValueError("primary spaces are graded by weights >= 1")
+        basis = self.basis(weight)
+        if not basis:
+            return []
+        rows: list[list[Fraction]] = []
+        for n in (1, 2):
+            images = [self._act_l(n, b) for b in basis]
+            for t in self.basis(weight - n):
+                rows.append([img.get(t, ZERO) for img in images])
+        index = {b: i for i, b in enumerate(basis)}
+        out = []
+        for coords in null_space(rows or [[ZERO] * len(basis)]):
+            vec = SparseVec({basis[j]: c for j, c in enumerate(coords) if c})
+            out.append(normalized_integer_vector(vec, index.__getitem__))
+        return out
+
+
+class VirasoroModule(HighestWeightModule):
     """Highest-weight module for the Virasoro algebra at central charge c.
 
     vacuum=False: the Verma module V(c, h).
@@ -43,30 +145,17 @@ class VirasoroModule:
     with a part 1 (those span the submodule generated by L_{-1}v).
     """
 
+    monomial_str = staticmethod(monomial_str)
+
     def __init__(self, c, h=0, vacuum: bool = False):
         self.c = Fraction(c)
         self.h = Fraction(h)
         self.vacuum = bool(vacuum)
         if self.vacuum and self.h:
             raise ValueError("vacuum quotient requires h = 0")
+        self.params = (self.c, self.h, self.vacuum)
         self.min_part = 2 if self.vacuum else 1
         self._act_memo: dict = {}
-
-    _instances: dict = {}
-    _instances_lock = threading.Lock()
-
-    @classmethod
-    def get(cls, c, h=0, vacuum: bool = False) -> "VirasoroModule":
-        """Shared instance per (c, h, vacuum); memo caches are per instance."""
-        key = (Fraction(c), Fraction(h), bool(vacuum))
-        with cls._instances_lock:
-            inst = cls._instances.get(key)
-            if inst is None:
-                inst = cls(*key[:2], vacuum=key[2])
-                cls._instances[key] = inst
-            return inst
-
-    # -- basis ------------------------------------------------------------
 
     def basis(self, level: int) -> list[VirMonomial]:
         """Canonical monomials at the given level, descending-lex order."""
@@ -74,25 +163,11 @@ class VirasoroModule:
             return []
         return list(partitions(level, self.min_part))
 
-    def dim(self, level: int) -> int:
-        return len(self.basis(level))
-
-    def level(self, mono: VirMonomial) -> int:
-        return sum(mono)
-
-    def weight(self, mono: VirMonomial) -> Fraction:
-        return self.h + sum(mono)
-
     # -- action -----------------------------------------------------------
 
     def act(self, n: int, v) -> SparseVec:
         """Apply L_n to a vector (or a single monomial), fully straightened."""
-        if isinstance(v, SparseVec):
-            out: dict = {}
-            for mono, coef in v.items():
-                _accumulate(out, self._act(n, mono), coef)
-            return SparseVec._raw(out)
-        return SparseVec._raw(dict(self._act(n, v)))
+        return self._apply(self._act_l, n, v)
 
     def apply_word(self, word, v) -> SparseVec:
         """Apply L_{n_1} ... L_{n_r} (rightmost mode first) to a vector."""
@@ -101,7 +176,10 @@ class VirasoroModule:
             out = self.act(n, out)
         return out
 
-    def _act(self, n: int, mono: VirMonomial) -> dict:
+    def _modes(self, mono: VirMonomial):
+        return [(self._act_l, part) for part in mono]
+
+    def _act_l(self, n: int, mono: VirMonomial) -> dict:
         if n > sum(mono):
             return {}
         key = (n, mono)
@@ -124,71 +202,14 @@ class VirasoroModule:
                 out = {(-n,) + mono: ONE}
             else:
                 out = {}
-                for inner, coef in self._act(n, rest).items():
-                    _accumulate(out, self._act(-a, inner), coef)
-                _accumulate(out, self._act(n - a, rest), Fraction(n + a))
+                for inner, coef in self._act_l(n, rest).items():
+                    _accumulate(out, self._act_l(-a, inner), coef)
+                _accumulate(out, self._act_l(n - a, rest), Fraction(n + a))
                 if n == a:
                     central = Fraction(n**3 - n, 12) * self.c
                     if central:
                         _add_term(out, rest, central)
         memo[key] = out
-        return out
-
-    # -- contravariant form -------------------------------------------------
-
-    def pair(self, u, v) -> Fraction:
-        """Contravariant form <u, v> with L_n adjoint to L_{-n}, <v, v> = 1."""
-        if not isinstance(u, SparseVec):
-            u = SparseVec.unit(u)
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
-        total = ZERO
-        for mono, coef in u.items():
-            w = v
-            for part in mono:
-                w = self.act(part, w)
-                if w.is_zero():
-                    break
-            total += coef * w.coeff(())
-        return total
-
-    def gram(self, level: int) -> list[list[Fraction]]:
-        """Contravariant Gram matrix at a level, rows/cols in basis order."""
-        basis = self.basis(level)
-        units = [SparseVec.unit(b) for b in basis]
-        return [[self.pair(units[i], units[j]) for j in range(len(basis))]
-                for i in range(len(basis))]
-
-    def gram_nullity(self, level: int) -> int:
-        g = self.gram(level)
-        if not g:
-            return 0
-        return len(g) - rank(g)
-
-    def gram_rank(self, level: int) -> int:
-        g = self.gram(level)
-        if not g:
-            return 0
-        return rank(g)
-
-    # -- singular vectors ---------------------------------------------------
-
-    def singular_vectors(self, level: int) -> list[SparseVec]:
-        """Basis of {x at the level : L_1 x = L_2 x = 0}, deterministic."""
-        basis = self.basis(level)
-        if not basis:
-            return []
-        rows: list[list[Fraction]] = []
-        for n in (1, 2):
-            target = self.basis(level - n)
-            images = [self.act(n, b) for b in basis]
-            for t in target:
-                rows.append([img.coeff(t) for img in images])
-        if not rows:
-            rows = [[ZERO] * len(basis)]
-        out = []
-        for coords in null_space(rows):
-            out.append(SparseVec({basis[j]: c for j, c in enumerate(coords) if c}))
         return out
 
 
@@ -252,12 +273,6 @@ def char_series(label, cutoff: int) -> list[int]:
 # formatting helpers shared with the CLI
 
 
-def monomial_str(mono: VirMonomial) -> str:
-    if not mono:
-        return "1"
-    return "".join(f"L({-m})" for m in mono)
-
-
 def vector_str_terms(v: SparseVec) -> dict[str, str]:
     """Deterministic string form: monomials in descending-lex order."""
     keys = sorted(v.keys(), reverse=True)
@@ -278,44 +293,38 @@ def verify_prop21(ms=(0, 1, 2), max_level: int = 5) -> dict:
     ms = tuple(ms)
     checks: list[dict] = []
 
-    def add(name, source, expected, computed, ok, **extra):
-        entry = {"name": name, "source": source, "expected": expected,
-                 "computed": computed, "pass": bool(ok)}
-        entry.update(extra)
-        checks.append(entry)
-
     for m in ms:
         module = VirasoroModule.get(1, m * m)
         threshold = 2 * m + 1
-        nullities = [module.gram_nullity(lv) for lv in range(1, max_level + 1)]
+        ranks = [module.gram_rank(lv) for lv in range(0, max_level + 1)]
+        nullities = [module.dim(lv) - ranks[lv] for lv in range(1, max_level + 1)]
 
         below = nullities[:min(threshold - 1, max_level)]
-        add(f"nullity-below-threshold-m{m}", "PAPER",
-            ",".join("0" for _ in below) or "(none)",
-            ",".join(str(x) for x in below) or "(none)",
-            all(x == 0 for x in below),
-            levels=list(range(1, len(below) + 1)))
+        checks.append(check(f"nullity-below-threshold-m{m}", "PAPER",
+                            ",".join("0" for _ in below) or "(none)",
+                            ",".join(str(x) for x in below) or "(none)",
+                            all(x == 0 for x in below),
+                            levels=list(range(1, len(below) + 1))))
 
         if threshold <= max_level:
-            add(f"nullity-at-threshold-m{m}", "PAPER", "1",
-                str(nullities[threshold - 1]),
-                nullities[threshold - 1] == 1, level=threshold)
+            checks.append(check(f"nullity-at-threshold-m{m}", "PAPER", "1",
+                                str(nullities[threshold - 1]),
+                                nullities[threshold - 1] == 1, level=threshold))
 
-        ranks = [module.gram_rank(lv) for lv in range(0, max_level + 1)]
         char = irreducible_character_c1(m * m, m * m + max_level)
         expected_ranks = char[m * m: m * m + max_level + 1]
-        add(f"rank-equals-irreducible-character-m{m}", "DERIVED",
-            ",".join(str(x) for x in expected_ranks),
-            ",".join(str(x) for x in ranks),
-            ranks == expected_ranks, levels=list(range(0, max_level + 1)))
+        checks.append(check(f"rank-equals-irreducible-character-m{m}", "DERIVED",
+                            ",".join(str(x) for x in expected_ranks),
+                            ",".join(str(x) for x in ranks),
+                            ranks == expected_ranks, levels=list(range(0, max_level + 1))))
 
     # converse direction: a non-square lowest weight stays nondegenerate
     nonsq = VirasoroModule.get(1, 2)
     nullities = [nonsq.gram_nullity(lv) for lv in range(1, max_level + 1)]
-    add("nonsquare-weight-nondegenerate-h2", "DERIVED",
-        ",".join("0" for _ in nullities),
-        ",".join(str(x) for x in nullities),
-        all(x == 0 for x in nullities))
+    checks.append(check("nonsquare-weight-nondegenerate-h2", "DERIVED",
+                        ",".join("0" for _ in nullities),
+                        ",".join(str(x) for x in nullities),
+                        all(x == 0 for x in nullities)))
 
     return {
         "suite": "prop21",

@@ -26,38 +26,48 @@ The contravariant form takes L_n to L_{-n}, W_n to W_{-n}, with <1, 1> = 1.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .core import (
     ONE,
     SparseVec,
-    ZERO,
     _accumulate,
     _add_term,
-    normalized_integer_vector,
-    null_space,
+    _bareiss_echelon,
+    check,
     partitions,
     rank,
     rows_from_vectors,
     solve,
 )
+from .virasoro import HighestWeightModule
 
 W3Monomial = tuple  # (lparts, wparts), each a descending tuple of ints
 
 EMPTY: W3Monomial = ((), ())
 
 
+def w3_monomial_str(mono: W3Monomial) -> str:
+    lparts, wparts = mono
+    if not lparts and not wparts:
+        return "1"
+    return ("".join(f"L({-a})" for a in lparts)
+            + "".join(f"W({-b})" for b in wparts))
+
+
 class DegenerateBlockError(ValueError):
     """A requested orthogonal projection hit a block with singular Gram form."""
 
 
-class W3Module:
+class W3Module(HighestWeightModule):
     """Highest-weight W3 module over exact rationals.
 
     W3Module(c) is the vacuum module; W3Module(c, lam, mu) the Verma module
     with lowest L_0 / W_0 eigenvalues lam, mu.
     """
+
+    EMPTY = EMPTY
+    monomial_str = staticmethod(w3_monomial_str)
 
     def __init__(self, c, lam=None, mu=None):
         self.c = Fraction(c)
@@ -67,27 +77,13 @@ class W3Module:
         self.vacuum = lam is None and mu is None
         self.lam = Fraction(lam) if lam is not None else Fraction(0)
         self.mu = Fraction(mu) if mu is not None else Fraction(0)
+        self.params = (self.c, self.lam, self.mu, self.vacuum)
         self.min_l = 2 if self.vacuum else 1
         self.min_w = 3 if self.vacuum else 1
         self._lambda_coef = Fraction(16) / (22 + 5 * self.c)
         self._memo_l: dict = {}
         self._memo_w: dict = {}
         self._memo_lambda: dict = {}
-
-    _instances: dict = {}
-    _instances_lock = threading.Lock()
-
-    @classmethod
-    def get(cls, c, lam=None, mu=None) -> "W3Module":
-        key = (Fraction(c),
-               Fraction(lam) if lam is not None else None,
-               Fraction(mu) if mu is not None else None)
-        with cls._instances_lock:
-            inst = cls._instances.get(key)
-            if inst is None:
-                inst = cls(*key)
-                cls._instances[key] = inst
-            return inst
 
     # -- basis ------------------------------------------------------------
 
@@ -103,9 +99,6 @@ class W3Module:
                     out.append((lp, wp))
         return out
 
-    def dim(self, weight: int) -> int:
-        return len(self.basis(weight))
-
     def level(self, mono: W3Monomial) -> int:
         return sum(mono[0]) + sum(mono[1])
 
@@ -116,12 +109,7 @@ class W3Module:
         rec = self._act_l if gen == "L" else self._act_w if gen == "W" else None
         if rec is None:
             raise ValueError(f"unknown generator {gen!r}")
-        if isinstance(v, SparseVec):
-            out: dict = {}
-            for mono, coef in v.items():
-                _accumulate(out, rec(n, mono), coef)
-            return SparseVec._raw(out)
-        return SparseVec._raw(dict(rec(n, v)))
+        return self._apply(rec, n, v)
 
     def apply_word(self, word, v=None) -> SparseVec:
         """Apply a word of modes, rightmost first: word [(g1,n1),...,(gr,nr)]
@@ -131,6 +119,11 @@ class W3Module:
         for gen, n in reversed(list(word)):
             out = self.act(gen, n, out)
         return out
+
+    def _modes(self, mono: W3Monomial):
+        lparts, wparts = mono
+        return ([(self._act_l, a) for a in lparts]
+                + [(self._act_w, b) for b in wparts])
 
     def _act_l(self, n: int, mono: W3Monomial) -> dict:
         lparts, wparts = mono
@@ -247,68 +240,7 @@ class W3Module:
         self._memo_lambda[key] = out
         return out
 
-    # -- contravariant form -------------------------------------------------
-
-    def pair(self, u, v) -> Fraction:
-        """Contravariant form: L_n adjoint L_{-n}, W_n adjoint W_{-n}."""
-        if not isinstance(u, SparseVec):
-            u = SparseVec.unit(u)
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
-        total = ZERO
-        for (lparts, wparts), coef in u.items():
-            w = v
-            for part in lparts:
-                w = self.act("L", part, w)
-                if w.is_zero():
-                    break
-            else:
-                for part in wparts:
-                    w = self.act("W", part, w)
-                    if w.is_zero():
-                        break
-            total += coef * w.coeff(EMPTY)
-        return total
-
-    def gram(self, weight: int) -> list[list[Fraction]]:
-        basis = self.basis(weight)
-        units = [SparseVec.unit(b) for b in basis]
-        return [[self.pair(units[i], units[j]) for j in range(len(basis))]
-                for i in range(len(basis))]
-
-    def gram_radical(self, weight: int) -> list[SparseVec]:
-        """Basis of the form's radical at a weight."""
-        basis = self.basis(weight)
-        g = self.gram(weight)
-        if not g:
-            return []
-        return [SparseVec({basis[j]: c for j, c in enumerate(x) if c})
-                for x in null_space(g)]
-
-    # -- primaries and Virasoro-block decomposition --------------------------
-
-    def primary_space(self, weight: int) -> list[SparseVec]:
-        """Deterministic basis of the joint kernel of L_1 and L_2 at a weight
-        (weight >= 1; L_1 and L_2 generate all positive Virasoro modes)."""
-        if weight < 1:
-            raise ValueError("primary spaces are graded by weights >= 1")
-        basis = self.basis(weight)
-        if not basis:
-            return []
-        rows: list[list[Fraction]] = []
-        for n in (1, 2):
-            target = self.basis(weight - n)
-            images = [self.act("L", n, SparseVec.unit(b)) for b in basis]
-            for t in target:
-                rows.append([img.coeff(t) for img in images])
-        if not rows:
-            rows = [[ZERO] * len(basis)]
-        index = {b: i for i, b in enumerate(basis)}
-        out = []
-        for coords in null_space(rows):
-            vec = SparseVec({basis[j]: c for j, c in enumerate(coords) if c})
-            out.append(normalized_integer_vector(vec, lambda k: index[k]))
-        return out
+    # -- Virasoro-block decomposition ----------------------------------------
 
     def vector_weight(self, v: SparseVec) -> int:
         """Weight of a homogeneous vector (error if mixed)."""
@@ -330,29 +262,6 @@ class W3Module:
             if not w.is_zero():
                 out.append(w)
         return out
-
-    def _independent_subset(self, vectors, basis) -> list[SparseVec]:
-        """First maximal independent subsequence, by incremental elimination."""
-        index = {b: i for i, b in enumerate(basis)}
-        ncols = len(basis)
-        reduced: list[tuple[int, list[Fraction]]] = []  # (pivot col, row)
-        keep = []
-        for v in vectors:
-            row = [ZERO] * ncols
-            for k, c in v.items():
-                row[index[k]] = c
-            for pivot, prow in reduced:
-                if row[pivot]:
-                    f = row[pivot] / prow[pivot]
-                    for j in range(pivot, ncols):
-                        if prow[j]:
-                            row[j] -= f * prow[j]
-            pivot = next((j for j in range(ncols) if row[j]), None)
-            if pivot is not None:
-                reduced.append((pivot, row))
-                reduced.sort(key=lambda t: t[0])
-                keep.append(v)
-        return keep
 
     def span_rank(self, vectors, weight: int) -> int:
         basis = self.basis(weight)
@@ -378,7 +287,10 @@ class W3Module:
         acc = SparseVec.zero()
         for label, gen_vec in blocks:
             span = self.vir_descendants(gen_vec, weight)
-            block_basis = self._independent_subset(span, basis)
+            # the first maximal independent subsequence: pivot columns of
+            # the matrix whose columns are the span vectors
+            _, pivots = _bareiss_echelon([[s.coeff(b) for s in span] for b in basis])
+            block_basis = [span[j] for j in pivots]
             if not block_basis:
                 components[label] = SparseVec.zero()
                 continue
@@ -420,14 +332,6 @@ class W3Module:
 
 # -- rendering ---------------------------------------------------------------
 
-def w3_monomial_str(mono: W3Monomial) -> str:
-    lparts, wparts = mono
-    if not lparts and not wparts:
-        return "1"
-    return ("".join(f"L({-a})" for a in lparts)
-            + "".join(f"W({-b})" for b in wparts))
-
-
 def w3_monomial_key(mono: W3Monomial):
     """Sort key reproducing basis order (weight, then W-weight ascending,
     then descending-lex part tuples)."""
@@ -437,7 +341,7 @@ def w3_monomial_key(mono: W3Monomial):
 
 
 def w3_vector_terms(v) -> dict:
-    """Render a vector as an ordered {monomial string: scalar string} map."""
+    """Render a vector as an ordered {monomial string: coefficient string} map."""
     monos = sorted(v.keys(), key=w3_monomial_key)
     return {w3_monomial_str(m): str(v.coeff(m)) for m in monos}
 
@@ -610,30 +514,24 @@ def verify_theorem32(c=1) -> dict:
     mod = W3Module.get(c)
     checks: list[dict] = []
 
-    def add(name, source, expected, computed, ok, **extra):
-        entry = {"name": name, "source": source, "expected": expected,
-                 "computed": computed, "pass": bool(ok)}
-        entry.update(extra)
-        checks.append(entry)
-
     dims_low = [mod.dim(r) for r in range(3, 7)]
-    add("graded-dimensions-3-6", "PAPER", "2,3,4,8",
-        ",".join(map(str, dims_low)), dims_low == [2, 3, 4, 8])
+    checks.append(check("graded-dimensions-3-6", "PAPER", "2,3,4,8",
+                        ",".join(map(str, dims_low)), dims_low == [2, 3, 4, 8]))
     dims_high = [mod.dim(r) for r in (7, 8)]
-    add("graded-dimensions-7-8", "DERIVED", "10,17",
-        ",".join(map(str, dims_high)), dims_high == [10, 17])
+    checks.append(check("graded-dimensions-7-8", "DERIVED", "10,17",
+                        ",".join(map(str, dims_high)), dims_high == [10, 17]))
     basis6 = mod.basis(6)
-    add("weight6-basis-set", "PAPER",
-        sorted(w3_monomial_str(m) for m in WEIGHT6_BASIS_REFERENCE),
-        sorted(w3_monomial_str(m) for m in basis6),
-        set(basis6) == set(WEIGHT6_BASIS_REFERENCE) and len(basis6) == 8)
+    checks.append(check("weight6-basis-set", "PAPER",
+                        sorted(w3_monomial_str(m) for m in WEIGHT6_BASIS_REFERENCE),
+                        sorted(w3_monomial_str(m) for m in basis6),
+                        set(basis6) == set(WEIGHT6_BASIS_REFERENCE) and len(basis6) == 8))
 
     primary_dims = {wt: len(mod.primary_space(wt)) for wt in (3, 4, 5, 6, 7)}
-    add("primary-dimensions-4-5-7", "PAPER", "0,0,0",
-        ",".join(str(primary_dims[w]) for w in (4, 5, 7)),
-        all(primary_dims[w] == 0 for w in (4, 5, 7)))
-    add("primary-dimension-6", "PAPER", "1", str(primary_dims[6]),
-        primary_dims[6] == 1)
+    checks.append(check("primary-dimensions-4-5-7", "PAPER", "0,0,0",
+                        ",".join(str(primary_dims[w]) for w in (4, 5, 7)),
+                        all(primary_dims[w] == 0 for w in (4, 5, 7))))
+    checks.append(check("primary-dimension-6", "PAPER", "1", str(primary_dims[6]),
+                        primary_dims[6] == 1))
 
     # The recorded weight-9 vector, straightened verbatim.
     recorded_words = [word for _, word in WEIGHT9_GENERATOR_TERMS]
@@ -645,19 +543,18 @@ def verify_theorem32(c=1) -> dict:
 
     # The engine's weight-9 primary line.
     prim9 = mod.primary_space(9)
-    add("weight9-primary-dimension", "DERIVED", "1", str(len(prim9)),
-        len(prim9) == 1)
+    checks.append(check("weight9-primary-dimension", "DERIVED", "1", str(len(prim9)),
+                        len(prim9) == 1))
 
     basis9 = mod.basis(9)
-    index9 = {b: i for i, b in enumerate(basis9)}
     u9 = prim9[0] if prim9 else None
 
     word_coords = None
     if u9 is not None:
         cols = [[sv.coeff(b) for sv in straightened_words] for b in basis9]
         word_coords = solve(cols, [u9.coeff(b) for b in basis9])
-    add("u9-in-recorded-span", "DERIVED", "yes",
-        "yes" if word_coords is not None else "no", word_coords is not None)
+    checks.append(check("u9-in-recorded-span", "DERIVED", "yes",
+                        "yes" if word_coords is not None else "no", word_coords is not None))
 
     u9_info = {
         "recorded_terms": {_word_str(word): str(cf)
@@ -673,22 +570,22 @@ def verify_theorem32(c=1) -> dict:
                 for word, x in zip(recorded_words, word_coords)}
         for n in (1, 2):
             img = mod.act("L", n, u9)
-            add(f"L{n}-kills-u9", "PAPER", "0",
-                w3_vector_terms(img) or "0", img.is_zero())
+            checks.append(check(f"L{n}-kills-u9", "PAPER", "0",
+                                w3_vector_terms(img) or "0", img.is_zero()))
         w1u9 = mod.act("W", 1, u9)
-        add("W1-u9-nonzero", "PAPER", "nonzero",
-            "nonzero" if not w1u9.is_zero() else "0", not w1u9.is_zero(),
-            value=w3_vector_terms(w1u9))
+        checks.append(check("W1-u9-nonzero", "PAPER", "nonzero",
+                            "nonzero" if not w1u9.is_zero() else "0", not w1u9.is_zero(),
+                            value=w3_vector_terms(w1u9)))
         l2p4 = w1u9.coeff(((2, 2, 2, 2), ()))
-        add("W1-u9-L(-2)^4-coefficient", "PAPER", "nonzero", str(l2p4),
-            l2p4 != 0)
+        checks.append(check("W1-u9-L(-2)^4-coefficient", "PAPER", "nonzero", str(l2p4),
+                            l2p4 != 0))
         pairings = [mod.pair(SparseVec.unit(b), u9) for b in basis9]
-        add("u9-outside-form-radical", "PAPER", "nonzero pairing",
-            "nonzero" if any(pairings) else "all pairings 0", any(pairings))
+        checks.append(check("u9-outside-form-radical", "PAPER", "nonzero pairing",
+                            "nonzero" if any(pairings) else "all pairings 0", any(pairings)))
     else:
         for name in ("L1-kills-u9", "L2-kills-u9", "W1-u9-nonzero",
                      "W1-u9-L(-2)^4-coefficient", "u9-outside-form-radical"):
-            add(name, "PAPER", "-", "no weight-9 primary available", False)
+            checks.append(check(name, "PAPER", "-", "no weight-9 primary available", False))
 
     w_vec = SparseVec.unit(((), (3,)))
     prim6 = mod.primary_space(6)
@@ -697,29 +594,29 @@ def verify_theorem32(c=1) -> dict:
         try:
             components, remainder = mod.decompose(
                 SparseVec.unit(((), (3, 3))), [("w", w_vec), ("u6", u6)])
-            add("weight6-membership-w-component", "PAPER", "0",
-                w3_vector_terms(components["w"]) or "0",
-                components["w"].is_zero(),
-                components={label: w3_vector_terms(comp) or "0"
-                            for label, comp in components.items()})
-            add("weight6-membership-remainder", "PAPER", "0",
-                w3_vector_terms(remainder) or "0", remainder.is_zero())
+            checks.append(check("weight6-membership-w-component", "PAPER", "0",
+                                w3_vector_terms(components["w"]) or "0",
+                                components["w"].is_zero(),
+                                components={label: w3_vector_terms(comp) or "0"
+                                            for label, comp in components.items()}))
+            checks.append(check("weight6-membership-remainder", "PAPER", "0",
+                                w3_vector_terms(remainder) or "0", remainder.is_zero()))
         except DegenerateBlockError as exc:
             for name in ("weight6-membership-w-component",
                          "weight6-membership-remainder"):
-                add(name, "PAPER", "0", f"undefined: {exc}", False)
+                checks.append(check(name, "PAPER", "0", f"undefined: {exc}", False))
         gap = mod.descendant_gap(8, [("w", w_vec), ("u6", u6)])
-        add("weight8-dimension-gap", "PAPER", "1", str(gap["gap"]),
-            gap["gap"] == 1,
-            detail={"dim": gap["dim"], "span_dim": gap["span_dim"],
-                    "block_dims": gap["block_dims"]})
+        checks.append(check("weight8-dimension-gap", "PAPER", "1", str(gap["gap"]),
+                            gap["gap"] == 1,
+                            detail={"dim": gap["dim"], "span_dim": gap["span_dim"],
+                                    "block_dims": gap["block_dims"]}))
     else:
-        add("weight6-membership-w-component", "PAPER", "0",
-            "no weight-6 primary available", False)
-        add("weight6-membership-remainder", "PAPER", "0",
-            "no weight-6 primary available", False)
-        add("weight8-dimension-gap", "PAPER", "1",
-            "no weight-6 primary available", False)
+        checks.append(check("weight6-membership-w-component", "PAPER", "0",
+                            "no weight-6 primary available", False))
+        checks.append(check("weight6-membership-remainder", "PAPER", "0",
+                            "no weight-6 primary available", False))
+        checks.append(check("weight8-dimension-gap", "PAPER", "1",
+                            "no weight-6 primary available", False))
 
     # -- verbatim comparisons against the recorded data ---------------------
     comparisons: list[dict] = []

@@ -125,3 +125,15 @@ def gauss_rank(rows) -> int:
         if r == len(mat):
             break
     return r
+
+
+def independent_subsequence(vectors) -> list[int]:
+    """Indices of the first maximal linearly independent subsequence: keep a
+    vector exactly when appending it raises the rank of those kept."""
+    kept: list = []
+    indices = []
+    for i, v in enumerate(vectors):
+        if gauss_rank(kept + [list(v)]) > len(kept):
+            kept.append(list(v))
+            indices.append(i)
+    return indices

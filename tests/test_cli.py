@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shlex
 import subprocess
 import sys
 
@@ -194,6 +196,67 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "decompose", "--c", "0", "--monomial", "W(-3)")
     assert code == 2
+    # inputs that used to end in a traceback with exit 1
+    for argv in (
+            ("primary", "--weight", "0"),
+            ("decompose", "--terms", '{"W(-3)":"1","L(-2)L(-2)":"1"}'),
+            ("verify", "thm32", "--c=-22/5"),
+            ("gram", "--algebra", "w3", "--c=-22/5", "--level", "2"),
+            ("primary", "--c=-22/5", "--weight", "6"),
+            ("dims", "--algebra", "w3", "--c=-22/5", "--max-weight", "3"),
+            ("verify", "lemma57", "--cutoff", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err, argv
+
+
+def test_ignored_flags_are_usage_errors(capsys):
+    for argv in (
+            ("act", "--algebra", "vir", "--vacuum", "--h", "5", "--gen", "L",
+             "--mode", "1", "--monomial", "L(-2)"),
+            ("dims", "--algebra", "vir", "--h", "1", "--lam", "1", "--mu", "1",
+             "--max-weight", "3"),
+            ("basis", "--algebra", "vir", "--vacuum", "--lam", "1", "--mu", "1",
+             "--weight", "3"),
+            ("gram", "--algebra", "vir", "--h", "1", "--lam", "1", "--mu", "2",
+             "--level", "2"),
+            ("act", "--algebra", "vir", "--h", "1", "--mu", "2", "--lam", "2",
+             "--gen", "L", "--mode", "1"),
+            ("dims", "--algebra", "m1+", "--lam", "1", "--mu", "1",
+             "--max-weight", "3"),
+            ("basis", "--algebra", "vl", "--lam", "1", "--mu", "1", "--weight", "3"),
+            ("act", "--algebra", "fock", "--lam", "1", "--mu", "1", "--gen", "a",
+             "--mode", "1"),
+            ("dims", "--algebra", "w3", "--h", "1", "--max-weight", "3"),
+            ("gram", "--algebra", "w3", "--vacuum", "--level", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "voacalc: error:" in err, argv
+    # the flags each algebra does read are still accepted
+    assert run(capsys, "gram", "--algebra", "w3", "--lam", "1", "--mu", "1",
+               "--level", "2")[0] == 0
+    assert run(capsys, "dims", "--algebra", "vir", "--vacuum",
+               "--max-weight", "3")[0] == 0
+
+
+def test_vacuous_suite_parameters_are_usage_errors(capsys):
+    for argv in (
+            ("verify", "prop21", "--max-level", "-3"),
+            ("verify", "prop21", "--max-level", "0"),
+            ("verify", "prop21", "--m", "-1,2"),
+            ("verify", "prop21", "--m", "-2"),
+            ("verify", "fusion-symmetry", "--samples", "0"),
+            ("verify", "fusion-symmetry", "--samples", "-5"),
+            ("verify", "all", "--max-level", "0"),
+            ("verify", "all", "--samples", "0")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+    code, out, _ = run(capsys, "verify", "prop21", "--max-level", "1", "--m", "1")
+    assert code == 0
+    assert all(ch["computed"] != "(none)" for ch in json.loads(out)["checks"])
+    code, out, _ = run(capsys, "verify", "fusion-symmetry", "--samples", "1")
+    assert code == 0
 
 
 def test_argparse_usage_exits_two(capsys):
@@ -234,3 +297,47 @@ def test_verify_all(capsys):
     assert report["pass"] is True
     assert [s["suite"] for s in report["suites"]] == [
         "thm32", "prop21", "lemma57", "fusion-symmetry", "fock"]
+
+
+# sha256 of stdout for `verify all` and every CLI example in README.md,
+# recorded before the Virasoro and W3 engines shared one module base; any
+# refactor must keep these reports byte-identical
+GOLDEN_STDOUT_SHA256 = {
+    'dims --algebra w3 --c 1 --max-weight 8':
+        "86079b0c76146ee3ac91b3c88c6f03376f5143166aff8ae781037cbd56420335",
+    'act --algebra w3 --c 1 --gen W --mode 1 --monomial "W(-3)W(-3)"':
+        "7452defd2e0e441d6fb2145c08708af0b329b923cd612114624f3f922dd22c6f",
+    'gram --algebra vir --c 1 --h 1 --level 3':
+        "16e49b7db68398f502512064e8203e4dc68874c456d18b269d769ffcd554935c",
+    'gram --algebra w3 --c 1 --level 3':
+        "dc1861f252b5da4337acf758f5c8f6aea86b3b592241ed32769f96fc09df411d",
+    'primary --algebra w3 --c 1 --weight 6':
+        "06f9584ed9804a1f8bc61e4871d235ed438cdd5b41f28bdf0d7d87dcf7137bfc",
+    'decompose --algebra w3 --c 1 --monomial "W(-3)W(-3)"':
+        "2a5b172eb299560dbda9422dedcdec1993f41914df2c5985f480dc0a221fdb11",
+    'char --algebra vl+ --k 3 --cutoff 10 --format csv':
+        "7c9a05323d9d13ad3d78ab8a367845db16df610c76eb4cd5708ff2ecda4d8f66",
+    'fusion --algebra vir --a "L(1,1)" --b "L(1,4)" --t "L(1,9)"':
+        "3dc27874ca7448e8154830600ff597ddb3486596c9e968b6cdd37844a29faf60",
+    'fusion --algebra m1+ --a "M(1,3/2)" --b "M(1,1/2)" --t "M(1,2)"':
+        "c4a141596d446a2f041c275c140dd4b4fdac9034445b76c0c415f64fc6dc81b1",
+    'verify thm32':
+        "b89e5748d64fb5d1259e32f7aad881d81d9211ae62bfcf3f41803fba0bcc8259",
+    'verify prop21 --m 0..2':
+        "733393a280acc05eee0f5f287d090fd1ecc08ebfdf1adb186787a420295930e3",
+    'verify lemma57 --k 3':
+        "23322a88a9178fb628f71bdd8e57d52b17baaf08ff409ebc9977772fe89daff1",
+    'verify fusion-symmetry':
+        "0833f23225ae454f3b07bdaa6f2430d8fcc5400648026967106dbcd3dbf8d313",
+    'verify fock':
+        "8be492cc12aa59c52be18955f45f757200423a71959ec640bf2827b83ef73c76",
+    'verify all':
+        "cfb63aeece8137be0928d73bb1df62a3fcb30eaa94bb471ec8f08f15718bad55",
+}
+
+
+def test_readme_examples_and_verify_all_are_byte_stable(capsys):
+    for example, digest in GOLDEN_STDOUT_SHA256.items():
+        code, out, _ = run(capsys, *shlex.split(example))
+        assert code == 0, example
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, example

@@ -1,7 +1,7 @@
 """Structural invariants checked on exhaustive small grids and seeded random
 samples: bracket closure, straightening confluence, adjointness of the
-contravariant forms, the charge-negation automorphism, and the quartic-mode
-commutator expansion.
+contravariant forms, the charge-negation automorphism, the quartic-mode
+commutator expansion, and the choice of block bases by elimination pivots.
 
 Each battery is a cached function returning its violation count so that the
 acceptance tests can run the same grids without paying twice.
@@ -12,10 +12,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from voacalc.core import SparseVec
+from voacalc.core import SparseVec, _bareiss_echelon
 from voacalc.fock import FockSpace
 from voacalc.virasoro import VirasoroModule
 from voacalc.w3 import W3Module
+
+from oracles import independent_subsequence
 
 
 # -- bracket closure ----------------------------------------------------------
@@ -353,3 +355,31 @@ def quartic_commutator_violations(max_mode=4, max_weight=6):
 
 def test_quartic_mode_commutator_expansion():
     assert quartic_commutator_violations() == 0
+
+
+# -- block bases: elimination pivots against incremental rank -------------------
+
+
+def test_pivot_columns_select_first_independent_subsequence():
+    """W3Module.decompose keeps the span vectors at the pivot columns of the
+    matrix whose columns they are; that must be the first maximal independent
+    subsequence."""
+    rng = random.Random(2024)
+    for _ in range(200):
+        dim = rng.randrange(1, 7)
+        vectors = []
+        for _ in range(rng.randrange(0, 9)):
+            roll = rng.random()
+            if roll < 0.1:
+                vectors.append([0] * dim)
+            elif roll < 0.4 and vectors:
+                # an integer combination of earlier vectors
+                picks = rng.sample(vectors, min(len(vectors), rng.randrange(1, 3)))
+                coefs = [rng.randrange(-3, 4) for _ in picks]
+                vectors.append([sum(c * v[i] for c, v in zip(coefs, picks))
+                                for i in range(dim)])
+            else:
+                vectors.append([rng.randrange(-4, 5) for _ in range(dim)])
+        columns = [[Fraction(v[i]) for v in vectors] for i in range(dim)]
+        _, pivots = _bareiss_echelon(columns)
+        assert pivots == independent_subsequence(vectors), vectors

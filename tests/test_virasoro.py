@@ -91,13 +91,13 @@ def test_gram_nullity_locates_first_singular_vector():
 
 def test_singular_vector_level_one():
     module = VirasoroModule.get(1, 0)
-    vecs = module.singular_vectors(1)
+    vecs = module.primary_space(1)
     assert len(vecs) == 1 and list(vecs[0].keys()) == [(1,)]
 
 
 def test_singular_vector_is_annihilated_and_in_radical():
     module = VirasoroModule.get(1, 1)
-    vecs = module.singular_vectors(3)
+    vecs = module.primary_space(3)
     assert len(vecs) == 1
     sv = vecs[0]
     assert module.act(1, sv).is_zero()
