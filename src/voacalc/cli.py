@@ -70,13 +70,18 @@ def _tokenize_monomial(text: str, allowed: str) -> list[tuple[str, int]]:
     return tokens
 
 
-def _parse_vir_monomial(text: str) -> tuple:
+def _parse_vir_monomial(text: str, module: VirasoroModule) -> tuple:
     parts = []
     for gen, mode in _tokenize_monomial(text, "L"):
         if mode >= 0:
             raise UsageError(f"basis monomials use creation modes; got L({mode})")
         parts.append(-mode)
-    return tuple(sorted(parts, reverse=True))
+    mono = tuple(sorted(parts, reverse=True))
+    if mono and mono[-1] < module.min_part:
+        raise UsageError(
+            f"monomial {text!r} is not a basis monomial of this module "
+            f"(L modes <= -{module.min_part})")
+    return mono
 
 
 def _parse_w3_monomial(text: str, module: W3Module) -> tuple:
@@ -131,16 +136,19 @@ def _vector_from_args(args, parse_monomial) -> SparseVec:
 _FOCK_SPACES = ("m1", "m1+", "m1-", "vl", "vl+", "vl-")
 
 
-def _reject_flags(args, *names) -> None:
-    """Usage error for any of the named flags, which this algebra ignores."""
-    given = [f"--{n}" for n in names if getattr(args, n, None) not in (None, False)]
+def _reject_flags(args, *names, context=None) -> None:
+    """Usage error for any of the named flags, which `context` (by default
+    the algebra) ignores."""
+    given = [f"--{n.replace('_', '-')}" for n in names
+             if getattr(args, n, None) not in (None, False)]
     if given:
-        raise UsageError(f"{', '.join(given)} not used with --algebra {args.algebra}")
+        raise UsageError(f"{', '.join(given)} not used with "
+                         f"{context or '--algebra ' + args.algebra}")
 
 
 def _vir_module(args) -> VirasoroModule:
-    _reject_flags(args, "lam", "mu")
-    c = _fraction(args.c, "--c")
+    _reject_flags(args, "lam", "mu", "k", "b")
+    c = _fraction("1" if args.c is None else args.c, "--c")
     if args.vacuum:
         if args.h is not None:
             raise UsageError("--vacuum fixes h = 0; do not combine it with --h")
@@ -158,8 +166,8 @@ def _w3_get(c, *lowest) -> W3Module:
 
 
 def _w3_module(args) -> W3Module:
-    _reject_flags(args, "h", "vacuum")
-    c = _fraction(args.c, "--c")
+    _reject_flags(args, "h", "vacuum", "k", "b")
+    c = _fraction("1" if args.c is None else args.c, "--c")
     lam = getattr(args, "lam", None)
     mu = getattr(args, "mu", None)
     if (lam is None) != (mu is None):
@@ -175,10 +183,11 @@ def _hw_module(args):
 
 
 def _fock_space(args) -> FockSpace:
-    _reject_flags(args, "h", "vacuum", "lam", "mu")
-    if args.k < 1:
+    _reject_flags(args, "c", "h", "vacuum", "lam", "mu", "kind")
+    k = 1 if args.k is None else args.k
+    if k < 1:
         raise UsageError("--k must be a positive integer")
-    return FockSpace(args.k)
+    return FockSpace(k)
 
 
 def _cmd_dims(args):
@@ -187,13 +196,7 @@ def _cmd_dims(args):
         raise UsageError("need 0 <= --min-weight <= --max-weight")
     weights = list(range(lo, hi + 1))
     if args.algebra in _FOCK_SPACES:
-        space = _fock_space(args)
-        base = args.algebra.rstrip("+-")
-        sign = args.algebra[len(base):]
-        if sign:
-            dims = [len(space.theta_basis(sign, base, w)) for w in weights]
-        else:
-            dims = [len(space.basis(base, w)) for w in weights]
+        dims = _fock_space(args).char_series(args.algebra, hi)[lo:]
     else:
         module = _hw_module(args)
         dims = [module.dim(w) for w in weights]
@@ -205,11 +208,12 @@ def _cmd_char(args):
     if cutoff < 0:
         raise UsageError("--cutoff must be nonnegative")
     if args.algebra == "vir":
+        _reject_flags(args, "k")
         if args.h is None:
             raise UsageError("--h is required for --algebra vir")
         h = _fraction(args.h, "--h")
         try:
-            series = virasoro.char_series((args.kind, h), cutoff)
+            series = virasoro.char_series((args.kind or "l1", h), cutoff)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     elif args.algebra in _FOCK_SPACES:
@@ -236,7 +240,7 @@ def _cmd_act(args):
         module = _vir_module(args)
         if args.gen != "L":
             raise UsageError("the Virasoro algebra only has generator L")
-        v = _vector_from_args(args, _parse_vir_monomial)
+        v = _vector_from_args(args, lambda t: _parse_vir_monomial(t, module))
         out = module.act(args.mode, v)
         terms = virasoro.vector_str_terms(out)
     elif args.algebra == "w3":
@@ -249,22 +253,24 @@ def _cmd_act(args):
     elif args.algebra == "fock":
         space = _fock_space(args)
         v = _vector_from_args(args, _parse_fock_monomial)
-        if args.gen == "a":
-            out = space.heis_act(args.mode, v)
-        elif args.gen == "omega":
-            out = space.vertex_mode(space.omega(), args.mode, v)
-        elif args.gen == "J":
-            out = space.vertex_mode(space.jvec(), args.mode, v)
-        elif args.gen == "e":
+        if args.gen == "e":
             if args.b is None:
                 raise UsageError("--b (operator charge) is required for --gen e")
-            b = _fraction(args.b, "--b")
-            try:
-                out = space.lattice_vertex_mode(b, args.mode, v)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            u = space.xvec(_fraction(args.b, "--b"))
+        elif args.b is not None:
+            raise UsageError("--b is only used with --gen e")
+        elif args.gen == "a":
+            u = space.heis_act(-1, space.VACUUM)
+        elif args.gen == "omega":
+            u = space.omega()
+        elif args.gen == "J":
+            u = space.jvec()
         else:
             raise UsageError("fock generators are a, e, omega, J")
+        try:
+            out = space.vertex_mode(u, args.mode, v)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         terms = fock.vector_str_terms(out)
     else:
         raise UsageError(f"unknown algebra {args.algebra!r}")
@@ -358,8 +364,23 @@ def _parse_m_range(text: str) -> tuple[int, ...]:
     return ms
 
 
+# the flags each suite reads, with their defaults; `verify all` reads them all
+_SUITE_FLAGS = {
+    "thm32": {"c": "1"},
+    "prop21": {"m": "0..2", "max_level": 5},
+    "lemma57": {"k": 3, "cutoff": None},
+    "fusion-symmetry": {"samples": 50, "seed": 20240601},
+    "fock": {},
+}
+
+
 def _cmd_verify(args):
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    for suite, flags in _SUITE_FLAGS.items():
+        if args.suite not in (suite, "all"):
+            _reject_flags(args, *flags, context=f"verify {args.suite}")
+        for name, default in flags.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
 
     def run(name: str) -> dict:
         if name == "thm32":
@@ -371,6 +392,7 @@ def _cmd_verify(args):
                 raise UsageError("--max-level must be at least 1")
             return virasoro.verify_prop21(_parse_m_range(args.m), args.max_level)
         if name == "lemma57":
+            cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
             if args.k < 1:
                 raise UsageError("--k must be a positive integer")
             if cutoff < 0:
@@ -386,8 +408,7 @@ def _cmd_verify(args):
         raise UsageError(f"unknown suite {name!r}")
 
     if args.suite == "all":
-        suites = [run(n) for n in
-                  ("thm32", "prop21", "lemma57", "fusion-symmetry", "fock")]
+        suites = [run(n) for n in _SUITE_FLAGS]
         ok = all(s["pass"] for s in suites)
         return {"suites": suites, "pass": ok}, not ok
     report = run(args.suite)
@@ -409,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     def add_vir_params(p):
-        p.add_argument("--c", default="1", help="central charge (rational)")
+        p.add_argument("--c", help="central charge (rational)")
         p.add_argument("--h", help="lowest weight (rational)")
         p.add_argument("--vacuum", action="store_true",
                        help="use the vacuum quotient instead of a generic module")
@@ -423,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("vir", "w3") + _FOCK_SPACES)
     add_vir_params(p)
     add_w3_params(p)
-    p.add_argument("--k", type=int, default=1, help="lattice half-norm")
+    p.add_argument("--k", type=int, help="lattice half-norm")
     p.add_argument("--min-weight", type=int, default=0)
     p.add_argument("--max-weight", type=int, required=True)
     add_format(p)
@@ -431,10 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="character q-series")
     p.add_argument("--algebra", required=True, choices=("vir",) + _FOCK_SPACES)
-    p.add_argument("--kind", choices=("verma", "l1"), default="l1",
-                   help="virasoro series kind")
+    p.add_argument("--kind", choices=("verma", "l1"), help="virasoro series kind")
     p.add_argument("--h", help="lowest weight (vir)")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int)
     p.add_argument("--cutoff", type=int, default=None,
                    help="highest q power (default: VOACALC_CUTOFF or 20)")
     add_format(p)
@@ -444,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, choices=("vir", "w3", "m1", "vl"))
     add_vir_params(p)
     add_w3_params(p)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int)
     p.add_argument("--weight", type=int, required=True)
     p.set_defaults(func=_cmd_basis)
 
@@ -452,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, choices=("vir", "w3", "fock"))
     add_vir_params(p)
     add_w3_params(p)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int)
     p.add_argument("--gen", required=True,
                    help="L or W (vir/w3); a, e, omega, J (fock)")
     p.add_argument("--mode", type=int, required=True)
@@ -495,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="named verification suites")
     p.add_argument("suite", choices=("thm32", "prop21", "lemma57",
                                      "fusion-symmetry", "fock", "all"))
-    p.add_argument("--c", default="1", help="central charge for thm32")
-    p.add_argument("--m", default="0..2", help="lowest-weight roots for prop21")
-    p.add_argument("--max-level", type=int, default=5)
-    p.add_argument("--k", type=int, default=3, help="lattice half-norm for lemma57")
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=20240601)
+    p.add_argument("--c", help="central charge for thm32")
+    p.add_argument("--m", help="lowest-weight roots for prop21")
+    p.add_argument("--max-level", type=int)
+    p.add_argument("--k", type=int, help="lattice half-norm for lemma57")
+    p.add_argument("--cutoff", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -10,12 +10,16 @@ exact rationals (integral on the lattice space, arbitrary for the
 single-charge modules). The weight of (parts, charge) is |parts| +
 k*charge^2.
 
-Vertex-operator modes are computed exactly: for a charge-0 vector u the
-coefficients of Y(u, z) come from the normally ordered product of derivative
-fields, and for lattice operators e^{b*alpha} from
-E^-(z) E^+(z) e_{b*alpha} z^{2kb*alpha(0)-pairing} with trivial two-cocycle
-(all pairings are even). The exponential series truncate by the output
-weight.
+Vertex-operator modes Y(u, z) are computed exactly for every vector u of
+the lattice space. The lattice operators are the base case: e^{b*alpha}
+acts as E^-(z) E^+(z) e_{b*alpha} z^{2kb*alpha(0)-pairing} with trivial
+two-cocycle (all pairings are even), and its exponential series truncate by
+the output weight. Every other monomial a(-p)u' reduces to u' by the iterate
+(normal-ordering) formula
+    (a(-p)u')_(n) = sum_{j>=0} C(p+j-1, j) [a(-p-j) u'_(n+j)
+                                           + (-1)^(p+1) u'_(n-p-j) a(j)],
+down to 1_(n) = delta_{n,-1} or to a lattice operator (Kac, Vertex Algebras
+for Beginners; Lepowsky-Li 2004).
 
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
@@ -25,7 +29,8 @@ The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 from .core import (
     ONE,
@@ -42,16 +47,6 @@ from .virasoro import irreducible_character_c1
 FockMonomial = tuple  # (parts, charge): descending tuple of ints, Fraction
 
 
-def _binom(top: int, bot: int) -> int:
-    """Binomial coefficient with arbitrary integer top, bot >= 0."""
-    if bot < 0:
-        return 0
-    num = 1
-    for t in range(bot):
-        num *= top - t
-    return num // factorial(bot)
-
-
 class FockSpace:
     """Fock spaces over the rank-one lattice with (alpha, alpha) = 2k."""
 
@@ -62,19 +57,9 @@ class FockSpace:
 
     VACUUM: FockMonomial = ((), Fraction(0))
 
-    @staticmethod
-    def monomial(parts, charge=0) -> FockMonomial:
-        return (tuple(sorted(parts, reverse=True)), Fraction(charge))
-
     def weight(self, mono: FockMonomial) -> Fraction:
         parts, charge = mono
         return sum(parts) + self.k * Fraction(charge) ** 2
-
-    def vector_weight(self, v: SparseVec) -> Fraction:
-        weights = {self.weight(m) for m in v.keys()}
-        if len(weights) != 1:
-            raise ValueError(f"vector is not homogeneous: weights {sorted(weights)}")
-        return weights.pop()
 
     # -- Heisenberg action ----------------------------------------------------
 
@@ -129,123 +114,116 @@ class FockSpace:
     # -- vertex-operator modes ------------------------------------------------
 
     def vertex_mode(self, u: SparseVec, n: int, v) -> SparseVec:
-        """Mode u_n of Y(u, z) for a charge-0 vector u, applied to v."""
+        """Mode u_n of Y(u, z) applied to v, for any vector u of the lattice
+        space, by the iterate formula of the module docstring.
+
+        Heisenberg modes keep charges, so for one monomial w of v the
+        recursion of all terms of u of one charge stays in one charge sector
+        and shares one memo of u'_(m) w, keyed by (u' parts, m, w parts).
+        The memos are dropped before the next monomial of v: kept for the
+        whole call they grow with the length of v.
+        """
         if not isinstance(v, SparseVec):
             v = SparseVec.unit(v)
+        k2 = 2 * self.k
+
+        def sector(ucharge, charge):
+            e0 = self._exponent(ucharge, charge) if ucharge else 0
+            memo: dict = {}
+
+            def mode(uparts, m, parts) -> dict:
+                # u'_(m) w lies below k*(ucharge + charge)^2, the lowest
+                # weight of its charge sector, hence vanishes, once m >= top
+                top = sum(uparts) + sum(parts) - e0
+                if m >= top:
+                    return {}
+                key = (uparts, m, parts)
+                out = memo.get(key)
+                if out is not None:
+                    return out
+                out = {}
+                if not uparts:
+                    if ucharge:
+                        lattice = self.lattice_vertex_mode(ucharge, m, (parts, charge))
+                        out = {new: x for (new, _), x in lattice.items()}
+                    elif m == -1:
+                        out = {parts: 1}
+                else:
+                    p, rest = uparts[0], uparts[1:]
+                    for j in range(top - p - m):
+                        c = comb(p + j - 1, j)
+                        for new, x in mode(rest, m + j, parts).items():
+                            new = tuple(sorted(new + (p + j,), reverse=True))
+                            _add_term(out, new, c * x)
+                    # a(j) w = factor * low: a(0) scales by 2k*charge,
+                    # a(j > 0) removes a part j
+                    lowered = [(0, k2 * charge, parts)] if charge else []
+                    for j in set(parts):
+                        low = list(parts)
+                        low.remove(j)
+                        lowered.append((j, k2 * j * parts.count(j), tuple(low)))
+                    sign = 1 if p % 2 else -1
+                    for j, factor, low in lowered:
+                        c = sign * comb(p + j - 1, j) * factor
+                        for new, x in mode(rest, m - p - j, low).items():
+                            _add_term(out, new, c * x)
+                memo[key] = out
+                return out
+
+            return mode
+
         out: dict = {}
-        for (uparts, ucharge), cu in u.items():
-            if ucharge != 0:
-                raise ValueError("vertex_mode needs a charge-0 operator vector; "
-                                 "use lattice_vertex_mode for exponentials")
-            target = n + 1 - sum(uparts)
-            for (parts, charge), cv in v.items():
-                self._mode_terms(uparts, target, parts, charge,
-                                 cu * cv, out)
+        for (parts, charge), cv in v.items():
+            sectors: dict = {}
+            for (uparts, ucharge), cu in u.items():
+                if ucharge not in sectors:
+                    sectors[ucharge] = sector(ucharge, charge)
+                for new, x in sectors[ucharge](uparts, n, parts).items():
+                    _add_term(out, (new, ucharge + charge), cu * cv * x)
         return SparseVec._raw(out)
 
-    def _mode_terms(self, uparts, target, parts, charge, coef, out) -> None:
-        """Accumulate the normally ordered contributions of one monomial pair.
-
-        Enumerates assignments (m_1..m_r) with sum = target; slot i carries
-        (-1)^(p_i - 1) * binom(m_i + p_i - 1, p_i - 1) for u-part p_i.
-        Annihilator slots must match parts of the target monomial, zero slots
-        need nonzero charge, creator slots add parts afterwards.
-        """
-        k2 = 2 * self.k
-        charge_factor = k2 * charge
-        counts0 = {}
-        for p in parts:
-            counts0[p] = counts0.get(p, 0) + 1
-
-        def rec(i, rem, counts, capacity, factor, creators):
-            if i == len(uparts):
-                if rem != 0:
-                    return
-                remaining = []
-                for val, cnt in counts.items():
-                    remaining.extend([val] * cnt)
-                new_parts = tuple(sorted(remaining + creators, reverse=True))
-                _add_term(out, (new_parts, charge), factor)
-                return
-            p = uparts[i]
-            exp = p - 1
-            sign = -1 if exp % 2 else 1
-            # annihilator slot: removes one existing part
-            for val, cnt in counts.items():
-                if not cnt:
-                    continue
-                b = _binom(val + exp, exp)
-                if not b:
-                    continue
-                counts2 = dict(counts)
-                counts2[val] = cnt - 1
-                rec(i + 1, rem - val, counts2, capacity - val,
-                    factor * sign * b * (k2 * val * cnt), creators)
-            # zero slot: alpha(0) scales by 2k*charge
-            if charge_factor:
-                rec(i + 1, rem, counts, capacity,
-                    factor * sign * charge_factor, creators)
-            # creator slot: m <= -1; the rest can still reach rem - m only
-            # if rem - m <= remaining annihilator capacity
-            for m in range(rem - capacity, 0):
-                b = _binom(m + exp, exp)
-                if not b:
-                    continue
-                rec(i + 1, rem - m, counts, capacity,
-                    factor * sign * b, creators + [-m])
-
-        rec(0, target, counts0, sum(parts), coef, [])
+    def _exponent(self, b, charge) -> int:
+        """2k*b*charge: e^{b*alpha}(z) carries z^(2k*b*charge) on the
+        charge sector, so its modes are integral only when this is."""
+        if Fraction(b).denominator != 1:
+            raise ValueError(
+                f"operator charge {b} is not an integer; the operator lies "
+                "outside the lattice and would produce non-integer charges")
+        e0 = 2 * self.k * b * charge
+        if e0.denominator != 1:
+            raise ValueError(
+                f"mode exponent 2k*b*charge = {e0} is not an integer; "
+                "the operator has no integral modes on this charge sector")
+        return int(e0)
 
     def lattice_vertex_mode(self, b, n: int, v) -> SparseVec:
         """Mode (e^{b*alpha})_n of the lattice operator with charge b != 0."""
         b = Fraction(b)
         if b == 0:
             raise ValueError("lattice operator needs a nonzero charge")
-        if b.denominator != 1:
-            raise ValueError(
-                f"operator charge {b} is not an integer; the operator lies "
-                "outside the lattice and would produce non-integer charges")
         if not isinstance(v, SparseVec):
             v = SparseVec.unit(v)
         out: dict = {}
         for (parts, charge), cv in v.items():
-            e0 = 2 * self.k * b * charge
-            if e0.denominator != 1:
-                raise ValueError(
-                    f"mode exponent 2k*b*charge = {e0} is not an integer; "
-                    "the operator has no integral modes on this charge sector")
-            e0 = int(e0)
-            values = sorted(set(parts), reverse=True)
-            mults = {val: parts.count(val) for val in values}
-
-            def removals(idx, removed_sum, kept, factor):
-                if idx == len(values):
-                    dplus = removed_sum
-                    dminus = -n - 1 - e0 + dplus
-                    if dminus < 0:
-                        return
-                    base = tuple(kept)
-                    for lam in partitions(dminus, 1):
-                        add_factor = ONE
-                        val_mult: dict = {}
-                        for part in lam:
-                            val_mult[part] = val_mult.get(part, 0) + 1
-                        for val, s in val_mult.items():
-                            add_factor *= b ** s / (Fraction(val) ** s
-                                                    * factorial(s))
-                        new_parts = tuple(sorted(base + lam, reverse=True))
-                        _add_term(out, (new_parts, charge + b),
-                                  factor * add_factor)
-                    return
-                val = values[idx]
-                mult = mults[val]
-                for t in range(mult + 1):
-                    removals(idx + 1, removed_sum + val * t,
-                             kept + [val] * (mult - t),
-                             factor * _binom(mult, t)
-                             * (-2 * self.k * b) ** t)
-
-            removals(0, 0, [], cv)
+            e0 = self._exponent(b, charge)
+            values = sorted(set(parts))
+            # E^+(z) removes t of the mult copies of each part value with the
+            # factor C(mult, t) (-2kb)^t; E^-(z) then adds a partition lam
+            for removed in product(*(range(parts.count(val) + 1) for val in values)):
+                factor, kept, dplus = cv, [], 0
+                for val, t in zip(values, removed):
+                    mult = parts.count(val)
+                    factor *= comb(mult, t) * (-2 * self.k * b) ** t
+                    kept += [val] * (mult - t)
+                    dplus += val * t
+                for lam in partitions(-n - 1 - e0 + dplus, 1):
+                    # coefficient of alpha(-lam) in exp(b sum_p alpha(-p) z^p / p)
+                    den = 1
+                    for val in set(lam):
+                        den *= val ** lam.count(val) * factorial(lam.count(val))
+                    new_parts = tuple(sorted(kept + list(lam), reverse=True))
+                    _add_term(out, (new_parts, charge + b),
+                              factor * b ** len(lam) / den)
         return SparseVec._raw(out)
 
     def vir_act(self, n: int, v) -> SparseVec:

@@ -2,13 +2,14 @@
 
 These deliberately use different algorithms from the package (global
 term-rewriting instead of head recursion, plain Gaussian elimination instead
-of fraction-free elimination, direct enumeration instead of closed forms) so
-that agreement is meaningful evidence of correctness.
+of fraction-free elimination, direct enumeration instead of closed forms or
+recursions) so that agreement is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 
 # -- naive Virasoro straightening by term rewriting ---------------------------
@@ -137,3 +138,91 @@ def independent_subsequence(vectors) -> list[int]:
             kept.append(list(v))
             indices.append(i)
     return indices
+
+
+# -- charge-0 vertex modes by enumerating slot assignments ----------------------
+
+
+def _binom(top: int, bot: int) -> int:
+    """Binomial coefficient with arbitrary integer top, bot >= 0."""
+    if bot < 0:
+        return 0
+    num = 1
+    for t in range(bot):
+        num *= top - t
+    return num // factorial(bot)
+
+
+def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
+    """Mode u_n of Y(u, z) applied to v in the rank-one Fock space with
+    (alpha, alpha) = 2k, for a charge-0 vector u.
+
+    u and v map monomials (parts, charge) to coefficients (a dict or
+    anything with .items()). Expands Y(u, z) as the normally ordered product
+    of derivative fields and enumerates the modes of its factors: for
+    u = alpha(-p_1)...alpha(-p_r) 1 it sums over assignments (m_1..m_r) with
+    m_1 + ... + m_r = n + 1 - sum(p_i), slot i carrying
+    (-1)^(p_i - 1) * binom(m_i + p_i - 1, p_i - 1).
+    """
+    out: dict = {}
+
+    def _add_term(d, key, c):
+        c = d.get(key, 0) + c
+        if c:
+            d[key] = c
+        else:
+            d.pop(key, None)
+
+    def _mode_terms(uparts, target, parts, charge, coef, out):
+        k2 = 2 * k
+        charge_factor = k2 * charge
+        counts0 = {}
+        for p in parts:
+            counts0[p] = counts0.get(p, 0) + 1
+
+        def rec(i, rem, counts, capacity, factor, creators):
+            if i == len(uparts):
+                if rem != 0:
+                    return
+                remaining = []
+                for val, cnt in counts.items():
+                    remaining.extend([val] * cnt)
+                new_parts = tuple(sorted(remaining + creators, reverse=True))
+                _add_term(out, (new_parts, charge), factor)
+                return
+            p = uparts[i]
+            exp = p - 1
+            sign = -1 if exp % 2 else 1
+            # annihilator slot: removes one existing part
+            for val, cnt in counts.items():
+                if not cnt:
+                    continue
+                b = _binom(val + exp, exp)
+                if not b:
+                    continue
+                counts2 = dict(counts)
+                counts2[val] = cnt - 1
+                rec(i + 1, rem - val, counts2, capacity - val,
+                    factor * sign * b * (k2 * val * cnt), creators)
+            # zero slot: alpha(0) scales by 2k*charge
+            if charge_factor:
+                rec(i + 1, rem, counts, capacity,
+                    factor * sign * charge_factor, creators)
+            # creator slot: m <= -1; the rest can still reach rem - m only
+            # if rem - m <= remaining annihilator capacity
+            for m in range(rem - capacity, 0):
+                b = _binom(m + exp, exp)
+                if not b:
+                    continue
+                rec(i + 1, rem - m, counts, capacity,
+                    factor * sign * b, creators + [-m])
+
+        rec(0, target, counts0, sum(parts), coef, [])
+
+    for (uparts, ucharge), cu in u.items():
+        if ucharge != 0:
+            raise ValueError("vertex_mode_by_slots needs a charge-0 operator vector")
+        target = n + 1 - sum(uparts)
+        for (parts, charge), cv in v.items():
+            _mode_terms(uparts, target, parts, charge, Fraction(cu) * Fraction(cv), out)
+    return out

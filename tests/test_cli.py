@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import voacalc
 from voacalc.cli import main
 
 
@@ -54,6 +57,10 @@ def test_char_and_env_cutoff(capsys, monkeypatch):
     monkeypatch.setenv("VOACALC_CUTOFF", "oops")
     code, _, err = run(capsys, "char", "--algebra", "vir", "--h", "1")
     assert code == 2 and "VOACALC_CUTOFF" in err
+    code, _, err = run(capsys, "verify", "lemma57")
+    assert code == 2 and "VOACALC_CUTOFF" in err
+    # only the series cutoffs read it
+    assert run(capsys, "verify", "fock")[0] == 0
 
 
 def test_char_quarter_square_is_usage_error(capsys):
@@ -196,6 +203,10 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "decompose", "--c", "0", "--monomial", "W(-3)")
     assert code == 2
+    # L(-1) kills the vacuum, so L(-3)L(-1) is no basis monomial of the quotient
+    code, out, _ = run(capsys, "act", "--algebra", "vir", "--vacuum", "--gen", "L",
+                       "--mode", "1", "--monomial", "L(-3)L(-1)")
+    assert code == 2 and out == ""
     # inputs that used to end in a traceback with exit 1
     for argv in (
             ("primary", "--weight", "0"),
@@ -228,15 +239,42 @@ def test_ignored_flags_are_usage_errors(capsys):
             ("act", "--algebra", "fock", "--lam", "1", "--mu", "1", "--gen", "a",
              "--mode", "1"),
             ("dims", "--algebra", "w3", "--h", "1", "--max-weight", "3"),
-            ("gram", "--algebra", "w3", "--vacuum", "--level", "3")):
+            ("gram", "--algebra", "w3", "--vacuum", "--level", "3"),
+            ("act", "--algebra", "w3", "--gen", "L", "--mode", "1", "--b", "3",
+             "--monomial", "L(-2)"),
+            ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "1",
+             "--b", "1"),
+            ("act", "--algebra", "fock", "--gen", "J", "--mode", "1", "--b", "1"),
+            ("act", "--algebra", "fock", "--gen", "a", "--mode", "1", "--b", "1"),
+            ("act", "--algebra", "fock", "--gen", "omega", "--mode", "1",
+             "--b", "1"),
+            ("dims", "--algebra", "vl+", "--c", "1", "--max-weight", "3"),
+            ("basis", "--algebra", "m1", "--c", "2", "--weight", "3"),
+            ("act", "--algebra", "fock", "--c", "1", "--gen", "a", "--mode", "1"),
+            ("dims", "--algebra", "vir", "--vacuum", "--k", "2", "--max-weight", "3"),
+            ("basis", "--algebra", "w3", "--k", "1", "--weight", "3"),
+            ("act", "--algebra", "w3", "--k", "1", "--gen", "L", "--mode", "1"),
+            ("char", "--algebra", "vir", "--h", "1", "--k", "2"),
+            ("char", "--algebra", "m1", "--kind", "verma"),
+            ("verify", "prop21", "--c", "2"),
+            ("verify", "fock", "--k", "5"),
+            ("verify", "thm32", "--samples", "3"),
+            ("verify", "lemma57", "--m", "0..4"),
+            ("verify", "fusion-symmetry", "--max-level", "3"),
+            ("verify", "thm32", "--cutoff", "10"),
+            ("verify", "prop21", "--seed", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "voacalc: error:" in err, argv
-    # the flags each algebra does read are still accepted
-    assert run(capsys, "gram", "--algebra", "w3", "--lam", "1", "--mu", "1",
-               "--level", "2")[0] == 0
-    assert run(capsys, "dims", "--algebra", "vir", "--vacuum",
-               "--max-weight", "3")[0] == 0
+    # the flags each algebra or suite does read are still accepted
+    for argv in (
+            ("gram", "--algebra", "w3", "--lam", "1", "--mu", "1", "--level", "2"),
+            ("dims", "--algebra", "vir", "--vacuum", "--max-weight", "3"),
+            ("act", "--algebra", "fock", "--k", "2", "--gen", "e", "--b", "1",
+             "--mode", "3", "--monomial", "e(-1)"),
+            ("verify", "all", "--c", "1", "--k", "3", "--m", "0..1",
+             "--samples", "5")):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_vacuous_suite_parameters_are_usage_errors(capsys):
@@ -282,10 +320,12 @@ def test_report_round_trips_through_json(capsys):
 
 
 def test_console_script_entry_point():
+    # the child interpreter imports the package under test, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(voacalc.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "voacalc.cli", "dims", "--algebra", "vir",
          "--c", "1", "--h", "0", "--max-weight", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dims"] == [1, 1, 2, 3, 5, 7]
 

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from voacalc.core import SparseVec
+from voacalc.core import SparseVec, partitions
 from voacalc.fock import (
     FockSpace,
     even_square_sum_series,
@@ -11,6 +13,8 @@ from voacalc.fock import (
     verify_fock,
     verify_lemma57,
 )
+
+from oracles import vertex_mode_by_slots
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +174,71 @@ def test_character_identities_to_q20(k3):
     assert m1p == even_square_sum_series(cutoff)
     assert k3.char_series("vl+", cutoff) == [
         a + b for a, b in zip(m1p, lattice_charge_tail_series(3, cutoff))]
+
+
+def test_vertex_mode_matches_slot_enumeration_oracle():
+    rng = random.Random(4)
+    for _ in range(320):
+        sp = FockSpace(rng.choice((1, 2, 3)))
+        u = SparseVec.zero()
+        for _ in range(rng.randint(1, 2)):
+            osc = rng.randint(1, 5)
+            lams = [lam for lam in partitions(rng.randint(osc, osc + 4), 1)
+                    if len(lam) == osc]
+            u = u + unit(rng.choice(lams)).scaled(Fraction(rng.randint(-4, 4)))
+        charge = rng.choice((0, 1, -1, 2, Fraction(1, 2)))
+        v = SparseVec.zero()
+        for _ in range(rng.randint(1, 2)):
+            lam = rng.choice(partitions(rng.randint(0, 5), 1))
+            v = v + unit(lam, charge).scaled(Fraction(rng.randint(1, 4)))
+        n = rng.randint(-4, 9)
+        assert dict(sp.vertex_mode(u, n, v).items()) == \
+            vertex_mode_by_slots(sp.k, u, n, v), (sp.k, u, n, v)
+
+
+def _vl_vectors(sp, max_weight=5):
+    return [SparseVec.unit(mono) for w in range(max_weight + 1)
+            for mono in sp.basis("vl", w)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_vertex_mode_of_exponential_is_lattice_mode(k):
+    sp = FockSpace(k)
+    for v in _vl_vectors(sp):
+        for b in (1, -1, 2):
+            for n in range(-6, 5):
+                assert sp.vertex_mode(sp.xvec(b), n, v) == \
+                    sp.lattice_vertex_mode(b, n, v), (b, n, v)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_heisenberg_commutator_with_charged_modes(k):
+    # [alpha(m), u_n] v = sum_i C(m, i) (alpha(i) u)_(m+n-i) v
+    sp = FockSpace(k)
+    for u in (unit((1,), 1), unit((2, 1), -1)):
+        lowered = [sp.heis_act(i, u) for i in range(4)]
+        for v in _vl_vectors(sp):
+            for m in range(4):
+                for n in range(-1, 2):
+                    lhs = (sp.heis_act(m, sp.vertex_mode(u, n, v))
+                           - sp.vertex_mode(u, n, sp.heis_act(m, v)))
+                    rhs = SparseVec.zero()
+                    for i in range(m + 1):
+                        rhs = rhs + sp.vertex_mode(
+                            lowered[i], m + n - i, v).scaled(Fraction(comb(m, i)))
+                    assert lhs == rhs, (u, m, n, v)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_translation_of_charged_modes(k):
+    # (L_{-1} u)_n = -n u_{n-1}
+    sp = FockSpace(k)
+    for u in (unit((1,), 1), unit((2, 1), -1), unit((), 1)):
+        du = sp.vir_act(-1, u)
+        for v in _vl_vectors(sp):
+            for n in range(-2, 3):
+                assert sp.vertex_mode(du, n, v) == \
+                    sp.vertex_mode(u, n - 1, v).scaled(Fraction(-n)), (u, n, v)
 
 
 def test_non_integral_operator_charge_is_rejected(k2):
