@@ -7,6 +7,7 @@ Everything is computed over exact rationals; no floating point anywhere.
 
 from .core import (
     Fraction,
+    InputError,
     SparseVec,
     inverse_euler,
     normalized_integer_vector,

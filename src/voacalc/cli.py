@@ -19,114 +19,134 @@ import sys
 from fractions import Fraction
 
 from . import __version__, fock, fusion, virasoro, w3
-from .core import SparseVec, rank
+from .core import InputError, SparseVec, rank, rational
 from .fock import FockSpace
 from .virasoro import VirasoroModule
 from .w3 import W3Module
 
 
-class UsageError(ValueError):
-    pass
+# Size caps. Each is at least the largest size the tests and the benchmark
+# use; the README lists the slowest call each admits.
+MAX_WEIGHT = 40  # dims and basis weights, series cutoffs, Fock `act` output heights
+MAX_LEVEL = 16  # gram --level, primary --weight, weights of `act`/`decompose` inputs
+MAX_PROP21_LEVEL = 12
+MAX_M = 10
+MAX_SAMPLES = 100_000
 
 
-def _default_cutoff() -> int:
-    raw = os.environ.get("VOACALC_CUTOFF")
-    if raw is None:
-        return 20
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in lo..hi (no upper bound if hi is None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _int_in(1)
+_weight = _int_in(0, MAX_WEIGHT)
+_level = _int_in(0, MAX_LEVEL)
+_m_entry = _int_in(0, MAX_M)
+
+
+def _m_values(text: str) -> tuple[int, ...]:
+    """argparse type for --m: a range "lo..hi" or a list "a,b,c"."""
+    s = text.replace(" ", "")
+    if ".." in s:
+        lo, hi = (_m_entry(x) for x in s.split("..", 1))
+        values = tuple(range(lo, hi + 1))
+    else:
+        values = tuple(_m_entry(x) for x in s.split(","))
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return values
+
+
+def _cutoff_or_env(cutoff: int | None) -> int:
+    """--cutoff if given, else VOACALC_CUTOFF, else 20."""
+    if cutoff is not None:
+        return cutoff
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"VOACALC_CUTOFF must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise UsageError("VOACALC_CUTOFF must be nonnegative")
-    return value
+        return _weight(os.environ.get("VOACALC_CUTOFF", "20"))
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"VOACALC_CUTOFF: {exc}") from exc
 
 
-def _fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{what} must be a rational number, got {text!r}") from exc
-
-
-_TOKEN_RE = re.compile(r"([LWae])\((-?\d+)\)")
+# at most nine digits, so int() never meets a digit string too long to convert
+_TOKEN_RE = re.compile(r"([LWae])\((-?\d{1,9})\)")
 
 
 def _tokenize_monomial(text: str, allowed: str) -> list[tuple[str, int]]:
+    """(generator, mode) pairs of a monomial such as "L(-2)W(-3)", none for
+    "1". Every mode but the charge m of e(m) is a creation mode, and they add
+    up to a weight of at most MAX_LEVEL."""
     s = text.replace(" ", "")
     if s == "1":
         return []
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m:
-            raise UsageError(f"cannot parse monomial {text!r} at {s[pos:]!r}")
-        gen, mode = m.group(1), int(m.group(2))
+    if not re.fullmatch(f"(?:{_TOKEN_RE.pattern})+", s):
+        raise InputError(f"cannot parse monomial {text!r}")
+    tokens = [(gen, int(mode)) for gen, mode in _TOKEN_RE.findall(s)]
+    for gen, mode in tokens:
         if gen not in allowed:
-            raise UsageError(f"generator {gen!r} not allowed in this algebra")
-        tokens.append((gen, mode))
-        pos = m.end()
+            raise InputError(f"generator {gen!r} not allowed in this algebra")
+        if gen != "e" and mode >= 0:
+            raise InputError(f"basis monomials use creation modes; got {gen}({mode})")
+    if -sum(mode for gen, mode in tokens if gen != "e") > MAX_LEVEL:
+        raise InputError(f"monomial {text!r} has weight above {MAX_LEVEL}")
     return tokens
 
 
-def _parse_vir_monomial(text: str, module: VirasoroModule) -> tuple:
-    parts = []
-    for gen, mode in _tokenize_monomial(text, "L"):
-        if mode >= 0:
-            raise UsageError(f"basis monomials use creation modes; got L({mode})")
-        parts.append(-mode)
-    mono = tuple(sorted(parts, reverse=True))
-    if mono and mono[-1] < module.min_part:
-        raise UsageError(
-            f"monomial {text!r} is not a basis monomial of this module "
-            f"(L modes <= -{module.min_part})")
-    return mono
-
-
-def _parse_w3_monomial(text: str, module: W3Module) -> tuple:
-    lparts, wparts = [], []
-    for gen, mode in _tokenize_monomial(text, "LW"):
-        if mode >= 0:
-            raise UsageError(f"basis monomials use creation modes; got {gen}({mode})")
-        (lparts if gen == "L" else wparts).append(-mode)
-    mono = (tuple(sorted(lparts, reverse=True)), tuple(sorted(wparts, reverse=True)))
-    if (mono[0] and mono[0][-1] < module.min_l) or (mono[1] and mono[1][-1] < module.min_w):
-        raise UsageError(
-            f"monomial {text!r} is not a basis monomial of this module "
-            f"(L modes <= -{module.min_l}, W modes <= -{module.min_w})")
+def _parse_hw_monomial(text: str, module):
+    """The basis monomial of a Virasoro or W3 module that `text` writes as
+    `basis` prints it: the module's own straightening of the mode word must
+    give back that one monomial."""
+    w3_algebra = isinstance(module, W3Module)
+    tokens = _tokenize_monomial(text, "LW" if w3_algebra else "L")
+    error = InputError(f"{text!r} is not a basis monomial of this module; "
+                       "write one as `basis` prints it")
+    mono = module.EMPTY
+    for token in reversed(tokens):
+        # every suffix of a basis monomial is one: stop at the first that is
+        # not, before a long misordered word is straightened in full
+        terms = list(module.apply_word([token if w3_algebra else token[1]], mono).items())
+        if len(terms) != 1 or terms[0][1] != 1:
+            raise error
+        mono = terms[0][0]
+    if module.monomial_str(mono) != text.replace(" ", ""):
+        raise error
     return mono
 
 
 def _parse_fock_monomial(text: str) -> tuple:
-    parts, charge = [], 0
-    seen_charge = False
-    for gen, mode in _tokenize_monomial(text, "ae"):
-        if gen == "a":
-            if mode >= 0:
-                raise UsageError(f"basis monomials use creation modes; got a({mode})")
-            parts.append(-mode)
-        else:
-            if seen_charge:
-                raise UsageError("at most one e(m) factor is allowed")
-            charge, seen_charge = mode, True
-    return (tuple(sorted(parts, reverse=True)), Fraction(charge))
+    """Oscillators commute, so they may come in any order."""
+    tokens = _tokenize_monomial(text, "ae")
+    charges = [mode for gen, mode in tokens if gen == "e"]
+    if len(charges) > 1:
+        raise InputError("at most one e(m) factor is allowed")
+    parts = sorted((-mode for gen, mode in tokens if gen == "a"), reverse=True)
+    return (tuple(parts), Fraction(charges[0] if charges else 0))
 
 
 def _vector_from_args(args, parse_monomial) -> SparseVec:
-    if getattr(args, "terms", None):
-        try:
-            data = json.loads(args.terms)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--terms is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict) or not data:
-            raise UsageError("--terms must be a non-empty JSON object")
-        total = SparseVec.zero()
-        for mono_text, coeff_text in data.items():
-            coeff = _fraction(str(coeff_text), f"coefficient of {mono_text}")
-            total = total + SparseVec.unit(parse_monomial(mono_text)).scaled(coeff)
-        return total
-    return SparseVec.unit(parse_monomial(getattr(args, "monomial", None) or "1"))
+    if args.terms is None:
+        return SparseVec.unit(parse_monomial("1" if args.monomial is None else args.monomial))
+    if args.monomial is not None:
+        raise InputError("give --monomial or --terms, not both")
+    try:
+        data = json.loads(args.terms)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"--terms is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or not data:
+        raise InputError("--terms must be a non-empty JSON object")
+    total = SparseVec.zero()
+    for mono_text, coeff in data.items():
+        total = total + SparseVec.unit(parse_monomial(mono_text)).scaled(rational(str(coeff)))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -140,41 +160,32 @@ def _reject_flags(args, *names, context=None) -> None:
     """Usage error for any of the named flags, which `context` (by default
     the algebra) ignores."""
     given = [f"--{n.replace('_', '-')}" for n in names
-             if getattr(args, n, None) not in (None, False)]
+             if getattr(args, n, None) is not None]
     if given:
-        raise UsageError(f"{', '.join(given)} not used with "
+        raise InputError(f"{', '.join(given)} not used with "
                          f"{context or '--algebra ' + args.algebra}")
 
 
 def _vir_module(args) -> VirasoroModule:
     _reject_flags(args, "lam", "mu", "k", "b")
-    c = _fraction("1" if args.c is None else args.c, "--c")
+    c = 1 if args.c is None else args.c
     if args.vacuum:
         if args.h is not None:
-            raise UsageError("--vacuum fixes h = 0; do not combine it with --h")
+            raise InputError("--vacuum fixes h = 0; do not combine it with --h")
         return VirasoroModule.get(c, 0, vacuum=True)
     if args.h is None:
-        raise UsageError("--h is required unless --vacuum is given")
-    return VirasoroModule.get(c, _fraction(args.h, "--h"))
-
-
-def _w3_get(c, *lowest) -> W3Module:
-    try:
-        return W3Module.get(c, *lowest)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise InputError("--h is required unless --vacuum is given")
+    return VirasoroModule.get(c, args.h)
 
 
 def _w3_module(args) -> W3Module:
     _reject_flags(args, "h", "vacuum", "k", "b")
-    c = _fraction("1" if args.c is None else args.c, "--c")
-    lam = getattr(args, "lam", None)
-    mu = getattr(args, "mu", None)
-    if (lam is None) != (mu is None):
-        raise UsageError("--lam and --mu must be given together")
-    if lam is None:
-        return _w3_get(c)
-    return _w3_get(c, _fraction(lam, "--lam"), _fraction(mu, "--mu"))
+    c = 1 if args.c is None else args.c
+    if (args.lam is None) != (args.mu is None):
+        raise InputError("--lam and --mu must be given together")
+    if args.lam is None:
+        return W3Module.get(c)
+    return W3Module.get(c, args.lam, args.mu)
 
 
 def _hw_module(args):
@@ -184,16 +195,13 @@ def _hw_module(args):
 
 def _fock_space(args) -> FockSpace:
     _reject_flags(args, "c", "h", "vacuum", "lam", "mu", "kind")
-    k = 1 if args.k is None else args.k
-    if k < 1:
-        raise UsageError("--k must be a positive integer")
-    return FockSpace(k)
+    return FockSpace(1 if args.k is None else args.k)
 
 
 def _cmd_dims(args):
     lo, hi = args.min_weight, args.max_weight
-    if lo < 0 or hi < lo:
-        raise UsageError("need 0 <= --min-weight <= --max-weight")
+    if hi < lo:
+        raise InputError("need --min-weight <= --max-weight")
     weights = list(range(lo, hi + 1))
     if args.algebra in _FOCK_SPACES:
         dims = _fock_space(args).char_series(args.algebra, hi)[lo:]
@@ -204,28 +212,18 @@ def _cmd_dims(args):
 
 
 def _cmd_char(args):
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
-    if cutoff < 0:
-        raise UsageError("--cutoff must be nonnegative")
+    cutoff = _cutoff_or_env(args.cutoff)
     if args.algebra == "vir":
         _reject_flags(args, "k")
         if args.h is None:
-            raise UsageError("--h is required for --algebra vir")
-        h = _fraction(args.h, "--h")
-        try:
-            series = virasoro.char_series((args.kind or "l1", h), cutoff)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif args.algebra in _FOCK_SPACES:
-        series = _fock_space(args).char_series(args.algebra, cutoff)
+            raise InputError("--h is required for --algebra vir")
+        series = virasoro.char_series((args.kind or "l1", args.h), cutoff)
     else:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
+        series = _fock_space(args).char_series(args.algebra, cutoff)
     return {"cutoff": cutoff, "series": series}, False
 
 
 def _cmd_basis(args):
-    if args.weight < 0:
-        raise UsageError("--weight must be nonnegative")
     if args.algebra in ("m1", "vl"):
         space = _fock_space(args)
         names = [fock.monomial_str(m) for m in space.basis(args.algebra, args.weight)]
@@ -239,26 +237,26 @@ def _cmd_act(args):
     if args.algebra == "vir":
         module = _vir_module(args)
         if args.gen != "L":
-            raise UsageError("the Virasoro algebra only has generator L")
-        v = _vector_from_args(args, lambda t: _parse_vir_monomial(t, module))
+            raise InputError("the Virasoro algebra only has generator L")
+        v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
         out = module.act(args.mode, v)
         terms = virasoro.vector_str_terms(out)
     elif args.algebra == "w3":
         module = _w3_module(args)
         if args.gen not in ("L", "W"):
-            raise UsageError("generators are L and W")
-        v = _vector_from_args(args, lambda t: _parse_w3_monomial(t, module))
+            raise InputError("generators are L and W")
+        v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
         out = module.act(args.gen, args.mode, v)
         terms = w3.w3_vector_terms(out)
-    elif args.algebra == "fock":
+    else:
         space = _fock_space(args)
         v = _vector_from_args(args, _parse_fock_monomial)
         if args.gen == "e":
             if args.b is None:
-                raise UsageError("--b (operator charge) is required for --gen e")
-            u = space.xvec(_fraction(args.b, "--b"))
+                raise InputError("--b (operator charge) is required for --gen e")
+            u = space.xvec(args.b)
         elif args.b is not None:
-            raise UsageError("--b is only used with --gen e")
+            raise InputError("--b is only used with --gen e")
         elif args.gen == "a":
             u = space.heis_act(-1, space.VACUUM)
         elif args.gen == "omega":
@@ -266,20 +264,19 @@ def _cmd_act(args):
         elif args.gen == "J":
             u = space.jvec()
         else:
-            raise UsageError("fock generators are a, e, omega, J")
-        try:
-            out = space.vertex_mode(u, args.mode, v)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise InputError("fock generators are a, e, omega, J")
+        # u_(n) w lies this far above the lowest weight of its charge sector
+        height = max((sum(uparts) + sum(parts) - 2 * space.k * b * c - args.mode - 1
+                      for uparts, b in u.keys() for parts, c in v.keys()), default=0)
+        if height > MAX_WEIGHT:
+            raise InputError(f"the output would reach {height} above the lowest "
+                             f"weight of its charge sector; the cap is {MAX_WEIGHT}")
+        out = space.vertex_mode(u, args.mode, v)
         terms = fock.vector_str_terms(out)
-    else:
-        raise UsageError(f"unknown algebra {args.algebra!r}")
     return {"gen": args.gen, "mode": args.mode, "terms": terms}, False
 
 
 def _cmd_gram(args):
-    if args.level < 0:
-        raise UsageError("--level must be nonnegative")
     module = _hw_module(args)
     matrix = module.gram(args.level)
     r = rank(matrix)
@@ -293,11 +290,7 @@ def _cmd_gram(args):
 
 
 def _cmd_primary(args):
-    if args.algebra != "w3":
-        raise UsageError("primary vectors are computed in the w3 algebra")
     module = _w3_module(args)
-    if args.weight < 1:
-        raise UsageError("--weight must be at least 1")
     vectors = module.primary_space(args.weight)
     return {
         "weight": args.weight,
@@ -308,20 +301,14 @@ def _cmd_primary(args):
 
 def _cmd_decompose(args):
     module = _w3_module(args)
-    v = _vector_from_args(args, lambda t: _parse_w3_monomial(t, module))
-    try:
-        weight = module.vector_weight(v)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
+    weight = module.vector_weight(v)
     primaries = [("w", SparseVec.unit(((), (3,))))]
     if weight >= 6:
         prims6 = module.primary_space(6)
         if prims6:
             primaries.append(("u6", prims6[0]))
-    try:
-        components, remainder = module.decompose(v, primaries)
-    except w3.DegenerateBlockError as exc:
-        raise UsageError(str(exc)) from exc
+    components, remainder = module.decompose(v, primaries)
     return {
         "weight": weight,
         "components": {label: w3.w3_vector_terms(comp)
@@ -331,14 +318,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_fusion(args):
-    algebra = {"vir": "vir", "m1+": "m1+"}.get(args.algebra)
-    if algebra is None:
-        raise UsageError("fusion algebras are 'vir' and 'm1+'")
-    try:
-        a, b, t = (fusion.parse_label(x) for x in (args.a, args.b, args.t))
-        dim = fusion.fusion_dim(algebra, a, b, t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    a, b, t = (fusion.parse_label(x) for x in (args.a, args.b, args.t))
+    dim = fusion.fusion_dim(args.algebra, a, b, t)
     return {
         "a": fusion.label_str(a),
         "b": fusion.label_str(b),
@@ -347,72 +328,35 @@ def _cmd_fusion(args):
     }, False
 
 
-def _parse_m_range(text: str) -> tuple[int, ...]:
-    s = text.replace(" ", "")
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", s)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return tuple(range(lo, hi + 1))
-    try:
-        ms = tuple(int(x) for x in s.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--m expects e.g. '0..2' or '0,1,2', got {text!r}") from exc
-    if min(ms) < 0:
-        raise UsageError(f"--m entries must be nonnegative, got {text!r}")
-    return ms
-
-
-# the flags each suite reads, with their defaults; `verify all` reads them all
-_SUITE_FLAGS = {
-    "thm32": {"c": "1"},
-    "prop21": {"m": "0..2", "max_level": 5},
-    "lemma57": {"k": 3, "cutoff": None},
-    "fusion-symmetry": {"samples": 50, "seed": 20240601},
-    "fock": {},
+# suite -> (run, {flag: default}); `verify all` reads every flag. Each run
+# looks its suite function up on the module when called, so a wrapper set
+# there (bench/cli_probe.py times the suites that way) is the one that runs.
+_SUITES = {
+    "thm32": (lambda a: w3.verify_theorem32(a.c), {"c": Fraction(1)}),
+    "prop21": (lambda a: virasoro.verify_prop21(a.m, a.max_level),
+               {"m": (0, 1, 2), "max_level": 5}),
+    "lemma57": (lambda a: fock.verify_lemma57(a.k, _cutoff_or_env(a.cutoff)),
+                {"k": 3, "cutoff": None}),
+    "fusion-symmetry": (lambda a: fusion.verify_fusion_symmetry(samples=a.samples,
+                                                                seed=a.seed),
+                        {"samples": 50, "seed": 20240601}),
+    "fock": (lambda a: fock.verify_fock(), {}),
 }
 
 
 def _cmd_verify(args):
-    for suite, flags in _SUITE_FLAGS.items():
+    for suite, (_, flags) in _SUITES.items():
         if args.suite not in (suite, "all"):
             _reject_flags(args, *flags, context=f"verify {args.suite}")
         for name, default in flags.items():
             if getattr(args, name) is None:
                 setattr(args, name, default)
-
-    def run(name: str) -> dict:
-        if name == "thm32":
-            c = _fraction(args.c, "--c")
-            _w3_get(c)  # usage error where the W,W bracket is undefined
-            return w3.verify_theorem32(c)
-        if name == "prop21":
-            if args.max_level < 1:
-                raise UsageError("--max-level must be at least 1")
-            return virasoro.verify_prop21(_parse_m_range(args.m), args.max_level)
-        if name == "lemma57":
-            cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
-            if args.k < 1:
-                raise UsageError("--k must be a positive integer")
-            if cutoff < 0:
-                raise UsageError("--cutoff must be nonnegative")
-            return fock.verify_lemma57(args.k, cutoff)
-        if name == "fusion-symmetry":
-            if args.samples < 1:
-                raise UsageError("--samples must be at least 1")
-            return fusion.verify_fusion_symmetry(samples=args.samples,
-                                                 seed=args.seed)
-        if name == "fock":
-            return fock.verify_fock()
-        raise UsageError(f"unknown suite {name!r}")
-
-    if args.suite == "all":
-        suites = [run(n) for n in _SUITE_FLAGS]
-        ok = all(s["pass"] for s in suites)
-        return {"suites": suites, "pass": ok}, not ok
-    report = run(args.suite)
-    return report, not report["pass"]
+    if args.suite != "all":
+        report = _SUITES[args.suite][0](args)
+        return report, not report["pass"]
+    suites = [run(args) for run, _ in _SUITES.values()]
+    ok = all(s["pass"] for s in suites)
+    return {"suites": suites, "pass": ok}, not ok
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +374,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     def add_vir_params(p):
-        p.add_argument("--c", help="central charge (rational)")
-        p.add_argument("--h", help="lowest weight (rational)")
-        p.add_argument("--vacuum", action="store_true",
+        p.add_argument("--c", type=rational, help="central charge (rational)")
+        p.add_argument("--h", type=rational, help="lowest weight (rational)")
+        p.add_argument("--vacuum", action="store_true", default=None,
                        help="use the vacuum quotient instead of a generic module")
 
     def add_w3_params(p):
-        p.add_argument("--lam", help="L0 lowest eigenvalue (generic module)")
-        p.add_argument("--mu", help="W0 lowest eigenvalue (generic module)")
+        p.add_argument("--lam", type=rational, help="L0 lowest eigenvalue (generic module)")
+        p.add_argument("--mu", type=rational, help="W0 lowest eigenvalue (generic module)")
 
     p = sub.add_parser("dims", help="graded dimensions over a weight range")
     p.add_argument("--algebra", required=True,
                    choices=("vir", "w3") + _FOCK_SPACES)
     add_vir_params(p)
     add_w3_params(p)
-    p.add_argument("--k", type=int, help="lattice half-norm")
-    p.add_argument("--min-weight", type=int, default=0)
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--k", type=_positive, help="lattice half-norm")
+    p.add_argument("--min-weight", type=_weight, default=0)
+    p.add_argument("--max-weight", type=_weight, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("char", help="character q-series")
     p.add_argument("--algebra", required=True, choices=("vir",) + _FOCK_SPACES)
     p.add_argument("--kind", choices=("verma", "l1"), help="virasoro series kind")
-    p.add_argument("--h", help="lowest weight (vir)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--cutoff", type=int, default=None,
+    p.add_argument("--h", type=rational, help="lowest weight (vir)")
+    p.add_argument("--k", type=_positive)
+    p.add_argument("--cutoff", type=_weight,
                    help="highest q power (default: VOACALC_CUTOFF or 20)")
     add_format(p)
     p.set_defaults(func=_cmd_char)
@@ -464,20 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, choices=("vir", "w3", "m1", "vl"))
     add_vir_params(p)
     add_w3_params(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--k", type=_positive)
+    p.add_argument("--weight", type=_weight, required=True)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("act", help="apply one generator mode to a vector")
     p.add_argument("--algebra", required=True, choices=("vir", "w3", "fock"))
     add_vir_params(p)
     add_w3_params(p)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive)
     p.add_argument("--gen", required=True,
                    help="L or W (vir/w3); a, e, omega, J (fock)")
     p.add_argument("--mode", type=int, required=True)
-    p.add_argument("--b", help="operator charge for --gen e (rational)")
-    p.add_argument("--monomial", help='input monomial, e.g. "L(-2)W(-3)"')
+    p.add_argument("--b", type=rational, help="operator charge for --gen e (rational)")
+    p.add_argument("--monomial", help='input basis monomial, e.g. "L(-2)W(-3)"')
     p.add_argument("--terms", help='input vector as JSON {"monomial": "p/q"}')
     p.set_defaults(func=_cmd_act)
 
@@ -485,21 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, choices=("vir", "w3"))
     add_vir_params(p)
     add_w3_params(p)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_level, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("primary", help="primary vectors at a weight")
     p.add_argument("--algebra", default="w3", choices=("w3",))
-    p.add_argument("--c", default="1")
+    p.add_argument("--c", type=rational, default="1")
     add_w3_params(p)
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_int_in(1, MAX_LEVEL), required=True)
     p.set_defaults(func=_cmd_primary)
 
     p = sub.add_parser("decompose",
                        help="split a vacuum-module vector into Virasoro blocks")
     p.add_argument("--algebra", default="w3", choices=("w3",))
-    p.add_argument("--c", default="1")
+    p.add_argument("--c", type=rational, default="1")
     add_w3_params(p)
     p.add_argument("--monomial")
     p.add_argument("--terms")
@@ -513,14 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fusion)
 
     p = sub.add_parser("verify", help="named verification suites")
-    p.add_argument("suite", choices=("thm32", "prop21", "lemma57",
-                                     "fusion-symmetry", "fock", "all"))
-    p.add_argument("--c", help="central charge for thm32")
-    p.add_argument("--m", help="lowest-weight roots for prop21")
-    p.add_argument("--max-level", type=int)
-    p.add_argument("--k", type=int, help="lattice half-norm for lemma57")
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--samples", type=int)
+    p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
+    p.add_argument("--c", type=rational, help="central charge for thm32")
+    p.add_argument("--m", type=_m_values, help="lowest-weight roots for prop21")
+    p.add_argument("--max-level", type=_int_in(1, MAX_PROP21_LEVEL))
+    p.add_argument("--k", type=_positive, help="lattice half-norm for lemma57")
+    p.add_argument("--cutoff", type=_weight)
+    p.add_argument("--samples", type=_int_in(1, MAX_SAMPLES))
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
@@ -534,10 +477,8 @@ def _emit_csv(command: str, payload: dict) -> str:
     elif command == "char":
         lines = ["power,coefficient"]
         lines += [f"{i},{c}" for i, c in enumerate(payload["series"])]
-    elif command == "gram":
+    else:  # gram
         lines = [",".join(row) for row in payload["matrix"]]
-    else:
-        raise UsageError(f"--format csv is not available for {command!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -550,17 +491,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, failed = args.func(args)
-        fmt = getattr(args, "format", "json")
-        if fmt == "csv":
-            sys.stdout.write(_emit_csv(args.command, payload))
-        else:
-            report = {"command": args.command, "invocation": argv,
-                      "version": __version__}
-            report.update(payload)
-            sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    except UsageError as exc:
+    except InputError as exc:
         sys.stderr.write(f"voacalc: error: {exc}\n")
         return 2
+    if getattr(args, "format", "json") == "csv":
+        sys.stdout.write(_emit_csv(args.command, payload))
+    else:
+        report = {"command": args.command, "invocation": argv,
+                  "version": __version__}
+        report.update(payload)
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 1 if failed else 0
 
 

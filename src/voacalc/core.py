@@ -1,6 +1,6 @@
 """Shared exact-arithmetic substrate: partitions, sparse vectors,
-fraction-free linear algebra, integer q-series helpers and the check entries
-of verification reports.
+fraction-free linear algebra, integer q-series helpers, the check entries
+of verification reports and the error every input check raises.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -14,6 +14,20 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class InputError(ValueError):
+    """An argument outside what a function accepts; the CLI reports it as a
+    usage error (exit 2)."""
+
+
+def rational(text: str) -> Fraction:
+    """Fraction(text), with unreadable text or a zero denominator as
+    InputError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"expected a rational number, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +361,6 @@ def normalized_integer_vector(v: SparseVec, key_order) -> SparseVec:
 def series_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def series_mul(a: Sequence[int], b: Sequence[int], cutoff: int) -> list[int]:
-    out = [0] * (cutoff + 1)
-    for i, ai in enumerate(a):
-        if ai and i <= cutoff:
-            for j, bj in enumerate(b):
-                if i + j > cutoff:
-                    break
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def inverse_euler(cutoff: int) -> list[int]:

@@ -34,6 +34,7 @@ from math import comb, factorial
 
 from .core import (
     ONE,
+    InputError,
     SparseVec,
     ZERO,
     _add_term,
@@ -52,7 +53,7 @@ class FockSpace:
 
     def __init__(self, k: int):
         if not isinstance(k, int) or k < 1:
-            raise ValueError("the lattice parameter k must be a positive integer")
+            raise InputError("the lattice parameter k must be a positive integer")
         self.k = k
 
     VACUUM: FockMonomial = ((), Fraction(0))
@@ -108,7 +109,7 @@ class FockSpace:
     def evec(self, m) -> SparseVec:
         """theta-invariant combination e^{m*alpha} + e^{-m*alpha}."""
         if m == 0:
-            raise ValueError("evec needs a nonzero charge")
+            raise InputError("evec needs a nonzero charge")
         return self.xvec(m) + self.xvec(-m)
 
     # -- vertex-operator modes ------------------------------------------------
@@ -186,12 +187,12 @@ class FockSpace:
         """2k*b*charge: e^{b*alpha}(z) carries z^(2k*b*charge) on the
         charge sector, so its modes are integral only when this is."""
         if Fraction(b).denominator != 1:
-            raise ValueError(
+            raise InputError(
                 f"operator charge {b} is not an integer; the operator lies "
                 "outside the lattice and would produce non-integer charges")
         e0 = 2 * self.k * b * charge
         if e0.denominator != 1:
-            raise ValueError(
+            raise InputError(
                 f"mode exponent 2k*b*charge = {e0} is not an integer; "
                 "the operator has no integral modes on this charge sector")
         return int(e0)
@@ -200,7 +201,7 @@ class FockSpace:
         """Mode (e^{b*alpha})_n of the lattice operator with charge b != 0."""
         b = Fraction(b)
         if b == 0:
-            raise ValueError("lattice operator needs a nonzero charge")
+            raise InputError("lattice operator needs a nonzero charge")
         if not isinstance(v, SparseVec):
             v = SparseVec.unit(v)
         out: dict = {}
@@ -285,12 +286,12 @@ class FockSpace:
                 for lam in partitions(rest, 1):
                     out.append((lam, Fraction(x)))
             return out
-        raise ValueError(f"unknown space {space!r}; expected 'm1' or 'vl'")
+        raise InputError(f"unknown space {space!r}; expected 'm1' or 'vl'")
 
     def theta_basis(self, sign: str, space: str, weight: int) -> list[SparseVec]:
         """Deterministic basis of the theta eigenspace ("+" or "-")."""
         if sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
+            raise InputError("sign must be '+' or '-'")
         want = 0 if sign == "+" else 1
         out = []
         for mono in self.basis(space, weight):
@@ -309,10 +310,10 @@ class FockSpace:
         """Graded dimensions q^0..q^cutoff by direct basis counting for
         space in {m1, m1+, m1-, vl, vl+, vl-}."""
         if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
+            raise InputError("cutoff must be nonnegative")
         base, sign = (space[:-1], space[-1]) if space[-1] in "+-" else (space, "")
         if base not in ("m1", "vl"):
-            raise ValueError(f"unknown space {space!r}")
+            raise InputError(f"unknown space {space!r}")
         out = []
         for n in range(cutoff + 1):
             if sign:

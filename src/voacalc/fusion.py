@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from math import isqrt
 
-from .core import check
+from .core import InputError, check, rational
 
 Label = tuple
 
@@ -47,14 +47,14 @@ _UNTWISTED_FIXED = (M1_PLUS, M1_MINUS)
 def vir_label(h) -> Label:
     h = Fraction(h)
     if h < 0:
-        raise ValueError("Virasoro lowest weight must be nonnegative")
+        raise InputError("Virasoro lowest weight must be nonnegative")
     return (VIR, h)
 
 
 def m1_label(lam) -> Label:
     lam = Fraction(lam)
     if lam == 0:
-        raise ValueError("M(1,lam) requires lam != 0; "
+        raise InputError("M(1,lam) requires lam != 0; "
                          "the lam = 0 sectors are M(1)+ and M(1)-")
     return (M1_LAMBDA, abs(lam))
 
@@ -74,14 +74,14 @@ def parse_label(text: str) -> Label:
     """Parse "L(1,9/4)", "M(1)+", "M(1,3/2)", "M(1)(theta)-" forms."""
     m = _LABEL_RE.match(text.replace(" ", ""))
     if not m:
-        raise ValueError(f"unrecognized module label {text!r}")
+        raise InputError(f"unrecognized module label {text!r}")
     if m.group("h") is not None:
-        return vir_label(Fraction(m.group("h")))
+        return vir_label(rational(m.group("h")))
     if m.group("tsign") is not None:
         return (M1_THETA_PLUS,) if m.group("tsign") == "+" else (M1_THETA_MINUS,)
     if m.group("sign") is not None:
         return (M1_PLUS,) if m.group("sign") == "+" else (M1_MINUS,)
-    return m1_label(Fraction(m.group("lam")))
+    return m1_label(rational(m.group("lam")))
 
 
 def label_str(label: Label) -> str:
@@ -98,7 +98,7 @@ def label_str(label: Label) -> str:
         return "M(1)(theta)+"
     if kind == M1_THETA_MINUS:
         return "M(1)(theta)-"
-    raise ValueError(f"bad label {label!r}")
+    raise InputError(f"bad label {label!r}")
 
 
 def _square_root_if_square(h: Fraction):
@@ -151,12 +151,12 @@ def fusion_dim(algebra: str, a: Label, b: Label, t: Label):
     if algebra == VIR:
         for lab in (a, b, t):
             if lab[0] != VIR:
-                raise ValueError(f"label {label_str(lab)} is not a Virasoro label")
+                raise InputError(f"label {label_str(lab)} is not a Virasoro label")
         return _vir_fusion(a[1], b[1], t[1])
     if algebra == "m1+":
         for lab in (a, b, t):
             if lab[0] == VIR:
-                raise ValueError(f"label {label_str(lab)} is not an orbifold label")
+                raise InputError(f"label {label_str(lab)} is not an orbifold label")
         # a statement applies when some bottom argument is M(1,lam)
         for m_lab, n_lab in ((a, b), (b, a)):
             if m_lab[0] == M1_LAMBDA:
@@ -165,7 +165,7 @@ def fusion_dim(algebra: str, a: Label, b: Label, t: Label):
                 d2 = _m1_pair_dim(lam, t, n_lab)  # exchange N <-> T
                 return max(d1, d2)
         return None
-    raise ValueError(f"unknown algebra {algebra!r}; expected 'vir' or 'm1+'")
+    raise InputError(f"unknown algebra {algebra!r}; expected 'vir' or 'm1+'")
 
 
 # -- symmetry verification ----------------------------------------------------

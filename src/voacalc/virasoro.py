@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .core import (
     ONE,
+    InputError,
     SparseVec,
     ZERO,
     _accumulate,
@@ -119,7 +120,7 @@ class HighestWeightModule:
         (weight >= 1; L_1 and L_2 generate all positive Virasoro modes), each
         vector scaled to coprime integers, first coefficient positive."""
         if weight < 1:
-            raise ValueError("primary spaces are graded by weights >= 1")
+            raise InputError("primary spaces are graded by weights >= 1")
         basis = self.basis(weight)
         if not basis:
             return []
@@ -152,7 +153,7 @@ class VirasoroModule(HighestWeightModule):
         self.h = Fraction(h)
         self.vacuum = bool(vacuum)
         if self.vacuum and self.h:
-            raise ValueError("vacuum quotient requires h = 0")
+            raise InputError("vacuum quotient requires h = 0")
         self.params = (self.c, self.h, self.vacuum)
         self.min_part = 2 if self.vacuum else 1
         self._act_memo: dict = {}
@@ -230,10 +231,10 @@ def _require_integral_weight(h) -> int:
     if h.denominator != 1 or h < 0:
         if h.denominator == 4 and is_perfect_square(4 * h):
             m = math.isqrt((4 * h).numerator)
-            raise ValueError(
+            raise InputError(
                 f"lowest weight {h} = ({m}/2)^2 is a quarter-square with odd {m}; "
                 "this family is degenerate and its series is not supported")
-        raise ValueError(f"lowest weight {h} does not give an integer-graded series")
+        raise InputError(f"lowest weight {h} does not give an integer-graded series")
     return h.numerator
 
 
@@ -266,7 +267,7 @@ def char_series(label, cutoff: int) -> list[int]:
         return verma_character(h, cutoff)
     if kind == "l1":
         return irreducible_character_c1(h, cutoff)
-    raise ValueError(f"unknown module descriptor {label!r}")
+    raise InputError(f"unknown module descriptor {label!r}")
 
 
 # ---------------------------------------------------------------------------

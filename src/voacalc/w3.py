@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .core import (
     ONE,
+    InputError,
     SparseVec,
     _accumulate,
     _add_term,
@@ -55,7 +56,7 @@ def w3_monomial_str(mono: W3Monomial) -> str:
             + "".join(f"W({-b})" for b in wparts))
 
 
-class DegenerateBlockError(ValueError):
+class DegenerateBlockError(InputError):
     """A requested orthogonal projection hit a block with singular Gram form."""
 
 
@@ -72,7 +73,7 @@ class W3Module(HighestWeightModule):
     def __init__(self, c, lam=None, mu=None):
         self.c = Fraction(c)
         if 22 + 5 * self.c == 0:
-            raise ValueError("central charge with 22 + 5c = 0 is not admitted "
+            raise InputError("central charge with 22 + 5c = 0 is not admitted "
                              "(the W,W bracket is undefined there)")
         self.vacuum = lam is None and mu is None
         self.lam = Fraction(lam) if lam is not None else Fraction(0)
@@ -108,7 +109,7 @@ class W3Module(HighestWeightModule):
         """Apply L_n (gen="L") or W_n (gen="W") to a vector or monomial."""
         rec = self._act_l if gen == "L" else self._act_w if gen == "W" else None
         if rec is None:
-            raise ValueError(f"unknown generator {gen!r}")
+            raise InputError(f"unknown generator {gen!r}")
         return self._apply(rec, n, v)
 
     def apply_word(self, word, v=None) -> SparseVec:
@@ -246,7 +247,7 @@ class W3Module(HighestWeightModule):
         """Weight of a homogeneous vector (error if mixed)."""
         weights = {self.level(m) for m in v.keys()}
         if len(weights) != 1:
-            raise ValueError(f"vector is not homogeneous: weights {sorted(weights)}")
+            raise InputError(f"vector is not homogeneous: weights {sorted(weights)}")
         return weights.pop()
 
     def vir_descendants(self, vec: SparseVec, weight: int) -> list[SparseVec]:

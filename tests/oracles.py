@@ -226,3 +226,65 @@ def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
         for (parts, charge), cv in v.items():
             _mode_terms(uparts, target, parts, charge, Fraction(cu) * Fraction(cv), out)
     return out
+
+
+# -- lattice vertex modes by commuting the operator past each oscillator -------
+
+
+def lattice_vertex_mode_by_commutation(k: int, b, m: int, v) -> dict:
+    """Mode (e^{b alpha})_(m) applied to v in the rank-one lattice space with
+    (alpha, alpha) = 2k; v maps monomials (parts, charge) to coefficients (a
+    dict or anything with .items()).
+
+    Moves the operator right past one oscillator at a time by
+    (e^b)_(m) a(-p) w' = a(-p) (e^b)_(m) w' - 2kb (e^b)_(m-p) w',
+    which is [a(n), (e^b)_(m)] = 2kb (e^b)_(m+n), down to the exponential
+    series on a bare ground state:
+    (e^b)_(m) e^{c alpha} = sum over partitions lam of -m-1-2kbc of
+    b^len(lam) / z_lam * a(-lam) e^{(b+c) alpha}, z_lam = prod_i i^{m_i} m_i!.
+    """
+    b = Fraction(b)
+    out: dict = {}
+    series: dict = {}
+    memo: dict = {}
+
+    def add(d, key, val):
+        val = d.get(key, 0) + val
+        if val:
+            d[key] = val
+        else:
+            d.pop(key, None)
+
+    def on_ground(mode, charge) -> dict:
+        n = -mode - 1 - 2 * k * b * charge
+        if n.denominator != 1 or n < 0:
+            return {}
+        n = int(n)
+        if n not in series:
+            series[n] = {}
+            for lam in brute_partitions(n):
+                z = 1
+                for part in set(lam):
+                    z *= part ** lam.count(part) * factorial(lam.count(part))
+                series[n][lam] = b ** len(lam) / z
+        return series[n]
+
+    def on_monomial(mode, parts, charge) -> dict:
+        """(e^b)_(mode) a(-parts) e^{charge alpha}, keyed by the output parts."""
+        if not parts:
+            return on_ground(mode, charge)
+        key = (mode, parts, charge)
+        if key not in memo:
+            p, rest = parts[0], parts[1:]
+            res: dict = {}
+            for lam, x in on_monomial(mode, rest, charge).items():
+                add(res, tuple(sorted(lam + (p,), reverse=True)), x)
+            for lam, x in on_monomial(mode - p, rest, charge).items():
+                add(res, lam, -2 * k * b * x)
+            memo[key] = res
+        return memo[key]
+
+    for (parts, charge), cv in v.items():
+        for lam, x in on_monomial(m, tuple(parts), Fraction(charge)).items():
+            add(out, (lam, Fraction(charge) + b), Fraction(cv) * x)
+    return out

@@ -207,6 +207,11 @@ def test_usage_errors_exit_two(capsys):
     code, out, _ = run(capsys, "act", "--algebra", "vir", "--vacuum", "--gen", "L",
                        "--mode", "1", "--monomial", "L(-3)L(-1)")
     assert code == 2 and out == ""
+    # L_{-2}L_{-3}v = L(-3)L(-2)v + L(-5)v is no basis monomial, so it may not
+    # be read as L(-3)L(-2)
+    code, out, _ = run(capsys, "act", "--algebra", "vir", "--c", "1", "--h", "1",
+                       "--gen", "L", "--mode", "0", "--monomial", "L(-2)L(-3)")
+    assert code == 2 and out == ""
     # inputs that used to end in a traceback with exit 1
     for argv in (
             ("primary", "--weight", "0"),
@@ -295,6 +300,103 @@ def test_vacuous_suite_parameters_are_usage_errors(capsys):
     assert all(ch["computed"] != "(none)" for ch in json.loads(out)["checks"])
     code, out, _ = run(capsys, "verify", "fusion-symmetry", "--samples", "1")
     assert code == 0
+
+
+# a cheap valid call of every subcommand, and the flags the grid below sets
+# to bad values on it
+GRID_CALLS = (
+    (("dims", "--algebra", "vir", "--h", "1", "--max-weight", "3"),
+     ("--algebra", "--c", "--h", "--min-weight", "--max-weight", "--format")),
+    (("dims", "--algebra", "w3", "--lam", "1", "--mu", "1", "--max-weight", "3"),
+     ("--lam", "--mu")),
+    (("dims", "--algebra", "vl+", "--k", "2", "--max-weight", "3"), ("--k",)),
+    (("char", "--algebra", "vir", "--h", "1", "--cutoff", "5"),
+     ("--algebra", "--kind", "--h", "--cutoff", "--format")),
+    (("char", "--algebra", "m1+", "--k", "2", "--cutoff", "5"), ("--k",)),
+    (("basis", "--algebra", "vir", "--h", "1", "--weight", "3"),
+     ("--algebra", "--c", "--h", "--weight")),
+    (("basis", "--algebra", "w3", "--lam", "1", "--mu", "1", "--weight", "3"),
+     ("--lam", "--mu")),
+    (("basis", "--algebra", "vl", "--k", "2", "--weight", "3"), ("--k",)),
+    (("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "1",
+      "--monomial", "L(-2)"),
+     ("--algebra", "--c", "--h", "--gen", "--mode", "--monomial", "--terms")),
+    (("act", "--algebra", "w3", "--lam", "1", "--mu", "1", "--gen", "W", "--mode", "1",
+      "--monomial", "L(-1)W(-1)"),
+     ("--lam", "--mu", "--gen", "--monomial")),
+    (("act", "--algebra", "fock", "--k", "2", "--gen", "e", "--b", "1", "--mode", "1",
+      "--monomial", "a(-1)e(-1)"),
+     ("--k", "--gen", "--b", "--mode", "--monomial", "--terms")),
+    (("gram", "--algebra", "vir", "--h", "1", "--level", "2"),
+     ("--algebra", "--c", "--h", "--level", "--format")),
+    (("gram", "--algebra", "w3", "--lam", "1", "--mu", "1", "--level", "2"),
+     ("--lam", "--mu")),
+    (("primary", "--weight", "3"), ("--algebra", "--c", "--lam", "--mu", "--weight")),
+    (("decompose", "--monomial", "W(-3)"),
+     ("--algebra", "--c", "--lam", "--mu", "--monomial", "--terms")),
+    (("fusion", "--algebra", "vir", "--a", "L(1,1)", "--b", "L(1,1)", "--t", "L(1,4)"),
+     ("--algebra", "--a", "--b", "--t")),
+    (("verify", "thm32"), ("--c",)),
+    (("verify", "prop21", "--max-level", "2"), ("--m", "--max-level")),
+    (("verify", "lemma57", "--cutoff", "5"), ("--k", "--cutoff")),
+    (("verify", "fusion-symmetry", "--samples", "3"), ("--samples", "--seed")),
+)
+# negative, over every cap, non-numeric, a zero denominator, empty
+BAD_VALUES = ("-3", "100001", "x", "1/0", "")
+# inputs that were read wrongly, ended in a traceback or ran without bound
+BAD_INPUT_REPROS = (
+    ("act", "--algebra", "vir", "--c", "1", "--h", "1", "--gen", "L", "--mode", "0",
+     "--monomial", "L(-2)L(-3)"),
+    ("act", "--algebra", "w3", "--gen", "L", "--mode", "0", "--monomial", "W(-3)L(-2)"),
+    ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "0",
+     "--terms", '{"L(-3)L(-2)": "1", "L(-1)L(-2)": "1"}'),
+    ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "0",
+     "--terms", "[" * 100000),
+    ("fusion", "--algebra", "vir", "--a", "L(1,1/0)", "--b", "L(1,1)", "--t", "L(1,1)"),
+    ("fusion", "--algebra", "m1+", "--a", "M(1,1/0)", "--b", "M(1)+", "--t", "M(1)+"),
+    ("dims", "--algebra", "vir", "--h", "1", "--max-weight", "100000"),
+    ("act", "--algebra", "fock", "--gen", "e", "--b", "1", "--mode", "-80",
+     "--monomial", "1"),
+    ("act", "--algebra", "fock", "--k", "200", "--gen", "e", "--b", "1", "--mode", "0",
+     "--monomial", "e(-1)"),
+    ("act", "--algebra", "fock", "--gen", "J", "--mode", "-40", "--monomial", "1"),
+    ("gram", "--algebra", "vir", "--h", "1", "--level", "17"),
+    ("primary", "--weight", "17"),
+    ("verify", "prop21", "--max-level", "13"),
+    ("verify", "prop21", "--m", "0..11"),
+    ("char", "--algebra", "vl+", "--k", "1", "--cutoff", "41"),
+    ("verify", "lemma57", "--k", "1", "--cutoff", "41"),
+    ("verify", "fusion-symmetry", "--samples", "100001"),
+    ("basis", "--algebra", "w3", "--weight", "41"),
+    ("act", "--algebra", "w3", "--lam", "1", "--mu", "1", "--gen", "W", "--mode", "1",
+     "--monomial", "W(-1)" * 17),
+    ("decompose", "--monomial", "W(-3)" * 6),
+)
+
+
+def _with_value(argv, flag, value):
+    if flag in argv:
+        i = argv.index(flag)
+        return argv[:i + 1] + (value,) + argv[i + 2:]
+    return argv + (flag, value)
+
+
+def test_bad_input_grid_never_tracebacks(capsys, monkeypatch):
+    monkeypatch.delenv("VOACALC_CUTOFF", raising=False)
+    grid = [_with_value(base, flag, value) for base, flags in GRID_CALLS
+            for flag in flags for value in BAD_VALUES]
+    grid += [("verify", value) for value in BAD_VALUES]
+    for argv in grid:
+        # an exception escaping main would be a traceback of the console script
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), argv
+        assert code == 0 or (out == "" and "error:" in err), argv
+    for argv in BAD_INPUT_REPROS:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err, argv
+    monkeypatch.setenv("VOACALC_CUTOFF", "41")
+    code, out, err = run(capsys, "char", "--algebra", "m1", "--k", "1")
+    assert code == 2 and out == "" and "VOACALC_CUTOFF" in err
 
 
 def test_argparse_usage_exits_two(capsys):

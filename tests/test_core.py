@@ -13,7 +13,6 @@ from voacalc.core import (
     rank,
     rows_from_vectors,
     series_add,
-    series_mul,
     solve,
 )
 
@@ -101,7 +100,6 @@ def test_rows_from_vectors_and_series_ops():
     vecs = [SparseVec({("a",): Fraction(1)}), SparseVec({("b",): Fraction(2)})]
     assert rows_from_vectors(vecs, basis) == [[1, 0], [0, 2]]
     assert series_add([1, 2], [3, 4, 5]) == [4, 6, 5]
-    assert series_mul([1, 1], [1, 1], 2) == [1, 2, 1]
 
 
 def test_rank_empty_and_zero_cases():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -14,7 +14,7 @@ from voacalc.fock import (
     verify_lemma57,
 )
 
-from oracles import vertex_mode_by_slots
+from oracles import lattice_vertex_mode_by_commutation, vertex_mode_by_slots
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +239,54 @@ def test_translation_of_charged_modes(k):
             for n in range(-2, 3):
                 assert sp.vertex_mode(du, n, v) == \
                     sp.vertex_mode(u, n - 1, v).scaled(Fraction(-n)), (u, n, v)
+
+
+def test_lattice_vertex_mode_matches_commutation_oracle():
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(1200):
+        k, b = rng.choice((1, 2, 3)), rng.choice((1, -1, 2, -2, 3))
+        charge = rng.choice((0, 1, -1, 2, -2))
+        v = SparseVec.zero()
+        for _ in range(rng.randint(1, 3)):
+            lam = rng.choice(partitions(rng.randint(0, 7), 1))
+            v = v + unit(lam, charge).scaled(Fraction(rng.choice((-3, -1, 1, 2))))
+        # the exponential series adds oscillators of total weight
+        # -n-1-2kb*charge plus the weight the removals free
+        n = -1 - 2 * k * b * charge - rng.randint(-3, 5)
+        want = lattice_vertex_mode_by_commutation(k, b, n, v)
+        assert dict(FockSpace(k).lattice_vertex_mode(b, n, v).items()) == want, \
+            (k, b, n, v)
+        nonzero += bool(want)
+    assert nonzero >= 1000
+
+
+def _binomial(m, i):
+    """C(m, i) for any integer m."""
+    return prod(m - t for t in range(i)) // factorial(i)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lattice_operator_commutator(k):
+    # [u_m, v_n] w = sum_{i=0}^{max(0, -2k b1 b2)} C(m, i) (u_i v)_(m+n-i) w
+    # for u = e^{b1 alpha}, v = e^{b2 alpha}: in rank one every pairing is
+    # even, so the cocycle is trivial and the modes commute up to these terms
+    sp = FockSpace(k)
+    for b1, b2 in ((1, -1), (-1, 1), (1, 1), (1, -2)):
+        top = max(0, -2 * k * b1 * b2)
+        products = [sp.lattice_vertex_mode(b1, i, sp.xvec(b2)) for i in range(top + 1)]
+        # u_0 v has weight top - 1; past 4 its modes take seconds, so those
+        # run on the vectors of weight <= 1 only
+        for w in _vl_vectors(sp, max_weight=2 if top <= 4 else 1):
+            for m in range(-2, 3):
+                for n in range(-1, 2):
+                    lhs = (sp.lattice_vertex_mode(b1, m, sp.lattice_vertex_mode(b2, n, w))
+                           - sp.lattice_vertex_mode(b2, n, sp.lattice_vertex_mode(b1, m, w)))
+                    rhs = SparseVec.zero()
+                    for i, uv in enumerate(products):
+                        rhs = rhs + sp.vertex_mode(uv, m + n - i, w).scaled(
+                            Fraction(_binomial(m, i)))
+                    assert lhs == rhs, (b1, b2, m, n, w)
 
 
 def test_non_integral_operator_charge_is_rejected(k2):
