@@ -1,6 +1,7 @@
-"""Shared exact-arithmetic substrate: partitions, sparse vectors,
-fraction-free linear algebra, integer q-series helpers, the check entries
-of verification reports and the error every input check raises.
+"""Shared exact-arithmetic substrate: partitions, integer square roots,
+sparse vectors, fraction-free linear algebra, integer q-series helpers, the
+check entries of verification reports and the error every input check
+raises.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -8,6 +9,7 @@ no floats enter any computation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -55,28 +57,26 @@ def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> tuple[
 
 
 @lru_cache(maxsize=None)
-def partition_count(n: int, min_part: int = 1) -> int:
-    """Number of partitions of n with parts >= min_part (1 for n == 0)."""
+def partition_count(n: int, min_part: int = 1, max_part: int | None = None) -> int:
+    """Number of partitions of n with parts in [min_part, max_part]:
+    len(partitions(n, min_part, max_part)), counted without listing them."""
     if n < 0:
         return 0
     if n == 0:
         return 1
-    total = 0
-    for first in range(min_part, n + 1):
-        total += _count_with_max(n - first, min_part, first)
-    return total
+    top = n if max_part is None else min(n, max_part)
+    return sum(partition_count(n - first, min_part, first)
+               for first in range(min_part, top + 1))
 
 
-@lru_cache(maxsize=None)
-def _count_with_max(n: int, min_part: int, max_part: int) -> int:
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    for first in range(min_part, min(n, max_part) + 1):
-        total += _count_with_max(n - first, min_part, first)
-    return total
+def square_root(x) -> int | None:
+    """The integer r >= 0 with r^2 = x, or None if x is not the square of an
+    integer."""
+    x = Fraction(x)
+    if x < 0 or x.denominator != 1:
+        return None
+    r = math.isqrt(x.numerator)
+    return r if r * r == x.numerator else None
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +97,7 @@ class SparseVec:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, c in items:
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c:
-                    acc = d.get(key)
-                    if acc is None:
-                        d[key] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            d[key] = acc
-                        else:
-                            del d[key]
+                _add_term(d, key, c if isinstance(c, Fraction) else Fraction(c))
         self._terms = d
 
     @staticmethod
@@ -215,20 +204,9 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     and rank are unchanged by nonzero row scaling)."""
     out = []
     for row in rows:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                g = _gcd(scale, d)
-                scale = scale // g * d
+        scale = math.lcm(*(x.denominator for x in row))
         out.append([int(x * scale) for x in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _bareiss_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
@@ -307,25 +285,16 @@ def null_space(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
     """One exact solution of rows . x = rhs, or None if inconsistent.
 
-    Free coordinates are set to 0 (deterministic).
+    Free coordinates are set to 0 (deterministic): the solution is the
+    null_space vector of the free column -rhs of [rows | -rhs]. If that
+    column is a pivot, every kernel vector ends in 0 and there is none.
     """
     if not rows:
         return None
-    ncols = len(rows[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    ech, pivots = _bareiss_echelon(aug)
-    if ncols in pivots:
+    kernel = null_space([list(row) + [-b] for row, b in zip(rows, rhs)])
+    if not kernel or not kernel[-1][-1]:
         return None
-    x = [ZERO] * ncols
-    for i in range(len(pivots) - 1, -1, -1):
-        col = pivots[i]
-        row = ech[i]
-        s = Fraction(row[ncols])
-        for j in range(col + 1, ncols):
-            if x[j]:
-                s -= Fraction(row[j]) * x[j]
-        x[col] = s / row[col]
-    return x
+    return kernel[-1][:-1]
 
 
 def rows_from_vectors(vectors: Sequence[SparseVec], basis: Sequence) -> list[list[Fraction]]:
@@ -338,16 +307,8 @@ def normalized_integer_vector(v: SparseVec, key_order) -> SparseVec:
     of the line spanned by v."""
     if v.is_zero():
         return v
-    denom_lcm = 1
-    for _, c in v.items():
-        d = c.denominator
-        g = _gcd(denom_lcm, d)
-        denom_lcm = denom_lcm // g * d
-    nums = [abs(int(c * denom_lcm)) for _, c in v.items()]
-    g = 0
-    for n in nums:
-        g = _gcd(g, n)
-    factor = Fraction(denom_lcm, g if g else 1)
+    denom_lcm = math.lcm(*(c.denominator for _, c in v.items()))
+    factor = Fraction(denom_lcm, math.gcd(*(int(c * denom_lcm) for _, c in v.items())))
     lead_key = min(v.keys(), key=key_order)
     if v.coeff(lead_key) < 0:
         factor = -factor

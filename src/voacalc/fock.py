@@ -39,11 +39,11 @@ from .core import (
     ZERO,
     _add_term,
     check,
+    partition_count,
     partitions,
     series_add,
-    inverse_euler,
 )
-from .virasoro import irreducible_character_c1
+from .virasoro import irreducible_character_c1, verma_character
 
 FockMonomial = tuple  # (parts, charge): descending tuple of ints, Fraction
 
@@ -307,8 +307,11 @@ class FockSpace:
         return out
 
     def char_series(self, space: str, cutoff: int) -> list[int]:
-        """Graded dimensions q^0..q^cutoff by direct basis counting for
-        space in {m1, m1+, m1-, vl, vl+, vl-}."""
+        """Graded dimensions q^0..q^cutoff for space in {m1, m1+, m1-, vl,
+        vl+, vl-}, counted without building bases. theta pairs the charges x
+        and -x one to one and multiplies a charge-0 monomial by
+        (-1)^(number of parts). A partition has as many parts as the largest
+        part j of its conjugate; partition_count(n - j, 1, j) counts those."""
         if cutoff < 0:
             raise InputError("cutoff must be nonnegative")
         base, sign = (space[:-1], space[-1]) if space[-1] in "+-" else (space, "")
@@ -316,10 +319,14 @@ class FockSpace:
             raise InputError(f"unknown space {space!r}")
         out = []
         for n in range(cutoff + 1):
+            pairs = sum(partition_count(n - self.k * x * x)
+                        for x in self._charges(n) if x > 0 and base == "vl")
             if sign:
-                out.append(len(self.theta_basis(sign, base, n)))
+                first = 0 if sign == "+" else 1
+                out.append(pairs + sum(partition_count(n - j, 1, j)
+                                       for j in range(first, n + 1, 2)))
             else:
-                out.append(len(self.basis(base, n)))
+                out.append(partition_count(n) + 2 * pairs)
         return out
 
 
@@ -352,15 +359,10 @@ def even_square_sum_series(cutoff: int) -> list[int]:
 
 def lattice_charge_tail_series(k: int, cutoff: int) -> list[int]:
     """Sum over m >= 1 of q^{k m^2} / euler-product, truncated."""
-    inv = inverse_euler(cutoff)
     total = [0] * (cutoff + 1)
     m = 1
     while k * m * m <= cutoff:
-        shift = k * m * m
-        shifted = [0] * (cutoff + 1)
-        for i in range(cutoff + 1 - shift):
-            shifted[i + shift] = inv[i]
-        total = series_add(total, shifted)
+        total = series_add(total, verma_character(k * m * m, cutoff))
         m += 1
     return total
 

@@ -27,9 +27,8 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from math import isqrt
 
-from .core import InputError, check, rational
+from .core import InputError, check, rational, square_root
 
 Label = tuple
 
@@ -101,20 +100,12 @@ def label_str(label: Label) -> str:
     raise InputError(f"bad label {label!r}")
 
 
-def _square_root_if_square(h: Fraction):
-    """Integer r >= 0 with r^2 = h, or None."""
-    if h.denominator != 1 or h < 0:
-        return None
-    r = isqrt(h.numerator)
-    return r if r * r == h.numerator else None
-
-
 def _nonsquare_positive_integer(h: Fraction) -> bool:
-    return h.denominator == 1 and h > 0 and _square_root_if_square(h) is None
+    return h.denominator == 1 and h > 0 and square_root(h) is None
 
 
 def _vir_fusion(a: Fraction, b: Fraction, t: Fraction):
-    ra, rb, rt = (_square_root_if_square(x) for x in (a, b, t))
+    ra, rb, rt = (square_root(x) for x in (a, b, t))
     # all three square integer weights
     if ra is not None and rb is not None and rt is not None:
         return 1 if abs(rb - ra) <= rt <= rb + ra else 0

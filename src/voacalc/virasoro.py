@@ -17,7 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .core import (
     partition_count,
     partitions,
     rank,
+    square_root,
 )
 
 VirMonomial = tuple  # descending tuple of positive ints
@@ -49,12 +49,12 @@ class HighestWeightModule:
     """What a highest-weight module needs beyond its own straightening.
 
     A subclass sets `params` (the normalized constructor arguments) and
-    supplies `basis(weight)`, the memoized L-mode recursion
-    `_act_l(n, mono)` and `_modes(mono)`, which yields (recursion, part) for
-    the raising modes adjoint to a monomial's creation modes, in the order
-    they act. `EMPTY` is the lowest-weight monomial. On that this class builds
-    the shared instances, the action on vectors, the contravariant form with
-    its Gram matrices, and primary spaces.
+    supplies `basis(weight)`, its size `dim(weight)`, the memoized L-mode
+    recursion `_act_l(n, mono)` and `_modes(mono)`, which yields
+    (recursion, part) for the raising modes adjoint to a monomial's creation
+    modes, in the order they act. `EMPTY` is the lowest-weight monomial. On
+    that this class builds the shared instances, the action on vectors, the
+    contravariant form with its Gram matrices, and primary spaces.
     """
 
     EMPTY = ()
@@ -68,9 +68,6 @@ class HighestWeightModule:
         fresh = cls(*args, **kwargs)
         with cls._instances_lock:
             return cls._instances.setdefault((cls, fresh.params), fresh)
-
-    def dim(self, weight: int) -> int:
-        return len(self.basis(weight))
 
     @staticmethod
     def _apply(rec, n: int, v) -> SparseVec:
@@ -164,6 +161,9 @@ class VirasoroModule(HighestWeightModule):
             return []
         return list(partitions(level, self.min_part))
 
+    def dim(self, level: int) -> int:
+        return partition_count(level, self.min_part)
+
     # -- action -----------------------------------------------------------
 
     def act(self, n: int, v) -> SparseVec:
@@ -219,18 +219,14 @@ class VirasoroModule(HighestWeightModule):
 
 
 def is_perfect_square(x) -> bool:
-    x = Fraction(x)
-    if x < 0 or x.denominator != 1:
-        return False
-    n = x.numerator
-    return math.isqrt(n) ** 2 == n
+    return square_root(x) is not None
 
 
 def _require_integral_weight(h) -> int:
     h = Fraction(h)
     if h.denominator != 1 or h < 0:
-        if h.denominator == 4 and is_perfect_square(4 * h):
-            m = math.isqrt((4 * h).numerator)
+        m = square_root(4 * h)
+        if m is not None:
             raise InputError(
                 f"lowest weight {h} = ({m}/2)^2 is a quarter-square with odd {m}; "
                 "this family is degenerate and its series is not supported")
@@ -241,7 +237,7 @@ def _require_integral_weight(h) -> int:
 def verma_character(h, cutoff: int) -> list[int]:
     """Coefficients of q^h / phi(q) at q^0..q^cutoff (integer h >= 0)."""
     h = _require_integral_weight(h)
-    return [partition_count(j - h) if j >= h else 0 for j in range(cutoff + 1)]
+    return [partition_count(j - h) for j in range(cutoff + 1)]
 
 
 def irreducible_character_c1(h, cutoff: int) -> list[int]:
@@ -250,14 +246,11 @@ def irreducible_character_c1(h, cutoff: int) -> list[int]:
     For h = m^2 this is (q^{m^2} - q^{(m+1)^2})/phi(q); for non-square h the
     Verma character q^h/phi(q) (the module is already irreducible).
     """
-    h = _require_integral_weight(h)
-    out = [partition_count(j - h) if j >= h else 0 for j in range(cutoff + 1)]
-    if is_perfect_square(h):
-        m = math.isqrt(h)
-        sub = (m + 1) ** 2
-        for j in range(sub, cutoff + 1):
-            out[j] -= partition_count(j - sub)
-    return out
+    out = verma_character(h, cutoff)
+    m = square_root(h)
+    if m is None:
+        return out
+    return [a - b for a, b in zip(out, verma_character((m + 1) ** 2, cutoff))]
 
 
 def char_series(label, cutoff: int) -> list[int]:

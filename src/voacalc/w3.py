@@ -36,6 +36,7 @@ from .core import (
     _add_term,
     _bareiss_echelon,
     check,
+    partition_count,
     partitions,
     rank,
     rows_from_vectors,
@@ -99,6 +100,10 @@ class W3Module(HighestWeightModule):
                 for lp in partitions(weight - wb, self.min_l):
                     out.append((lp, wp))
         return out
+
+    def dim(self, weight: int) -> int:
+        return sum(partition_count(wb, self.min_w) * partition_count(weight - wb, self.min_l)
+                   for wb in range(weight + 1))
 
     def level(self, mono: W3Monomial) -> int:
         return sum(mono[0]) + sum(mono[1])
@@ -264,12 +269,6 @@ class W3Module(HighestWeightModule):
                 out.append(w)
         return out
 
-    def span_rank(self, vectors, weight: int) -> int:
-        basis = self.basis(weight)
-        if not vectors or not basis:
-            return 0
-        return rank(rows_from_vectors(vectors, basis))
-
     def decompose(self, v: SparseVec, primaries) -> tuple[dict, SparseVec]:
         """Resolve v against the Virasoro blocks generated by the vacuum and
         the given primary vectors, by orthogonal projection under the
@@ -313,14 +312,15 @@ class W3Module(HighestWeightModule):
     def descendant_gap(self, weight: int, primaries) -> dict:
         """Dimension bookkeeping of the joint Virasoro-descendant span of the
         vacuum and the given primaries at a weight."""
+        basis = self.basis(weight)
         blocks = [("vacuum", SparseVec.unit(EMPTY))] + list(primaries)
         spans = {}
         joint: list[SparseVec] = []
         for label, gen_vec in blocks:
             span = self.vir_descendants(gen_vec, weight)
-            spans[label] = self.span_rank(span, weight)
+            spans[label] = rank(rows_from_vectors(span, basis))
             joint.extend(span)
-        joint_rank = self.span_rank(joint, weight)
+        joint_rank = rank(rows_from_vectors(joint, basis))
         dim = self.dim(weight)
         return {
             "weight": weight,

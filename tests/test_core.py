@@ -14,9 +14,10 @@ from voacalc.core import (
     rows_from_vectors,
     series_add,
     solve,
+    square_root,
 )
 
-from oracles import brute_partitions, gauss_rank, product_series
+from oracles import brute_partitions, gauss_rank, independent_subsequence, product_series
 
 
 def test_partitions_match_brute_force():
@@ -26,6 +27,12 @@ def test_partitions_match_brute_force():
             assert set(got) == brute_partitions(n, min_part)
             assert len(set(got)) == len(got)
             assert partition_count(n, min_part) == len(got)
+            for max_part in range(0, n + 2):
+                capped = partitions(n, min_part, max_part)
+                want = {p for p in brute_partitions(n, min_part) if not p or p[0] <= max_part}
+                assert set(capped) == want
+                assert partition_count(n, min_part, max_part) == len(want)
+    assert partition_count(-1) == 0 and partition_count(-3, 1, 2) == 0
 
 
 def test_partitions_are_descending_and_ordered_deterministically():
@@ -85,6 +92,40 @@ def test_solve_consistent_and_inconsistent_systems():
     sol = solve([[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]],
                 [Fraction(3), Fraction(4)])
     assert sol == [Fraction(3, 2), Fraction(5, 2)]
+
+
+def test_solve_matches_rank_criterion_on_seeded_systems():
+    """None exactly when rank(A) < rank([A|b]); otherwise A.x = b with every
+    non-pivot coordinate 0."""
+    rng = random.Random(23)
+    inconsistent = 0
+    for _ in range(300):
+        ncols = rng.randrange(1, 6)
+        mat = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(ncols)]
+               for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.5:
+            mat.append([a + 2 * b for a, b in zip(mat[0], mat[-1])])
+        if rng.random() < 0.5:
+            x0 = [Fraction(rng.randrange(-3, 4)) for _ in range(ncols)]
+            rhs = [sum(a * b for a, b in zip(row, x0)) for row in mat]
+        else:
+            rhs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in mat]
+        x = solve(mat, rhs)
+        if gauss_rank(mat) < gauss_rank([row + [b] for row, b in zip(mat, rhs)]):
+            assert x is None
+            inconsistent += 1
+            continue
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in mat] == rhs
+        pivots = independent_subsequence([list(col) for col in zip(*mat)])
+        assert all(not x[j] for j in range(ncols) if j not in pivots)
+    assert 50 <= inconsistent <= 250
+
+
+def test_square_root():
+    assert [square_root(x) for x in range(10)] == [0, 1, None, None, 2, None, None, None, None, 3]
+    assert square_root(10**20) == 10**10
+    for x in (-4, Fraction(9, 4), 10**20 + 1, Fraction(-1, 4)):
+        assert square_root(x) is None
 
 
 def test_normalized_integer_vector_clears_denominators():

@@ -168,6 +168,16 @@ def test_char_series_heads(k3):
     assert vl[3] == m1[3] + 2  # e^{a} and e^{-a}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_char_series_counts_the_bases(k):
+    space = FockSpace(k)
+    for name in ("m1", "vl"):
+        assert space.char_series(name, 24) == [len(space.basis(name, n)) for n in range(25)]
+        for sign in "+-":
+            assert space.char_series(name + sign, 24) == [
+                len(space.theta_basis(sign, name, n)) for n in range(25)]
+
+
 def test_character_identities_to_q20(k3):
     cutoff = 20
     m1p = k3.char_series("m1+", cutoff)

@@ -33,6 +33,8 @@ def test_basis_sizes_match_partition_counts(c, h, vacuum):
     from oracles import brute_partitions
     for level in range(8):
         assert set(module.basis(level)) == brute_partitions(level, min_part)
+    for level in range(-1, 21):
+        assert module.dim(level) == len(module.basis(level))
 
 
 @pytest.mark.parametrize("c,h,vacuum", MODULE_PARAMS)
@@ -132,6 +134,8 @@ def test_is_perfect_square():
     assert [x for x in range(17) if is_perfect_square(x)] == [0, 1, 4, 9, 16]
     assert not is_perfect_square(Fraction(9, 4))
     assert not is_perfect_square(-4)
+    assert is_perfect_square(10**20)
+    assert not is_perfect_square(10**20 + 1)
 
 
 def test_gram_rank_equals_irreducible_dimension():

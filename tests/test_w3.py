@@ -31,6 +31,13 @@ def test_graded_dimensions(vac):
     assert [vac.dim(w) for w in range(9)] == [1, 0, 1, 2, 3, 4, 8, 10, 17]
 
 
+@pytest.mark.parametrize("weights", [(), (1, 1)])
+def test_dim_counts_the_basis(weights):
+    module = W3Module.get(1, *weights)
+    assert [module.dim(w) for w in range(-1, 13)] == [
+        len(module.basis(w)) for w in range(-1, 13)]
+
+
 def test_dimension_weight_minus_one_formula(vac):
     # low weights satisfy dim = weight - 1
     for w in (2, 3, 4, 5):
