@@ -29,6 +29,8 @@ from .w3 import W3Module
 # use; the README lists the slowest call each admits.
 MAX_WEIGHT = 40  # dims and basis weights, series cutoffs, Fock `act` output heights
 MAX_LEVEL = 16  # gram --level, primary --weight, weights of `act`/`decompose` inputs
+MAX_BASIS_DIM = 172_430  # Virasoro/W3 `basis` monomials: the W3 vacuum at weight 40
+MAX_FORM_DIM = 285  # monomials for gram, primary, decompose: the W3 vacuum at weight 16
 MAX_PROP21_LEVEL = 12
 MAX_M = 10
 MAX_SAMPLES = 100_000
@@ -198,6 +200,12 @@ def _fock_space(args) -> FockSpace:
     return FockSpace(1 if args.k is None else args.k)
 
 
+def _check_dim(module, weight: int, cap: int) -> None:
+    if (dim := module.dim(weight)) > cap:
+        raise InputError(f"the graded piece at weight {weight} has {dim} monomials; "
+                         f"the cap is {cap}")
+
+
 def _cmd_dims(args):
     lo, hi = args.min_weight, args.max_weight
     if hi < lo:
@@ -229,6 +237,7 @@ def _cmd_basis(args):
         names = [fock.monomial_str(m) for m in space.basis(args.algebra, args.weight)]
     else:
         module = _hw_module(args)
+        _check_dim(module, args.weight, MAX_BASIS_DIM)
         names = [module.monomial_str(m) for m in module.basis(args.weight)]
     return {"weight": args.weight, "dimension": len(names), "basis": names}, False
 
@@ -278,6 +287,7 @@ def _cmd_act(args):
 
 def _cmd_gram(args):
     module = _hw_module(args)
+    _check_dim(module, args.level, MAX_FORM_DIM)
     matrix = module.gram(args.level)
     r = rank(matrix)
     return {
@@ -291,6 +301,7 @@ def _cmd_gram(args):
 
 def _cmd_primary(args):
     module = _w3_module(args)
+    _check_dim(module, args.weight, MAX_FORM_DIM)
     vectors = module.primary_space(args.weight)
     return {
         "weight": args.weight,
@@ -303,6 +314,7 @@ def _cmd_decompose(args):
     module = _w3_module(args)
     v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
     weight = module.vector_weight(v)
+    _check_dim(module, weight, MAX_FORM_DIM)
     primaries = [("w", SparseVec.unit(((), (3,))))]
     if weight >= 6:
         prims6 = module.primary_space(6)

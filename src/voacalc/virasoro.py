@@ -3,9 +3,11 @@
 Implements Verma modules V(c, h) and the vacuum quotient Vbar(c, 0) =
 V(c, 0)/U(Vir)L_{-1}v over exact rationals: PBW bases, straightened L_n
 action, the contravariant (Shapovalov) form, singular vectors and c = 1
-character series. The module machinery that does not depend on the
-straightening rules (shared instances, forms, Gram matrices, primary
-spaces) sits in HighestWeightModule, which the W3 modules share.
+character series. HighestWeightModule, which the W3 modules share, holds
+what does not depend on the algebra: the one PBW straightening recursion,
+shared instances, forms, Gram matrices and primary spaces. A module supplies
+its basis, how a monomial splits off its first mode or takes a new one, its
+lowest-weight eigenvalues and its brackets; [L_n, L_m] sits in the base.
 
 Conventions
 -----------
@@ -46,15 +48,24 @@ def monomial_str(mono: VirMonomial) -> str:
 
 
 class HighestWeightModule:
-    """What a highest-weight module needs beyond its own straightening.
+    """What a highest-weight module needs beyond the brackets of its algebra.
 
-    A subclass sets `params` (the normalized constructor arguments) and
-    supplies `basis(weight)`, its size `dim(weight)`, the memoized L-mode
-    recursion `_act_l(n, mono)` and `_modes(mono)`, which yields
-    (recursion, part) for the raising modes adjoint to a monomial's creation
-    modes, in the order they act. `EMPTY` is the lowest-weight monomial. On
-    that this class builds the shared instances, the action on vectors, the
-    contravariant form with its Gram matrices, and primary spaces.
+    A subclass sets `params` (the normalized constructor arguments), `_memos`
+    and `_eigen` (per generator name: the memo dict of its straightened
+    action and its eigenvalue on the lowest-weight vector) and supplies:
+
+    * `basis(weight)` and its size `dim(weight)`;
+    * `level(mono)`, the weight of a monomial above the lowest one;
+    * `_first(mono)`: (gen, m, rest) when mono = gen_{-m} rest, or None for
+      the lowest-weight monomial `EMPTY`;
+    * `_prepend(gen, m, mono)`: the canonical monomial gen_{-m} mono, or None
+      when gen_{-m} may not stand first;
+    * `_bracket(out, gen, n, other, a, rest)`, which adds
+      [gen_n, other_{-a}] rest to out. This class holds [L_n, L_{-a}].
+
+    On that this class builds the one straightening recursion `_act`, the
+    shared instances, the action on vectors, the contravariant form with its
+    Gram matrices, and primary spaces.
     """
 
     EMPTY = ()
@@ -69,14 +80,53 @@ class HighestWeightModule:
         with cls._instances_lock:
             return cls._instances.setdefault((cls, fresh.params), fresh)
 
-    @staticmethod
-    def _apply(rec, n: int, v) -> SparseVec:
-        """The mode with recursion `rec` and index n on a vector or monomial."""
+    # -- straightening --------------------------------------------------------
+
+    def _act(self, gen: str, n: int, mono) -> dict:
+        """gen_n on a canonical monomial, straightened: prepend gen_n when it
+        may stand first, act by the eigenvalue on the lowest-weight vector,
+        else gen_n X_{-a} rest = X_{-a} gen_n rest + [gen_n, X_{-a}] rest."""
+        if n > self.level(mono):
+            return {}
+        key = (n, mono)
+        memo = self._memos[gen]
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if n < 0 and (head := self._prepend(gen, -n, mono)) is not None:
+            out = {head: ONE}
+        elif (first := self._first(mono)) is None:
+            eigen = self._eigen[gen]
+            out = {mono: eigen} if n == 0 and eigen else {}
+        else:
+            other, a, rest = first
+            out = {}
+            for inner, coef in self._act(gen, n, rest).items():
+                _accumulate(out, self._act(other, -a, inner), coef)
+            self._bracket(out, gen, n, other, a, rest)
+        memo[key] = out
+        return out
+
+    def _bracket(self, out: dict, gen: str, n: int, other: str, a: int, rest) -> None:
+        """[L_n, L_{-a}] rest = (n + a) L_{n-a} rest + delta_{n,a} (n^3 - n)/12 c rest."""
+        _accumulate(out, self._act("L", n - a, rest), Fraction(n + a))
+        if n == a:
+            _add_term(out, rest, Fraction(n**3 - n, 12) * self.c)
+
+    def _modes(self, mono):
+        """(gen, m) for the creation modes gen_{-m} of a monomial, left to
+        right: their adjoints gen_m act in this order in the form."""
+        while (first := self._first(mono)) is not None:
+            gen, m, mono = first
+            yield gen, m
+
+    def _apply(self, gen: str, n: int, v) -> SparseVec:
+        """gen_n on a vector or monomial."""
         if not isinstance(v, SparseVec):
-            return SparseVec._raw(dict(rec(n, v)))
+            return SparseVec._raw(dict(self._act(gen, n, v)))
         out: dict = {}
         for mono, coef in v.items():
-            _accumulate(out, rec(n, mono), coef)
+            _accumulate(out, self._act(gen, n, mono), coef)
         return SparseVec._raw(out)
 
     # -- contravariant form -------------------------------------------------
@@ -91,8 +141,8 @@ class HighestWeightModule:
         total = ZERO
         for mono, coef in u.items():
             w = v
-            for rec, part in self._modes(mono):
-                w = self._apply(rec, part, w)
+            for gen, part in self._modes(mono):
+                w = self._apply(gen, part, w)
                 if w.is_zero():
                     break
             total += coef * w.coeff(self.EMPTY)
@@ -123,7 +173,7 @@ class HighestWeightModule:
             return []
         rows: list[list[Fraction]] = []
         for n in (1, 2):
-            images = [self._act_l(n, b) for b in basis]
+            images = [self._act("L", n, b) for b in basis]
             for t in self.basis(weight - n):
                 rows.append([img.get(t, ZERO) for img in images])
         index = {b: i for i, b in enumerate(basis)}
@@ -154,6 +204,8 @@ class VirasoroModule(HighestWeightModule):
         self.params = (self.c, self.h, self.vacuum)
         self.min_part = 2 if self.vacuum else 1
         self._act_memo: dict = {}
+        self._memos = {"L": self._act_memo}
+        self._eigen = {"L": self.h}
 
     def basis(self, level: int) -> list[VirMonomial]:
         """Canonical monomials at the given level, descending-lex order."""
@@ -168,7 +220,7 @@ class VirasoroModule(HighestWeightModule):
 
     def act(self, n: int, v) -> SparseVec:
         """Apply L_n to a vector (or a single monomial), fully straightened."""
-        return self._apply(self._act_l, n, v)
+        return self._apply("L", n, v)
 
     def apply_word(self, word, v) -> SparseVec:
         """Apply L_{n_1} ... L_{n_r} (rightmost mode first) to a vector."""
@@ -177,41 +229,16 @@ class VirasoroModule(HighestWeightModule):
             out = self.act(n, out)
         return out
 
-    def _modes(self, mono: VirMonomial):
-        return [(self._act_l, part) for part in mono]
+    def level(self, mono: VirMonomial) -> int:
+        return sum(mono)
 
-    def _act_l(self, n: int, mono: VirMonomial) -> dict:
-        if n > sum(mono):
-            return {}
-        key = (n, mono)
-        memo = self._act_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not mono:
-            if n > 0:
-                out = {}
-            elif n == 0:
-                out = {(): self.h} if self.h else {}
-            else:
-                a = -n
-                out = {} if (self.vacuum and a == 1) else {(a,): ONE}
-        else:
-            a = mono[0]
-            rest = mono[1:]
-            if n <= -a:
-                out = {(-n,) + mono: ONE}
-            else:
-                out = {}
-                for inner, coef in self._act_l(n, rest).items():
-                    _accumulate(out, self._act_l(-a, inner), coef)
-                _accumulate(out, self._act_l(n - a, rest), Fraction(n + a))
-                if n == a:
-                    central = Fraction(n**3 - n, 12) * self.c
-                    if central:
-                        _add_term(out, rest, central)
-        memo[key] = out
-        return out
+    def _first(self, mono: VirMonomial):
+        return ("L", mono[0], mono[1:]) if mono else None
+
+    def _prepend(self, gen: str, m: int, mono: VirMonomial):
+        if m >= (mono[0] if mono else self.min_part):
+            return (m,) + mono
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    ONE,
     InputError,
     SparseVec,
     _accumulate,
@@ -86,6 +85,8 @@ class W3Module(HighestWeightModule):
         self._memo_l: dict = {}
         self._memo_w: dict = {}
         self._memo_lambda: dict = {}
+        self._memos = {"L": self._memo_l, "W": self._memo_w}
+        self._eigen = {"L": self.lam, "W": self.mu}
 
     # -- basis ------------------------------------------------------------
 
@@ -112,10 +113,9 @@ class W3Module(HighestWeightModule):
 
     def act(self, gen: str, n: int, v) -> SparseVec:
         """Apply L_n (gen="L") or W_n (gen="W") to a vector or monomial."""
-        rec = self._act_l if gen == "L" else self._act_w if gen == "W" else None
-        if rec is None:
+        if gen not in self._memos:
             raise InputError(f"unknown generator {gen!r}")
-        return self._apply(rec, n, v)
+        return self._apply(gen, n, v)
 
     def apply_word(self, word, v=None) -> SparseVec:
         """Apply a word of modes, rightmost first: word [(g1,n1),...,(gr,nr)]
@@ -126,103 +126,43 @@ class W3Module(HighestWeightModule):
             out = self.act(gen, n, out)
         return out
 
-    def _modes(self, mono: W3Monomial):
+    def _first(self, mono: W3Monomial):
         lparts, wparts = mono
-        return ([(self._act_l, a) for a in lparts]
-                + [(self._act_w, b) for b in wparts])
-
-    def _act_l(self, n: int, mono: W3Monomial) -> dict:
-        lparts, wparts = mono
-        if n > sum(lparts) + sum(wparts):
-            return {}
-        key = (n, mono)
-        hit = self._memo_l.get(key)
-        if hit is not None:
-            return hit
         if lparts:
-            a = lparts[0]
-            rest = (lparts[1:], wparts)
-            if n <= -a:
-                out = {((-n,) + lparts, wparts): ONE}
-            else:
-                out = {}
-                for inner, coef in self._act_l(n, rest).items():
-                    _accumulate(out, self._act_l(-a, inner), coef)
-                _accumulate(out, self._act_l(n - a, rest), Fraction(n + a))
-                if n == a:
-                    central = Fraction(n**3 - n, 12) * self.c
-                    if central:
-                        _add_term(out, rest, central)
-        elif wparts:
-            b = wparts[0]
-            rest = ((), wparts[1:])
-            if n < 0 and -n >= self.min_l:
-                out = {((-n,), wparts): ONE}
-            else:
-                # move L_n right past W_{-b}: L_n W_{-b} = W_{-b} L_n + (2n+b) W_{n-b}
-                out = {}
-                for inner, coef in self._act_l(n, rest).items():
-                    _accumulate(out, self._act_w(-b, inner), coef)
-                _accumulate(out, self._act_w(n - b, rest), Fraction(2 * n + b))
-        else:
-            if n > 0:
-                out = {}
-            elif n == 0:
-                out = {EMPTY: self.lam} if self.lam else {}
-            elif self.vacuum and n == -1:
-                out = {}
-            else:
-                out = {((-n,), ()): ONE}
-        self._memo_l[key] = out
-        return out
+            return "L", lparts[0], (lparts[1:], wparts)
+        if wparts:
+            return "W", wparts[0], ((), wparts[1:])
+        return None
 
-    def _act_w(self, n: int, mono: W3Monomial) -> dict:
+    def _prepend(self, gen: str, m: int, mono: W3Monomial):
+        """L_{-m} stands first above its descending L parts; W_{-m} only on
+        a monomial without L parts."""
         lparts, wparts = mono
-        if n > sum(lparts) + sum(wparts):
-            return {}
-        key = (n, mono)
-        hit = self._memo_w.get(key)
-        if hit is not None:
-            return hit
-        if lparts:
-            # W_n L_{-a} = L_{-a} W_n + (2a+n) W_{n-a}
-            a = lparts[0]
-            rest = (lparts[1:], wparts)
-            out = {}
-            for inner, coef in self._act_w(n, rest).items():
-                _accumulate(out, self._act_l(-a, inner), coef)
-            _accumulate(out, self._act_w(n - a, rest), Fraction(2 * a + n))
-        elif wparts:
-            b = wparts[0]
-            rest = ((), wparts[1:])
-            if n <= -b:
-                out = {((), (-n,) + wparts): ONE}
-            else:
-                # W_n W_{-b} = W_{-b} W_n + [W_n, W_{-b}]
-                out = {}
-                for inner, coef in self._act_w(n, rest).items():
-                    _accumulate(out, self._act_w(-b, inner), coef)
-                lcoef = Fraction(n + b) * (Fraction((n - b + 2) * (n - b + 3), 15)
-                                           - Fraction((n + 2) * (2 - b), 6))
-                if lcoef:
-                    _accumulate(out, self._act_l(n - b, rest), lcoef)
-                _accumulate(out, self._lambda(n - b, rest),
-                            self._lambda_coef * (n + b))
-                if n == b:
-                    central = Fraction(n * (n * n - 1) * (n * n - 4), 360) * self.c
-                    if central:
-                        _add_term(out, rest, central)
+        if gen == "L":
+            if m >= (lparts[0] if lparts else self.min_l):
+                return (m,) + lparts, wparts
+        elif not lparts and m >= (wparts[0] if wparts else self.min_w):
+            return (), (m,) + wparts
+        return None
+
+    def _bracket(self, out: dict, gen: str, n: int, other: str, a: int, rest) -> None:
+        """Adds [gen_n, other_{-a}] rest to out: [L_n, W_{-a}] = (2n+a) W_{n-a},
+        [W_n, L_{-a}] = (2a+n) W_{n-a}, and [W_n, W_{-a}] as in the module
+        docstring; [L_n, L_{-a}] is the base class's."""
+        if gen == "L" and other == "L":
+            super()._bracket(out, gen, n, other, a, rest)
+        elif gen == "L":
+            _accumulate(out, self._act("W", n - a, rest), Fraction(2 * n + a))
+        elif other == "L":
+            _accumulate(out, self._act("W", n - a, rest), Fraction(2 * a + n))
         else:
-            if self.vacuum:
-                out = {} if n >= -2 else {((), (-n,)): ONE}
-            elif n > 0:
-                out = {}
-            elif n == 0:
-                out = {EMPTY: self.mu} if self.mu else {}
-            else:
-                out = {((), (-n,)): ONE}
-        self._memo_w[key] = out
-        return out
+            lcoef = Fraction(n + a) * (Fraction((n - a + 2) * (n - a + 3), 15)
+                                       - Fraction((n + 2) * (2 - a), 6))
+            if lcoef:
+                _accumulate(out, self._act("L", n - a, rest), lcoef)
+            _accumulate(out, self._lambda(n - a, rest), self._lambda_coef * (n + a))
+            if n == a:
+                _add_term(out, rest, Fraction(n * (n * n - 1) * (n * n - 4), 360) * self.c)
 
     def _lambda(self, m: int, mono: W3Monomial) -> dict:
         """Lambda_m applied to a canonical monomial, sums truncated at the
@@ -234,14 +174,14 @@ class W3Module(HighestWeightModule):
         lvl = self.level(mono)
         out: dict = {}
         for k in range(2, lvl - m + 1):
-            inner = self._act_l(m + k, mono)
+            inner = self._act("L", m + k, mono)
             for mon2, coef in inner.items():
-                _accumulate(out, self._act_l(-k, mon2), coef)
+                _accumulate(out, self._act("L", -k, mon2), coef)
         for k in range(-1, lvl + 1):
-            inner = self._act_l(k, mono)
+            inner = self._act("L", k, mono)
             for mon2, coef in inner.items():
-                _accumulate(out, self._act_l(m - k, mon2), coef)
-        _accumulate(out, self._act_l(m, mono),
+                _accumulate(out, self._act("L", m - k, mon2), coef)
+        _accumulate(out, self._act("L", m, mono),
                     Fraction(-3 * (m + 2) * (m + 3), 10))
         self._memo_lambda[key] = out
         return out
@@ -249,8 +189,10 @@ class W3Module(HighestWeightModule):
     # -- Virasoro-block decomposition ----------------------------------------
 
     def vector_weight(self, v: SparseVec) -> int:
-        """Weight of a homogeneous vector (error if mixed)."""
+        """Weight of a homogeneous vector (error if mixed or zero)."""
         weights = {self.level(m) for m in v.keys()}
+        if not weights:
+            raise InputError("the zero vector has no weight")
         if len(weights) != 1:
             raise InputError(f"vector is not homogeneous: weights {sorted(weights)}")
         return weights.pop()

@@ -8,6 +8,7 @@ recursions) so that agreement is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import factorial
 
@@ -76,6 +77,124 @@ def pair(u_partition, v_partition, c, h, vacuum: bool = False) -> Fraction:
     word = tuple(reversed([p for p in u_partition]))  # ascending positives
     words = {tuple(word) + tuple(-p for p in v_partition): Fraction(1)}
     return straighten_words(words, c, h, vacuum).get((), Fraction(0))
+
+
+# -- naive W3 straightening by term rewriting ----------------------------------
+
+
+def straighten_w3_words(words: dict, c, lam=None, mu=None) -> dict:
+    """Normal-order a combination of W3 mode words acting on the lowest-weight
+    vector of the vacuum module (lam = mu = None) or of the Verma module with
+    L_0, W_0 eigenvalues lam, mu.  `words` maps tuples of (gen, mode) letters
+    (leftmost applied last) to coefficients; the result maps canonical
+    (lparts, wparts) pairs to coefficients.
+
+    Rewrites the leftmost inversion one step at a time with brackets read
+    off the defining relations, expanding Lambda_p into L-words truncated by
+    the weight of the word to its right, until every surviving word is a
+    PBW word of creation modes: L before W, each in ascending mode.
+    """
+    c = Fraction(c)
+    vacuum = lam is None and mu is None
+    eigen = {"L": Fraction(lam or 0), "W": Fraction(mu or 0)}
+    # creation modes: L(-n) for n >= 2 (vacuum) or 1, W(-n) for n >= 3 or 1
+    floor = {"L": -2, "W": -3} if vacuum else {"L": -1, "W": -1}
+    lambda_coef = Fraction(16) / (22 + 5 * c)
+    pending: dict = {}
+    result: dict = {}
+
+    def add(d, key, val):
+        val = d.get(key, Fraction(0)) + val
+        if val:
+            d[key] = val
+        else:
+            d.pop(key, None)
+
+    def order(letter):
+        gen, mode = letter
+        return (mode > floor[gen], gen, mode)
+
+    def bracket(x, y, tail):
+        """[x, y] as a list of (letters, coefficient); tail is the word to
+        the right, which bounds the Lambda sums."""
+        (g, m), (h, n) = x, y
+        p = m + n
+        if g == h == "L":
+            terms = [((("L", p),), Fraction(m - n))]
+            if p == 0:
+                terms.append(((), Fraction(m ** 3 - m, 12) * c))
+        elif g == "L":
+            terms = [((("W", p),), Fraction(2 * m - n))]
+        elif h == "L":
+            terms = [((("W", p),), Fraction(m - 2 * n))]
+        else:
+            coef = lambda_coef * (m - n)
+            weight = -sum(mode for _, mode in tail)
+            terms = [((("L", p),), (m - n) * (Fraction((p + 2) * (p + 3), 15)
+                                              - Fraction((m + 2) * (n + 2), 6))
+                      - coef * Fraction(3 * (p + 2) * (p + 3), 10))]
+            terms += [((("L", -k), ("L", p + k)), coef) for k in range(2, weight - p + 1)]
+            terms += [((("L", p - k), ("L", k)), coef) for k in range(-1, weight + 1)]
+            if p == 0:
+                terms.append(((), Fraction(m * (m * m - 1) * (m * m - 4), 360) * c))
+        return terms
+
+    # Each rewrite keeps or lowers (number of W letters, length), so taking
+    # the words highest in that order first merges every copy of a word
+    # before it is rewritten.
+    queue: list = []
+
+    def push(word, val):
+        weight = 0
+        for _, mode in reversed(word):
+            weight -= mode
+            if weight < 0:
+                return  # a vector below the lowest weight is zero
+        if word not in pending:
+            keys = [order(x) for x in word]
+            inversions = sum(a > b for i, a in enumerate(keys) for b in keys[i + 1:])
+            heapq.heappush(queue, (-sum(g == "W" for g, _ in word), -len(word),
+                                   -inversions, word))
+        add(pending, word, val)
+
+    for word, x in words.items():
+        push(tuple(word), Fraction(x))
+    while queue:
+        word = heapq.heappop(queue)[-1]
+        if word not in pending:
+            continue
+        coef = pending.pop(word)
+        if word and order(word[-1])[0]:
+            # the rightmost mode is no creation mode: it hits the vector
+            gen, mode = word[-1]
+            if mode == 0 and eigen[gen]:
+                push(word[:-1], coef * eigen[gen])
+            continue
+        idx = next((i for i in range(len(word) - 1)
+                    if order(word[i]) > order(word[i + 1])), None)
+        if idx is None:
+            add(result, (tuple(-m for g, m in word if g == "L"),
+                         tuple(-m for g, m in word if g == "W")), coef)
+            continue
+        head, tail = word[:idx], word[idx + 2:]
+        push(head + (word[idx + 1], word[idx]) + tail, coef)
+        for letters, x in bracket(word[idx], word[idx + 1], tail):
+            if x:
+                push(head + letters + tail, coef * x)
+    return result
+
+
+def w3_word(mono) -> tuple:
+    """The (gen, mode) letters of a canonical W3 monomial."""
+    lparts, wparts = mono
+    return tuple(("L", -a) for a in lparts) + tuple(("W", -b) for b in wparts)
+
+
+def w3_pair(u, v, c, lam=None, mu=None) -> Fraction:
+    """Contravariant form of two W3 basis monomials."""
+    adjoint = tuple((g, -m) for g, m in reversed(w3_word(u)))
+    words = {adjoint + w3_word(v): Fraction(1)}
+    return straighten_w3_words(words, c, lam, mu).get(((), ()), Fraction(0))
 
 
 # -- brute-force partitions and series ----------------------------------------

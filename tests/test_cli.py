@@ -371,6 +371,10 @@ BAD_INPUT_REPROS = (
     ("act", "--algebra", "w3", "--lam", "1", "--mu", "1", "--gen", "W", "--mode", "1",
      "--monomial", "W(-1)" * 17),
     ("decompose", "--monomial", "W(-3)" * 6),
+    ("basis", "--algebra", "w3", "--lam", "1", "--mu", "1", "--weight", "40"),
+    ("gram", "--algebra", "w3", "--lam", "1", "--mu", "1", "--level", "16"),
+    ("primary", "--lam", "1", "--mu", "1", "--weight", "16"),
+    ("decompose", "--terms", '{"W(-3)": 0}'),
 )
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from voacalc.core import SparseVec, rank, rows_from_vectors
+from voacalc.virasoro import VirasoroModule
 from voacalc.w3 import (
     CONSISTENT_READING,
     EMPTY,
@@ -16,6 +17,8 @@ from voacalc.w3 import (
     w3_monomial_str,
     w3_vector_terms,
 )
+
+from oracles import straighten_w3_words, w3_pair, w3_word
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +39,35 @@ def test_dim_counts_the_basis(weights):
     module = W3Module.get(1, *weights)
     assert [module.dim(w) for w in range(-1, 13)] == [
         len(module.basis(w)) for w in range(-1, 13)]
+
+
+@pytest.mark.parametrize("c,weights", [
+    (Fraction(1), ()), (Fraction(-3, 7), ()), (Fraction(2), (Fraction(1, 2), Fraction(-2, 3)))],
+    ids=["vacuum-c1", "vacuum-c-3_7", "verma-c2"])
+def test_straightening_matches_rewriting_oracle(c, weights):
+    module = W3Module.get(c, *weights)
+    for weight in range(6):
+        basis = module.basis(weight)
+        for mono in basis:
+            for gen in "LW":
+                for mode in range(-3, 4):
+                    got = module.act(gen, mode, mono)
+                    want = straighten_w3_words({((gen, mode),) + w3_word(mono): 1}, c, *weights)
+                    assert {k: got.coeff(k) for k in got.keys()} == want, (gen, mode, mono)
+    for weight in range(5):
+        basis = module.basis(weight)
+        for u in basis:
+            for v in basis:
+                assert module.pair(u, v) == w3_pair(u, v, c, *weights), (u, v)
+
+
+def test_memo_tables_read_by_the_benchmark_fill_on_gram():
+    # bench/worker.py counts memo entries through these attribute names
+    vir, w3 = VirasoroModule(1, 1), W3Module(1)
+    vir.gram(4)
+    w3.gram(6)
+    for memo in (vir._act_memo, w3._memo_l, w3._memo_w, w3._memo_lambda):
+        assert isinstance(memo, dict) and memo
 
 
 def test_dimension_weight_minus_one_formula(vac):
