@@ -31,7 +31,6 @@ from .w3 import (
     W3Module,
     verify_theorem32,
     w3_monomial_str,
-    w3_vector_terms,
 )
 from .fock import (
     FockSpace,

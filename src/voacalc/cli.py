@@ -106,16 +106,15 @@ def _tokenize_monomial(text: str, allowed: str) -> list[tuple[str, int]]:
 def _parse_hw_monomial(text: str, module):
     """The basis monomial of a Virasoro or W3 module that `text` writes as
     `basis` prints it: the module's own straightening of the mode word must
-    give back that one monomial."""
-    w3_algebra = isinstance(module, W3Module)
-    tokens = _tokenize_monomial(text, "LW" if w3_algebra else "L")
+    give back that one monomial. `act` rejects a generator the module lacks."""
+    tokens = _tokenize_monomial(text, "LW")
     error = InputError(f"{text!r} is not a basis monomial of this module; "
                        "write one as `basis` prints it")
     mono = module.EMPTY
     for token in reversed(tokens):
         # every suffix of a basis monomial is one: stop at the first that is
         # not, before a long misordered word is straightened in full
-        terms = list(module.apply_word([token if w3_algebra else token[1]], mono).items())
+        terms = list(module.apply_word([token], mono).items())
         if len(terms) != 1 or terms[0][1] != 1:
             raise error
         mono = terms[0][0]
@@ -243,20 +242,10 @@ def _cmd_basis(args):
 
 
 def _cmd_act(args):
-    if args.algebra == "vir":
-        module = _vir_module(args)
-        if args.gen != "L":
-            raise InputError("the Virasoro algebra only has generator L")
+    if args.algebra in ("vir", "w3"):
+        module = _hw_module(args)
         v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
-        out = module.act(args.mode, v)
-        terms = virasoro.vector_str_terms(out)
-    elif args.algebra == "w3":
-        module = _w3_module(args)
-        if args.gen not in ("L", "W"):
-            raise InputError("generators are L and W")
-        v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
-        out = module.act(args.gen, args.mode, v)
-        terms = w3.w3_vector_terms(out)
+        terms = module.terms(module.act(args.gen, args.mode, v))
     else:
         space = _fock_space(args)
         v = _vector_from_args(args, _parse_fock_monomial)
@@ -306,7 +295,7 @@ def _cmd_primary(args):
     return {
         "weight": args.weight,
         "dimension": len(vectors),
-        "vectors": [w3.w3_vector_terms(v) for v in vectors],
+        "vectors": [module.terms(v) for v in vectors],
     }, False
 
 
@@ -323,9 +312,8 @@ def _cmd_decompose(args):
     components, remainder = module.decompose(v, primaries)
     return {
         "weight": weight,
-        "components": {label: w3.w3_vector_terms(comp)
-                       for label, comp in components.items()},
-        "remainder": w3.w3_vector_terms(remainder),
+        "components": {label: module.terms(comp) for label, comp in components.items()},
+        "remainder": module.terms(remainder),
     }, False
 
 

@@ -142,18 +142,10 @@ class SparseVec:
         _accumulate(d, other._terms, -ONE)
         return SparseVec._raw(d)
 
-    def __neg__(self) -> "SparseVec":
-        return SparseVec._raw({k: -c for k, c in self._terms.items()})
-
     def scaled(self, factor: Fraction) -> "SparseVec":
         if not factor:
             return SparseVec._raw({})
         return SparseVec._raw({k: c * factor for k, c in self._terms.items()})
-
-    def __mul__(self, factor) -> "SparseVec":
-        return self.scaled(Fraction(factor))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseVec) and self._terms == other._terms

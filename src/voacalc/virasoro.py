@@ -56,6 +56,8 @@ class HighestWeightModule:
 
     * `basis(weight)` and its size `dim(weight)`;
     * `level(mono)`, the weight of a monomial above the lowest one;
+    * `monomial_str(mono)` and `sort_key(mono)`, how `terms` writes and
+      orders monomials;
     * `_first(mono)`: (gen, m, rest) when mono = gen_{-m} rest, or None for
       the lowest-weight monomial `EMPTY`;
     * `_prepend(gen, m, mono)`: the canonical monomial gen_{-m} mono, or None
@@ -64,8 +66,8 @@ class HighestWeightModule:
       [gen_n, other_{-a}] rest to out. This class holds [L_n, L_{-a}].
 
     On that this class builds the one straightening recursion `_act`, the
-    shared instances, the action on vectors, the contravariant form with its
-    Gram matrices, and primary spaces.
+    shared instances, the action on vectors and its rendering, the
+    contravariant form with its Gram matrices, and primary spaces.
     """
 
     EMPTY = ()
@@ -120,14 +122,33 @@ class HighestWeightModule:
             gen, m, mono = first
             yield gen, m
 
-    def _apply(self, gen: str, n: int, v) -> SparseVec:
-        """gen_n on a vector or monomial."""
+    # -- action on vectors -------------------------------------------------
+
+    def act(self, gen: str, n: int, v) -> SparseVec:
+        """Apply gen_n to a vector (or a single monomial), fully straightened."""
+        if gen not in self._memos:
+            raise InputError(f"unknown generator {gen!r}")
         if not isinstance(v, SparseVec):
-            return SparseVec._raw(dict(self._act(gen, n, v)))
+            v = SparseVec.unit(v)
         out: dict = {}
         for mono, coef in v.items():
             _accumulate(out, self._act(gen, n, mono), coef)
         return SparseVec._raw(out)
+
+    def apply_word(self, word, v=None) -> SparseVec:
+        """Apply a word of modes, rightmost first: [(g1, n1), ..., (gr, nr)]
+        computes g1_{n1} ... gr_{nr} v (v defaults to the lowest-weight
+        vector)."""
+        if not isinstance(v, SparseVec):
+            v = SparseVec.unit(self.EMPTY if v is None else v)
+        for gen, n in reversed(list(word)):
+            v = self.act(gen, n, v)
+        return v
+
+    def terms(self, v: SparseVec) -> dict[str, str]:
+        """v as an ordered {monomial string: coefficient string} map."""
+        monos = sorted(v.keys(), key=self.sort_key)
+        return {self.monomial_str(m): str(v.coeff(m)) for m in monos}
 
     # -- contravariant form -------------------------------------------------
 
@@ -142,7 +163,7 @@ class HighestWeightModule:
         for mono, coef in u.items():
             w = v
             for gen, part in self._modes(mono):
-                w = self._apply(gen, part, w)
+                w = self.act(gen, part, w)
                 if w.is_zero():
                     break
             total += coef * w.coeff(self.EMPTY)
@@ -195,6 +216,12 @@ class VirasoroModule(HighestWeightModule):
 
     monomial_str = staticmethod(monomial_str)
 
+    @staticmethod
+    def sort_key(mono: VirMonomial) -> tuple:
+        """Descending-lex order, where a proper prefix sorts after its
+        extensions: L(-2)L(-1), L(-2), L(-1)L(-1), L(-1)."""
+        return tuple(-p for p in mono) + (0,)
+
     def __init__(self, c, h=0, vacuum: bool = False):
         self.c = Fraction(c)
         self.h = Fraction(h)
@@ -215,19 +242,6 @@ class VirasoroModule(HighestWeightModule):
 
     def dim(self, level: int) -> int:
         return partition_count(level, self.min_part)
-
-    # -- action -----------------------------------------------------------
-
-    def act(self, n: int, v) -> SparseVec:
-        """Apply L_n to a vector (or a single monomial), fully straightened."""
-        return self._apply("L", n, v)
-
-    def apply_word(self, word, v) -> SparseVec:
-        """Apply L_{n_1} ... L_{n_r} (rightmost mode first) to a vector."""
-        out = v if isinstance(v, SparseVec) else SparseVec.unit(v)
-        for n in reversed(list(word)):
-            out = self.act(n, out)
-        return out
 
     def level(self, mono: VirMonomial) -> int:
         return sum(mono)
@@ -288,16 +302,6 @@ def char_series(label, cutoff: int) -> list[int]:
     if kind == "l1":
         return irreducible_character_c1(h, cutoff)
     raise InputError(f"unknown module descriptor {label!r}")
-
-
-# ---------------------------------------------------------------------------
-# formatting helpers shared with the CLI
-
-
-def vector_str_terms(v: SparseVec) -> dict[str, str]:
-    """Deterministic string form: monomials in descending-lex order."""
-    keys = sorted(v.keys(), reverse=True)
-    return {monomial_str(k): str(v.coeff(k)) for k in keys}
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ class W3Module(HighestWeightModule):
     EMPTY = EMPTY
     monomial_str = staticmethod(w3_monomial_str)
 
+    @staticmethod
+    def sort_key(mono: W3Monomial) -> tuple:
+        """Basis order: weight, W-weight, then descending-lex W and L parts."""
+        lparts, wparts = mono
+        return (sum(lparts) + sum(wparts), sum(wparts),
+                tuple(-p for p in wparts), tuple(-p for p in lparts))
+
     def __init__(self, c, lam=None, mu=None):
         self.c = Fraction(c)
         if 22 + 5 * self.c == 0:
@@ -110,21 +117,6 @@ class W3Module(HighestWeightModule):
         return sum(mono[0]) + sum(mono[1])
 
     # -- straightened action ------------------------------------------------
-
-    def act(self, gen: str, n: int, v) -> SparseVec:
-        """Apply L_n (gen="L") or W_n (gen="W") to a vector or monomial."""
-        if gen not in self._memos:
-            raise InputError(f"unknown generator {gen!r}")
-        return self._apply(gen, n, v)
-
-    def apply_word(self, word, v=None) -> SparseVec:
-        """Apply a word of modes, rightmost first: word [(g1,n1),...,(gr,nr)]
-        computes g1_{n1} ... gr_{nr} v (v defaults to the lowest-weight
-        vector)."""
-        out = v if isinstance(v, SparseVec) else SparseVec.unit(v if v is not None else EMPTY)
-        for gen, n in reversed(list(word)):
-            out = self.act(gen, n, out)
-        return out
 
     def _first(self, mono: W3Monomial):
         lparts, wparts = mono
@@ -220,8 +212,12 @@ class W3Module(HighestWeightModule):
         remainder) where components maps each block label (the vacuum block is
         labelled "vacuum") to the projection of v into that block, and the
         remainder is orthogonal to every block. Raises DegenerateBlockError if
-        some block's Gram matrix is singular at this weight.
+        some block's Gram matrix is singular at this weight, and InputError on
+        a Verma module, where the blocks need not be orthogonal.
         """
+        if not self.vacuum:
+            raise InputError("decompose needs the vacuum module: on a Verma module "
+                             "the Virasoro blocks need not be orthogonal")
         weight = self.vector_weight(v)
         basis = self.basis(weight)
         blocks = [("vacuum", SparseVec.unit(EMPTY))] + list(primaries)
@@ -271,22 +267,6 @@ class W3Module(HighestWeightModule):
             "span_dim": joint_rank,
             "gap": dim - joint_rank,
         }
-
-
-# -- rendering ---------------------------------------------------------------
-
-def w3_monomial_key(mono: W3Monomial):
-    """Sort key reproducing basis order (weight, then W-weight ascending,
-    then descending-lex part tuples)."""
-    lparts, wparts = mono
-    return (sum(lparts) + sum(wparts), sum(wparts),
-            tuple(-p for p in wparts), tuple(-p for p in lparts))
-
-
-def w3_vector_terms(v) -> dict:
-    """Render a vector as an ordered {monomial string: coefficient string} map."""
-    monos = sorted(v.keys(), key=w3_monomial_key)
-    return {w3_monomial_str(m): str(v.coeff(m)) for m in monos}
 
 
 # -- frozen reference data for the bundled weight-9 verification -------------
@@ -422,14 +402,10 @@ def _word_str(word) -> str:
     return "".join(f"{g}({n})" for g, n in word)
 
 
-def _vec_diff(expected: SparseVec, computed: SparseVec) -> dict:
-    keys = sorted(set(expected.keys()) | set(computed.keys()), key=w3_monomial_key)
-    out = {}
-    for k in keys:
-        e, c = expected.coeff(k), computed.coeff(k)
-        if e != c:
-            out[w3_monomial_str(k)] = {"expected": str(e), "computed": str(c)}
-    return out
+def _vec_diff(mod: W3Module, expected: SparseVec, computed: SparseVec) -> dict:
+    keys = sorted((expected - computed).keys(), key=mod.sort_key)
+    return {w3_monomial_str(k): {"expected": str(expected.coeff(k)),
+                                 "computed": str(computed.coeff(k))} for k in keys}
 
 
 def verify_theorem32(c=1) -> dict:
@@ -502,11 +478,11 @@ def verify_theorem32(c=1) -> dict:
     u9_info = {
         "recorded_terms": {_word_str(word): str(cf)
                            for cf, word in WEIGHT9_GENERATOR_TERMS},
-        "recorded_straightened": w3_vector_terms(u9_recorded),
+        "recorded_straightened": mod.terms(u9_recorded),
     }
 
     if u9 is not None:
-        u9_info["primary_straightened"] = w3_vector_terms(u9)
+        u9_info["primary_straightened"] = mod.terms(u9)
         if word_coords is not None:
             u9_info["primary_word_coordinates"] = {
                 _word_str(word): str(x)
@@ -514,11 +490,11 @@ def verify_theorem32(c=1) -> dict:
         for n in (1, 2):
             img = mod.act("L", n, u9)
             checks.append(check(f"L{n}-kills-u9", "PAPER", "0",
-                                w3_vector_terms(img) or "0", img.is_zero()))
+                                mod.terms(img) or "0", img.is_zero()))
         w1u9 = mod.act("W", 1, u9)
         checks.append(check("W1-u9-nonzero", "PAPER", "nonzero",
                             "nonzero" if not w1u9.is_zero() else "0", not w1u9.is_zero(),
-                            value=w3_vector_terms(w1u9)))
+                            value=mod.terms(w1u9)))
         l2p4 = w1u9.coeff(((2, 2, 2, 2), ()))
         checks.append(check("W1-u9-L(-2)^4-coefficient", "PAPER", "nonzero", str(l2p4),
                             l2p4 != 0))
@@ -538,12 +514,12 @@ def verify_theorem32(c=1) -> dict:
             components, remainder = mod.decompose(
                 SparseVec.unit(((), (3, 3))), [("w", w_vec), ("u6", u6)])
             checks.append(check("weight6-membership-w-component", "PAPER", "0",
-                                w3_vector_terms(components["w"]) or "0",
+                                mod.terms(components["w"]) or "0",
                                 components["w"].is_zero(),
-                                components={label: w3_vector_terms(comp) or "0"
+                                components={label: mod.terms(comp) or "0"
                                             for label, comp in components.items()}))
             checks.append(check("weight6-membership-remainder", "PAPER", "0",
-                                w3_vector_terms(remainder) or "0", remainder.is_zero()))
+                                mod.terms(remainder) or "0", remainder.is_zero()))
         except DegenerateBlockError as exc:
             for name in ("weight6-membership-w-component",
                          "weight6-membership-remainder"):
@@ -571,12 +547,12 @@ def verify_theorem32(c=1) -> dict:
             "name": f"w1-action-{idx:02d}",
             "source": "PAPER",
             "lhs": _word_str(word),
-            "recorded": w3_vector_terms(expected),
-            "computed": w3_vector_terms(computed),
+            "recorded": mod.terms(expected),
+            "computed": mod.terms(computed),
             "matches": computed == expected,
         }
         if computed != expected:
-            entry["diff"] = _vec_diff(expected, computed)
+            entry["diff"] = _vec_diff(mod, expected, computed)
         if INCONSISTENT_MONOMIAL in printed:
             moved = dict(printed)
             weight5_coeff = moved.pop(INCONSISTENT_MONOMIAL)
@@ -586,7 +562,7 @@ def verify_theorem32(c=1) -> dict:
                 "moved": w3_monomial_str(INCONSISTENT_MONOMIAL),
                 "read_as": w3_monomial_str(CONSISTENT_READING),
                 "matches": computed == reread,
-                "diff": _vec_diff(reread, computed),
+                "diff": _vec_diff(mod, reread, computed),
             }
         comparisons.append(entry)
 
@@ -596,8 +572,8 @@ def verify_theorem32(c=1) -> dict:
         "recorded": {_word_str(word): str(cf)
                      for cf, word in WEIGHT9_GENERATOR_TERMS},
         "matches": False,
-        "residual_L1": w3_vector_terms(mod.act("L", 1, u9_recorded)) or "0",
-        "residual_L2": w3_vector_terms(mod.act("L", 2, u9_recorded)) or "0",
+        "residual_L1": mod.terms(mod.act("L", 1, u9_recorded)) or "0",
+        "residual_L2": mod.terms(mod.act("L", 2, u9_recorded)) or "0",
     }
     if u9 is not None and word_coords is not None and word_coords[0]:
         scale = recorded_coeffs[0] / word_coords[0]

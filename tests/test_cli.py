@@ -212,6 +212,12 @@ def test_usage_errors_exit_two(capsys):
     code, out, _ = run(capsys, "act", "--algebra", "vir", "--c", "1", "--h", "1",
                        "--gen", "L", "--mode", "0", "--monomial", "L(-2)L(-3)")
     assert code == 2 and out == ""
+    # the Virasoro algebra has no W, as a mode to apply or inside a monomial
+    for argv in (("act", "--algebra", "vir", "--h", "1", "--gen", "W", "--mode", "1"),
+                 ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "1",
+                  "--monomial", "W(-3)")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "unknown generator 'W'" in err, argv
     # inputs that used to end in a traceback with exit 1
     for argv in (
             ("primary", "--weight", "0"),
@@ -375,6 +381,7 @@ BAD_INPUT_REPROS = (
     ("gram", "--algebra", "w3", "--lam", "1", "--mu", "1", "--level", "16"),
     ("primary", "--lam", "1", "--mu", "1", "--weight", "16"),
     ("decompose", "--terms", '{"W(-3)": 0}'),
+    ("decompose", "--lam", "1/3", "--mu", "2/7", "--monomial", "W(-3)"),
 )
 
 
@@ -446,8 +453,10 @@ def test_verify_all(capsys):
 
 
 # sha256 of stdout for `verify all` and every CLI example in README.md,
-# recorded before the Virasoro and W3 engines shared one module base; any
-# refactor must keep these reports byte-identical
+# recorded before the Virasoro and W3 engines shared one module base, and for
+# the last three calls (mixed-weight `act --terms` inputs of both algebras and
+# a weight-9 `primary`), recorded before they shared one mode-action interface;
+# any refactor must keep these reports byte-identical
 GOLDEN_STDOUT_SHA256 = {
     'dims --algebra w3 --c 1 --max-weight 8':
         "86079b0c76146ee3ac91b3c88c6f03376f5143166aff8ae781037cbd56420335",
@@ -479,6 +488,12 @@ GOLDEN_STDOUT_SHA256 = {
         "8be492cc12aa59c52be18955f45f757200423a71959ec640bf2827b83ef73c76",
     'verify all':
         "cfb63aeece8137be0928d73bb1df62a3fcb30eaa94bb471ec8f08f15718bad55",
+    """act --algebra vir --h 1 --gen L --mode 0 --terms '{"L(-1)": 1, "L(-2)": 1, "L(-1)L(-1)": 2, "L(-2)L(-1)": 3}'""":
+        "b5d4eb8f0a91a23e190e4a70f7a943ede6be83b50553709500353e0f47b3cdda",
+    """act --algebra w3 --gen W --mode -1 --terms '{"L(-2)": 1, "W(-3)": "1/2", "L(-3)W(-3)": 2}'""":
+        "05ba32dfe1dcd6bdea072649c384bb70bb70517258ba9b8b30d0222c50c50681",
+    'primary --weight 9':
+        "8cd861800635380ab9418839be37e156703f5f364648d0e129df4278e5161ef0",
 }
 
 

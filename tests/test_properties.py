@@ -116,11 +116,10 @@ def virasoro_confluence_violations(samples=60, seed=99):
     module = VirasoroModule.get(Fraction(5, 2), Fraction(7, 3))
     bad = 0
     for _ in range(samples):
-        word = tuple(rng.randrange(-4, 5) for _ in range(rng.randrange(2, 6)))
+        word = tuple(("L", rng.randrange(-4, 5)) for _ in range(rng.randrange(2, 6)))
         cut = rng.randrange(1, len(word))
-        direct = module.apply_word(word, SparseVec.unit(()))
-        staged = module.apply_word(word[:cut],
-                                   module.apply_word(word[cut:], SparseVec.unit(())))
+        direct = module.apply_word(word)
+        staged = module.apply_word(word[:cut], module.apply_word(word[cut:]))
         if direct != staged:
             bad += 1
     return bad
@@ -170,7 +169,7 @@ def virasoro_adjointness_violations(samples=40, seed=1234):
             continue
         u = SparseVec.unit(rng.choice(basis_u)).scaled(Fraction(rng.randrange(1, 7)))
         v = SparseVec.unit(rng.choice(basis_v)).scaled(Fraction(rng.randrange(1, 7)))
-        if module.pair(module.act(-n, u), v) != module.pair(u, module.act(n, v)):
+        if module.pair(module.act("L", -n, u), v) != module.pair(u, module.act("L", n, v)):
             bad += 1
     return bad
 

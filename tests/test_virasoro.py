@@ -43,7 +43,7 @@ def test_single_mode_action_matches_rewriting_oracle(c, h, vacuum):
     for level in range(0, 6):
         for mono in module.basis(level):
             for mode in range(-3, 4):
-                got = module.act(mode, SparseVec.unit(mono))
+                got = module.act("L", mode, SparseVec.unit(mono))
                 want = apply_mode(mode, {mono: Fraction(1)}, c, h, vacuum)
                 assert {k: got.coeff(k) for k in got.keys()} == want, (
                     f"L({mode}) on {monomial_str(mono)}")
@@ -55,7 +55,7 @@ def test_random_words_match_rewriting_oracle(c, h, vacuum):
     module = VirasoroModule.get(c, h, vacuum=vacuum)
     for _ in range(30):
         word = tuple(rng.randrange(-4, 5) for _ in range(rng.randrange(1, 5)))
-        got = module.apply_word(word, SparseVec.unit(()))
+        got = module.apply_word([("L", n) for n in word])
         want = straighten_words({word: Fraction(1)}, c, h, vacuum)
         assert {k: got.coeff(k) for k in got.keys()} == want
 
@@ -79,7 +79,15 @@ def test_adjointness_of_modes_under_pairing():
     for _ in range(10):
         u = SparseVec({rng.choice(basis4): Fraction(rng.randrange(1, 5))})
         v = SparseVec({rng.choice(basis5): Fraction(rng.randrange(1, 5))})
-        assert module.pair(module.act(-1, u), v) == module.pair(u, module.act(1, v))
+        assert module.pair(module.act("L", -1, u), v) == module.pair(u, module.act("L", 1, v))
+
+
+def test_terms_keep_descending_lex_order_across_weights():
+    # a proper prefix follows its extensions, as `act --terms` reports print it
+    module = VirasoroModule.get(1, 1)
+    v = SparseVec({(1,): 1, (2,): 2, (1, 1): 3, (2, 1): 4, (): 5})
+    assert list(module.terms(v).items()) == [
+        ("L(-2)L(-1)", "4"), ("L(-2)", "2"), ("L(-1)L(-1)", "3"), ("L(-1)", "1"), ("1", "5")]
 
 
 def test_gram_nullity_locates_first_singular_vector():
@@ -102,8 +110,8 @@ def test_singular_vector_is_annihilated_and_in_radical():
     vecs = module.primary_space(3)
     assert len(vecs) == 1
     sv = vecs[0]
-    assert module.act(1, sv).is_zero()
-    assert module.act(2, sv).is_zero()
+    assert module.act("L", 1, sv).is_zero()
+    assert module.act("L", 2, sv).is_zero()
     for b in module.basis(3):
         assert module.pair(SparseVec.unit(b), sv) == 0
 

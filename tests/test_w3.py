@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from voacalc.core import SparseVec, rank, rows_from_vectors
+from voacalc.core import InputError, SparseVec, rank, rows_from_vectors
 from voacalc.virasoro import VirasoroModule
 from voacalc.w3 import (
     CONSISTENT_READING,
@@ -15,7 +15,6 @@ from voacalc.w3 import (
     W3Module,
     verify_theorem32,
     w3_monomial_str,
-    w3_vector_terms,
 )
 
 from oracles import straighten_w3_words, w3_pair, w3_word
@@ -271,6 +270,22 @@ def test_degenerate_block_error_is_raised_when_form_vanishes():
         module.decompose(w, [("w", w)])
 
 
+def test_decompose_rejects_verma_modules():
+    # W(-3) is no primary there (L_1 W(-3) = 5 W(-2)), so its block is not
+    # orthogonal to the vacuum block
+    module = W3Module.get(1, Fraction(1, 3), Fraction(2, 7))
+    w = unit((), (3,))
+    with pytest.raises(InputError):
+        module.decompose(w, [("w", w)])
+
+
+def test_act_rejects_generators_the_algebra_lacks(vac):
+    with pytest.raises(InputError):
+        VirasoroModule.get(1, 1).act("W", 1, SparseVec.unit(()))
+    with pytest.raises(InputError):
+        vac.act("X", 1, unit((), (3,)))
+
+
 def test_verma_module_acts_with_lowest_weight_eigenvalues():
     module = W3Module.get(Fraction(2), Fraction(3, 2), Fraction(5, 7))
     one = SparseVec.unit(EMPTY)
@@ -306,5 +321,5 @@ def test_verify_theorem32_report(vac):
 def test_rendering(vac):
     assert w3_monomial_str(((3, 2), (3,))) == "L(-3)L(-2)W(-3)"
     assert w3_monomial_str(EMPTY) == "1"
-    terms = w3_vector_terms(unit((2,)) + unit((), (3,)).scaled(Fraction(1, 2)))
+    terms = vac.terms(unit((2,)) + unit((), (3,)).scaled(Fraction(1, 2)))
     assert terms == {"L(-2)": "1", "W(-3)": "1/2"}
