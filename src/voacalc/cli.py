@@ -300,15 +300,14 @@ def _cmd_primary(args):
 
 
 def _cmd_decompose(args):
-    module = _w3_module(args)
+    module = W3Module.get(args.c)
     v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
     weight = module.vector_weight(v)
     _check_dim(module, weight, MAX_FORM_DIM)
     primaries = [("w", SparseVec.unit(((), (3,))))]
     if weight >= 6:
-        prims6 = module.primary_space(6)
-        if prims6:
-            primaries.append(("u6", prims6[0]))
+        # never empty, by the count in w3.verify_theorem32
+        primaries.append(("u6", module.primary_space(6)[0]))
     components, remainder = module.decompose(v, primaries)
     return {
         "weight": weight,
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split a vacuum-module vector into Virasoro blocks")
     p.add_argument("--algebra", default="w3", choices=("w3",))
     p.add_argument("--c", type=rational, default="1")
-    add_w3_params(p)
     p.add_argument("--monomial")
     p.add_argument("--terms")
     p.set_defaults(func=_cmd_decompose)

@@ -1,7 +1,7 @@
 """Shared exact-arithmetic substrate: partitions, integer square roots,
 sparse vectors, fraction-free linear algebra, integer q-series helpers, the
-check entries of verification reports and the error every input check
-raises.
+verification-report builders (`check` and `check_values` for one check,
+`report` for a suite) and the error every input check raises.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -109,6 +109,11 @@ class SparseVec:
     @staticmethod
     def unit(key) -> "SparseVec":
         return SparseVec._raw({key: ONE})
+
+    @staticmethod
+    def of(x) -> "SparseVec":
+        """x itself if it is a vector, else the unit vector of the key x."""
+        return x if isinstance(x, SparseVec) else SparseVec.unit(x)
 
     @staticmethod
     def zero() -> "SparseVec":
@@ -331,3 +336,24 @@ def check(name, source, expected, computed, ok, **extra) -> dict:
              "computed": computed, "pass": bool(ok)}
     entry.update(extra)
     return entry
+
+
+def check_values(name, source, expected, computed, **extra) -> dict:
+    """A check of a computed list against an expected one: both written
+    comma-joined ("(none)" when empty); it passes iff the lists are equal."""
+    expected, computed = list(expected), list(computed)
+    texts = (",".join(map(str, values)) or "(none)" for values in (expected, computed))
+    return check(name, source, *texts, expected == computed, **extra)
+
+
+def report(suite, params, checks, comparisons=None, **extra) -> dict:
+    """A suite's report, keys in this order: "suite", "params", the `extra`
+    keys, "checks", with `comparisons` "recorded_comparisons" and
+    "recorded_mismatches" (the names of those that do not match), and
+    "pass". Only the checks decide "pass"; recorded comparisons never do."""
+    out = {"suite": suite, "params": params, **extra, "checks": checks}
+    if comparisons is not None:
+        out["recorded_comparisons"] = comparisons
+        out["recorded_mismatches"] = [c["name"] for c in comparisons if not c["matches"]]
+    out["pass"] = all(ch["pass"] for ch in checks)
+    return out

@@ -39,8 +39,10 @@ from .core import (
     ZERO,
     _add_term,
     check,
+    check_values,
     partition_count,
     partitions,
+    report,
     series_add,
 )
 from .virasoro import irreducible_character_c1, verma_character
@@ -66,10 +68,8 @@ class FockSpace:
 
     def heis_act(self, m: int, v) -> SparseVec:
         """alpha(m) applied to a vector or monomial."""
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
         out: dict = {}
-        for (parts, charge), coef in v.items():
+        for (parts, charge), coef in SparseVec.of(v).items():
             if m < 0:
                 new = tuple(sorted(parts + (-m,), reverse=True))
                 _add_term(out, (new, charge), coef)
@@ -124,8 +124,6 @@ class FockSpace:
         The memos are dropped before the next monomial of v: kept for the
         whole call they grow with the length of v.
         """
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
         k2 = 2 * self.k
 
         def sector(ucharge, charge):
@@ -174,7 +172,7 @@ class FockSpace:
             return mode
 
         out: dict = {}
-        for (parts, charge), cv in v.items():
+        for (parts, charge), cv in SparseVec.of(v).items():
             sectors: dict = {}
             for (uparts, ucharge), cu in u.items():
                 if ucharge not in sectors:
@@ -202,10 +200,8 @@ class FockSpace:
         b = Fraction(b)
         if b == 0:
             raise InputError("lattice operator needs a nonzero charge")
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
         out: dict = {}
-        for (parts, charge), cv in v.items():
+        for (parts, charge), cv in SparseVec.of(v).items():
             e0 = self._exponent(b, charge)
             values = sorted(set(parts))
             # E^+(z) removes t of the mult copies of each part value with the
@@ -234,10 +230,8 @@ class FockSpace:
     # -- involution and bilinear form ----------------------------------------
 
     def theta(self, v) -> SparseVec:
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
         out: dict = {}
-        for (parts, charge), coef in v.items():
+        for (parts, charge), coef in SparseVec.of(v).items():
             sign = -ONE if len(parts) % 2 else ONE
             _add_term(out, (parts, -charge), coef * sign)
         return SparseVec._raw(out)
@@ -245,12 +239,9 @@ class FockSpace:
     def bilinear(self, u, v) -> Fraction:
         """Contravariant form: alpha(n) adjoint alpha(-n),
         (e^{a*alpha}, e^{b*alpha}) = delta_{a+b,0}, (1,1) = 1."""
-        if not isinstance(u, SparseVec):
-            u = SparseVec.unit(u)
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
+        v = SparseVec.of(v)
         total = ZERO
-        for (pu, cu), au in u.items():
+        for (pu, cu), au in SparseVec.of(u).items():
             for (pv, cv), av in v.items():
                 if cu + cv != 0 or pu != pv:
                     continue
@@ -370,53 +361,38 @@ def lattice_charge_tail_series(k: int, cutoff: int) -> list[int]:
 # -- named verification suites ------------------------------------------------
 
 
+def j3_eigenvalue(space: FockSpace, m: int) -> tuple[Fraction, bool]:
+    """The eigenvalue 4m^4k^2 - m^2k of the mode J_3 of the weight-4 vector J
+    on E^m = e^{m*alpha} + e^{-m*alpha}, and whether vertex_mode gives
+    exactly that multiple of E^m."""
+    k = space.k
+    ev = Fraction(4 * m ** 4 * k ** 2 - m ** 2 * k)
+    e = space.evec(m)
+    return ev, space.vertex_mode(space.jvec(), 3, e) == e.scaled(ev)
+
+
 def verify_lemma57(k: int = 3, cutoff: int = 20) -> dict:
     """Character decomposition of the orbifold spaces and the degree-4
     eigenvalue separating the charged summands."""
     space = FockSpace(k)
-    checks: list[dict] = []
-
-    head = space.char_series("m1+", 9)
-    expected_head = [1, 0, 1, 1, 3, 3, 6, 7, 12, 14]
-    checks.append(check(
-        "m1plus-series-head", "PAPER",
-        ",".join(str(x) for x in expected_head),
-        ",".join(str(x) for x in head),
-        head == expected_head))
-
     m1p = space.char_series("m1+", cutoff)
-    square_sum = even_square_sum_series(cutoff)
-    checks.append(check(
-        "m1plus-equals-even-square-character-sum", "PAPER",
-        ",".join(str(x) for x in square_sum),
-        ",".join(str(x) for x in m1p),
-        m1p == square_sum, cutoff=cutoff))
-
-    vlp = space.char_series("vl+", cutoff)
-    decomposition = series_add(m1p, lattice_charge_tail_series(k, cutoff))
-    checks.append(check(
-        "vlplus-orbifold-decomposition", "PAPER",
-        ",".join(str(x) for x in decomposition),
-        ",".join(str(x) for x in vlp),
-        vlp == decomposition, cutoff=cutoff, k=k))
-
-    j = space.jvec()
+    checks = [
+        check_values("m1plus-series-head", "PAPER", [1, 0, 1, 1, 3, 3, 6, 7, 12, 14],
+                     space.char_series("m1+", 9)),
+        check_values("m1plus-equals-even-square-character-sum", "PAPER",
+                     even_square_sum_series(cutoff), m1p, cutoff=cutoff),
+        check_values("vlplus-orbifold-decomposition", "PAPER",
+                     series_add(m1p, lattice_charge_tail_series(k, cutoff)),
+                     space.char_series("vl+", cutoff), cutoff=cutoff, k=k),
+    ]
     for m in (1, 2):
-        ev = Fraction(4 * m ** 4 * k ** 2 - m ** 2 * k)
-        target = space.evec(m).scaled(ev)
-        got = space.vertex_mode(j, 3, space.evec(m))
+        ev, ok = j3_eigenvalue(space, m)
         checks.append(check(
             f"j3-eigenvalue-E{m}", "PAPER",
             f"(4*{m}^4*{k}^2 - {m}^2*{k})*E({m}) = {ev}*E({m})",
-            "match" if got == target else "mismatch",
-            got == target, k=k, m=m))
+            "match" if ok else "mismatch", ok, k=k, m=m))
 
-    return {
-        "suite": "lemma57",
-        "params": {"k": k, "cutoff": cutoff},
-        "checks": checks,
-        "pass": all(ch["pass"] for ch in checks),
-    }
+    return report("lemma57", {"k": k, "cutoff": cutoff}, checks)
 
 
 def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
@@ -424,53 +400,31 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
     eigenvalue on the charged doublet, with the recorded sign reported as a
     comparison."""
     ks, ns = tuple(ks), tuple(ns)
-    checks: list[dict] = []
-    comparisons: list[dict] = []
-
-    vac_norms = []
-    e_norms = []
-    j7j = []
-    for k in ks:
-        sp = FockSpace(k)
-        one = SparseVec.unit(sp.VACUUM)
-        vac_norms.append(sp.bilinear(one, one))
-        e = sp.evec(1)
-        e_norms.append(sp.bilinear(e, e))
-        j = sp.jvec()
-        got = sp.vertex_mode(j, 7, j)
-        j7j.append("54*1" if got == one.scaled(Fraction(54)) else
-                   "unexpected")
-    checks.append(check(
-        "vacuum-norm", "PAPER", ",".join("1" for _ in ks),
-        ",".join(str(x) for x in vac_norms),
-        all(x == 1 for x in vac_norms), ks=list(ks)))
-    checks.append(check(
-        "e1-norm", "PAPER", ",".join("2" for _ in ks),
-        ",".join(str(x) for x in e_norms),
-        all(x == 2 for x in e_norms), ks=list(ks)))
-    checks.append(check(
-        "j7-on-j", "PAPER", ",".join("54*1" for _ in ks),
-        ",".join(j7j), all(x == "54*1" for x in j7j), ks=list(ks)))
-
-    for k in ks:
-        sp = FockSpace(k)
-        j = sp.jvec()
+    spaces = [FockSpace(k) for k in ks]
+    one = SparseVec.unit(FockSpace.VACUUM)
+    j7j = [sp.vertex_mode(sp.jvec(), 7, sp.jvec()) == one.scaled(Fraction(54))
+           for sp in spaces]
+    checks = [
+        check_values("vacuum-norm", "PAPER", [1] * len(ks),
+                     [sp.bilinear(one, one) for sp in spaces], ks=list(ks)),
+        check_values("e1-norm", "PAPER", [2] * len(ks),
+                     [sp.bilinear(sp.evec(1), sp.evec(1)) for sp in spaces], ks=list(ks)),
+        check_values("j7-on-j", "PAPER", ["54*1"] * len(ks),
+                     ["54*1" if ok else "unexpected" for ok in j7j], ks=list(ks)),
+    ]
+    for sp in spaces:
         for m in (1, 2):
-            ev = Fraction(4 * m ** 4 * k ** 2 - m ** 2 * k)
-            got = sp.vertex_mode(j, 3, sp.evec(m))
-            ok = got == sp.evec(m).scaled(ev)
-            checks.append(check(
-                f"j3-eigenvalue-k{k}-m{m}", "PAPER",
-                f"{ev}*E({m})", "match" if ok else "mismatch", ok))
+            ev, ok = j3_eigenvalue(sp, m)
+            checks.append(check(f"j3-eigenvalue-k{sp.k}-m{m}", "PAPER",
+                                f"{ev}*E({m})", "match" if ok else "mismatch", ok))
 
+    comparisons: list[dict] = []
     for n in ns:
         sp = FockSpace(n)
         x1, x2, x3 = sp.xvec(1), sp.xvec(-1), sp.xvec(-2)
 
         vals = (sp.bilinear(x1, x1), sp.bilinear(x2, x2), sp.bilinear(x1, x2))
-        checks.append(check(
-            f"x-doublet-pairings-n{n}", "PAPER", "0,0,1",
-            ",".join(str(v) for v in vals), vals == (0, 0, 1)))
+        checks.append(check_values(f"x-doublet-pairings-n{n}", "PAPER", [0, 0, 1], vals))
 
         got = sp.lattice_vertex_mode(Fraction(-1), -2 * n - 1, x2)
         checks.append(check(
@@ -510,24 +464,13 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
                     "sign: computed eigenvalue is the negative of the recorded one",
         })
 
-    for k in ks:
-        sp = FockSpace(k)
+    for sp in spaces:
         em = sp.xvec(-1)
-        lead = sp.lattice_vertex_mode(Fraction(1), 2 * k - 1, em)
-        ok = lead == SparseVec.unit(sp.VACUUM)
-        tail_ok = all(
-            sp.lattice_vertex_mode(Fraction(1), nn, em).is_zero()
-            for nn in range(2 * k, 2 * k + 3))
+        ok = (sp.lattice_vertex_mode(Fraction(1), 2 * sp.k - 1, em) == one
+              and all(sp.lattice_vertex_mode(Fraction(1), nn, em).is_zero()
+                      for nn in range(2 * sp.k, 2 * sp.k + 3)))
         checks.append(check(
-            f"e-leading-mode-k{k}", "DERIVED", "1 at mode 2k-1, 0 above",
-            "match" if (ok and tail_ok) else "unexpected", ok and tail_ok))
+            f"e-leading-mode-k{sp.k}", "DERIVED", "1 at mode 2k-1, 0 above",
+            "match" if ok else "unexpected", ok))
 
-    return {
-        "suite": "fock",
-        "params": {"ks": list(ks), "ns": list(ns)},
-        "checks": checks,
-        "recorded_comparisons": comparisons,
-        "recorded_mismatches": [c["name"] for c in comparisons
-                                if not c["matches"]],
-        "pass": all(ch["pass"] for ch in checks),
-    }
+    return report("fock", {"ks": list(ks), "ns": list(ns)}, checks, comparisons)

@@ -28,7 +28,7 @@ import random
 import re
 from fractions import Fraction
 
-from .core import InputError, check, rational, square_root
+from .core import InputError, check, rational, report, square_root
 
 Label = tuple
 
@@ -249,9 +249,5 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
     checks.append(check("m1-random-charge-negation", "PAPER", "0 violations",
                         f"{ident_bad} violations", ident_bad == 0))
 
-    return {
-        "suite": "fusion-symmetry",
-        "params": {"max_root": max_root, "samples": samples, "seed": seed},
-        "checks": checks,
-        "pass": all(ch["pass"] for ch in checks),
-    }
+    return report("fusion-symmetry",
+                  {"max_root": max_root, "samples": samples, "seed": seed}, checks)

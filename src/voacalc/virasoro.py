@@ -30,11 +30,13 @@ from .core import (
     _accumulate,
     _add_term,
     check,
+    check_values,
     normalized_integer_vector,
     null_space,
     partition_count,
     partitions,
     rank,
+    report,
     square_root,
 )
 
@@ -128,10 +130,8 @@ class HighestWeightModule:
         """Apply gen_n to a vector (or a single monomial), fully straightened."""
         if gen not in self._memos:
             raise InputError(f"unknown generator {gen!r}")
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
         out: dict = {}
-        for mono, coef in v.items():
+        for mono, coef in SparseVec.of(v).items():
             _accumulate(out, self._act(gen, n, mono), coef)
         return SparseVec._raw(out)
 
@@ -139,8 +139,7 @@ class HighestWeightModule:
         """Apply a word of modes, rightmost first: [(g1, n1), ..., (gr, nr)]
         computes g1_{n1} ... gr_{nr} v (v defaults to the lowest-weight
         vector)."""
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(self.EMPTY if v is None else v)
+        v = SparseVec.of(self.EMPTY if v is None else v)
         for gen, n in reversed(list(word)):
             v = self.act(gen, n, v)
         return v
@@ -155,12 +154,9 @@ class HighestWeightModule:
     def pair(self, u, v) -> Fraction:
         """Contravariant form <u, v>: each mode is adjoint to its negative,
         and <v, v> = 1 on the lowest-weight vector."""
-        if not isinstance(u, SparseVec):
-            u = SparseVec.unit(u)
-        if not isinstance(v, SparseVec):
-            v = SparseVec.unit(v)
+        v = SparseVec.of(v)
         total = ZERO
-        for mono, coef in u.items():
+        for mono, coef in SparseVec.of(u).items():
             w = v
             for gen, part in self._modes(mono):
                 w = self.act(gen, part, w)
@@ -325,11 +321,9 @@ def verify_prop21(ms=(0, 1, 2), max_level: int = 5) -> dict:
         nullities = [module.dim(lv) - ranks[lv] for lv in range(1, max_level + 1)]
 
         below = nullities[:min(threshold - 1, max_level)]
-        checks.append(check(f"nullity-below-threshold-m{m}", "PAPER",
-                            ",".join("0" for _ in below) or "(none)",
-                            ",".join(str(x) for x in below) or "(none)",
-                            all(x == 0 for x in below),
-                            levels=list(range(1, len(below) + 1))))
+        checks.append(check_values(f"nullity-below-threshold-m{m}", "PAPER",
+                                   [0] * len(below), below,
+                                   levels=list(range(1, len(below) + 1))))
 
         if threshold <= max_level:
             checks.append(check(f"nullity-at-threshold-m{m}", "PAPER", "1",
@@ -338,22 +332,14 @@ def verify_prop21(ms=(0, 1, 2), max_level: int = 5) -> dict:
 
         char = irreducible_character_c1(m * m, m * m + max_level)
         expected_ranks = char[m * m: m * m + max_level + 1]
-        checks.append(check(f"rank-equals-irreducible-character-m{m}", "DERIVED",
-                            ",".join(str(x) for x in expected_ranks),
-                            ",".join(str(x) for x in ranks),
-                            ranks == expected_ranks, levels=list(range(0, max_level + 1))))
+        checks.append(check_values(f"rank-equals-irreducible-character-m{m}", "DERIVED",
+                                   expected_ranks, ranks,
+                                   levels=list(range(0, max_level + 1))))
 
     # converse direction: a non-square lowest weight stays nondegenerate
     nonsq = VirasoroModule.get(1, 2)
     nullities = [nonsq.gram_nullity(lv) for lv in range(1, max_level + 1)]
-    checks.append(check("nonsquare-weight-nondegenerate-h2", "DERIVED",
-                        ",".join("0" for _ in nullities),
-                        ",".join(str(x) for x in nullities),
-                        all(x == 0 for x in nullities)))
+    checks.append(check_values("nonsquare-weight-nondegenerate-h2", "DERIVED",
+                               [0] * len(nullities), nullities))
 
-    return {
-        "suite": "prop21",
-        "params": {"ms": list(ms), "max_level": max_level, "c": "1"},
-        "checks": checks,
-        "pass": all(ch["pass"] for ch in checks),
-    }
+    return report("prop21", {"ms": list(ms), "max_level": max_level, "c": "1"}, checks)

@@ -35,9 +35,11 @@ from .core import (
     _add_term,
     _bareiss_echelon,
     check,
+    check_values,
     partition_count,
     partitions,
     rank,
+    report,
     rows_from_vectors,
     solve,
 )
@@ -433,24 +435,21 @@ def verify_theorem32(c=1) -> dict:
     mod = W3Module.get(c)
     checks: list[dict] = []
 
-    dims_low = [mod.dim(r) for r in range(3, 7)]
-    checks.append(check("graded-dimensions-3-6", "PAPER", "2,3,4,8",
-                        ",".join(map(str, dims_low)), dims_low == [2, 3, 4, 8]))
-    dims_high = [mod.dim(r) for r in (7, 8)]
-    checks.append(check("graded-dimensions-7-8", "DERIVED", "10,17",
-                        ",".join(map(str, dims_high)), dims_high == [10, 17]))
+    checks.append(check_values("graded-dimensions-3-6", "PAPER", [2, 3, 4, 8],
+                               [mod.dim(r) for r in range(3, 7)]))
+    checks.append(check_values("graded-dimensions-7-8", "DERIVED", [10, 17],
+                               [mod.dim(r) for r in (7, 8)]))
     basis6 = mod.basis(6)
     checks.append(check("weight6-basis-set", "PAPER",
                         sorted(w3_monomial_str(m) for m in WEIGHT6_BASIS_REFERENCE),
                         sorted(w3_monomial_str(m) for m in basis6),
                         set(basis6) == set(WEIGHT6_BASIS_REFERENCE) and len(basis6) == 8))
 
-    primary_dims = {wt: len(mod.primary_space(wt)) for wt in (3, 4, 5, 6, 7)}
-    checks.append(check("primary-dimensions-4-5-7", "PAPER", "0,0,0",
-                        ",".join(str(primary_dims[w]) for w in (4, 5, 7)),
-                        all(primary_dims[w] == 0 for w in (4, 5, 7))))
-    checks.append(check("primary-dimension-6", "PAPER", "1", str(primary_dims[6]),
-                        primary_dims[6] == 1))
+    primaries = {wt: mod.primary_space(wt) for wt in (4, 5, 6, 7)}
+    checks.append(check_values("primary-dimensions-4-5-7", "PAPER", [0, 0, 0],
+                               [len(primaries[w]) for w in (4, 5, 7)]))
+    checks.append(check("primary-dimension-6", "PAPER", "1", str(len(primaries[6])),
+                        len(primaries[6]) == 1))
 
     # The recorded weight-9 vector, straightened verbatim.
     recorded_words = [word for _, word in WEIGHT9_GENERATOR_TERMS]
@@ -507,35 +506,28 @@ def verify_theorem32(c=1) -> dict:
             checks.append(check(name, "PAPER", "-", "no weight-9 primary available", False))
 
     w_vec = SparseVec.unit(((), (3,)))
-    prim6 = mod.primary_space(6)
-    if prim6:
-        u6 = prim6[0]
-        try:
-            components, remainder = mod.decompose(
-                SparseVec.unit(((), (3, 3))), [("w", w_vec), ("u6", u6)])
-            checks.append(check("weight6-membership-w-component", "PAPER", "0",
-                                mod.terms(components["w"]) or "0",
-                                components["w"].is_zero(),
-                                components={label: mod.terms(comp) or "0"
-                                            for label, comp in components.items()}))
-            checks.append(check("weight6-membership-remainder", "PAPER", "0",
-                                mod.terms(remainder) or "0", remainder.is_zero()))
-        except DegenerateBlockError as exc:
-            for name in ("weight6-membership-w-component",
-                         "weight6-membership-remainder"):
-                checks.append(check(name, "PAPER", "0", f"undefined: {exc}", False))
-        gap = mod.descendant_gap(8, [("w", w_vec), ("u6", u6)])
-        checks.append(check("weight8-dimension-gap", "PAPER", "1", str(gap["gap"]),
-                            gap["gap"] == 1,
-                            detail={"dim": gap["dim"], "span_dim": gap["span_dim"],
-                                    "block_dims": gap["block_dims"]}))
-    else:
+    # never empty: weight 6 has 8 monomials, and L_1 and L_2 impose at most
+    # dim 5 + dim 4 = 4 + 3 = 7 conditions on them
+    u6 = primaries[6][0]
+    try:
+        components, remainder = mod.decompose(
+            SparseVec.unit(((), (3, 3))), [("w", w_vec), ("u6", u6)])
         checks.append(check("weight6-membership-w-component", "PAPER", "0",
-                            "no weight-6 primary available", False))
+                            mod.terms(components["w"]) or "0",
+                            components["w"].is_zero(),
+                            components={label: mod.terms(comp) or "0"
+                                        for label, comp in components.items()}))
         checks.append(check("weight6-membership-remainder", "PAPER", "0",
-                            "no weight-6 primary available", False))
-        checks.append(check("weight8-dimension-gap", "PAPER", "1",
-                            "no weight-6 primary available", False))
+                            mod.terms(remainder) or "0", remainder.is_zero()))
+    except DegenerateBlockError as exc:
+        for name in ("weight6-membership-w-component",
+                     "weight6-membership-remainder"):
+            checks.append(check(name, "PAPER", "0", f"undefined: {exc}", False))
+    gap = mod.descendant_gap(8, [("w", w_vec), ("u6", u6)])
+    checks.append(check("weight8-dimension-gap", "PAPER", "1", str(gap["gap"]),
+                        gap["gap"] == 1,
+                        detail={"dim": gap["dim"], "span_dim": gap["span_dim"],
+                                "block_dims": gap["block_dims"]}))
 
     # -- verbatim comparisons against the recorded data ---------------------
     comparisons: list[dict] = []
@@ -588,14 +580,5 @@ def verify_theorem32(c=1) -> dict:
             if r != s}
     comparisons.append(u9_entry)
 
-    return {
-        "suite": "thm32",
-        "params": {"c": str(c)},
-        "exploratory": c != 1,
-        "u9": u9_info,
-        "checks": checks,
-        "recorded_comparisons": comparisons,
-        "recorded_mismatches": [e["name"] for e in comparisons
-                                if not e["matches"]],
-        "pass": all(ch["pass"] for ch in checks),
-    }
+    return report("thm32", {"c": str(c)}, checks, comparisons,
+                  exploratory=c != 1, u9=u9_info)

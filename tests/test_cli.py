@@ -410,6 +410,16 @@ def test_bad_input_grid_never_tracebacks(capsys, monkeypatch):
     assert code == 2 and out == "" and "VOACALC_CUTOFF" in err
 
 
+def test_decompose_takes_no_verma_flags(capsys, monkeypatch):
+    # the flags are rejected before any primary vector is computed
+    def fail(self, weight):
+        raise AssertionError("primary_space called")
+    monkeypatch.setattr(voacalc.W3Module, "primary_space", fail)
+    code, out, err = run(capsys, "decompose", "--lam", "1/3", "--mu", "2/7",
+                         "--monomial", "L(-1)" * 8)
+    assert code == 2 and out == "" and "error:" in err
+
+
 def test_argparse_usage_exits_two(capsys):
     assert main(["dims", "--algebra", "bogus", "--max-weight", "3"]) == 2
     assert main(["no-such-command"]) == 2
@@ -453,10 +463,12 @@ def test_verify_all(capsys):
 
 
 # sha256 of stdout for `verify all` and every CLI example in README.md,
-# recorded before the Virasoro and W3 engines shared one module base, and for
-# the last three calls (mixed-weight `act --terms` inputs of both algebras and
+# recorded before the Virasoro and W3 engines shared one module base; for
+# the next three calls (mixed-weight `act --terms` inputs of both algebras and
 # a weight-9 `primary`), recorded before they shared one mode-action interface;
-# any refactor must keep these reports byte-identical
+# and for the suites at non-default parameters, recorded before the suite
+# reports were built by `core.check_values` and `core.report`. Any refactor
+# must keep these reports byte-identical
 GOLDEN_STDOUT_SHA256 = {
     'dims --algebra w3 --c 1 --max-weight 8':
         "86079b0c76146ee3ac91b3c88c6f03376f5143166aff8ae781037cbd56420335",
@@ -494,6 +506,16 @@ GOLDEN_STDOUT_SHA256 = {
         "05ba32dfe1dcd6bdea072649c384bb70bb70517258ba9b8b30d0222c50c50681",
     'primary --weight 9':
         "8cd861800635380ab9418839be37e156703f5f364648d0e129df4278e5161ef0",
+    'verify thm32 --c=-3/7':
+        "a41a014e16900ce86d92b12b795dc7ded5ac7e97d001e14f02a8e72781429755",
+    'verify prop21 --m 0..3 --max-level 7':
+        "a608ef8051b795b9f9245bd17398b34b360d6953f7f0637d4fed1b9b006c61e0",
+    'verify prop21 --m 1 --max-level 1':
+        "f32364702f07d4b6fdaedd2e37357143359aee8988b9ff5ab3cb5d2d6a79a9cf",
+    'verify lemma57 --k 1 --cutoff 30':
+        "187f66cd56047c0d5de506a7c29cfd41e1e6f61e3cad1511b3476b950925196e",
+    'verify fusion-symmetry --samples 300 --seed 7':
+        "ecd589e7f4752b2295ed773053762a2be581bbd1bab5f0780bf2f22c6f78a561",
 }
 
 

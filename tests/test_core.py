@@ -5,12 +5,14 @@ import pytest
 
 from voacalc.core import (
     SparseVec,
+    check_values,
     inverse_euler,
     normalized_integer_vector,
     null_space,
     partition_count,
     partitions,
     rank,
+    report,
     rows_from_vectors,
     series_add,
     solve,
@@ -147,3 +149,27 @@ def test_rank_empty_and_zero_cases():
     assert rank([]) == 0
     assert rank([[Fraction(0), Fraction(0)]]) == 0
     assert null_space([[Fraction(0)]]) == [[Fraction(1)]]
+
+
+def test_check_values_renders_and_compares_lists():
+    empty = check_values("e", "DERIVED", [], [], levels=[])
+    assert (empty["expected"], empty["computed"], empty["pass"]) == ("(none)", "(none)", True)
+    assert list(empty) == ["name", "source", "expected", "computed", "pass", "levels"]
+    same = check_values("s", "PAPER", [1, 2], [Fraction(1), Fraction(2)])
+    assert (same["expected"], same["computed"], same["pass"]) == ("1,2", "1,2", True)
+    short = check_values("l", "PAPER", [0, 0], [0])
+    assert (short["expected"], short["computed"], short["pass"]) == ("0,0", "0", False)
+
+
+def test_report_key_order_and_pass_rule():
+    ok = check_values("a", "PAPER", [1], [1])
+    bad = check_values("b", "PAPER", [1], [2])
+    plain = report("s", {"n": 1}, [ok])
+    assert list(plain) == ["suite", "params", "checks", "pass"] and plain["pass"] is True
+    comparisons = [{"name": "x", "matches": True}, {"name": "y", "matches": False}]
+    full = report("s", {}, [ok, bad], comparisons, exploratory=True, u9={})
+    assert list(full) == ["suite", "params", "exploratory", "u9", "checks",
+                          "recorded_comparisons", "recorded_mismatches", "pass"]
+    assert full["recorded_mismatches"] == ["y"] and full["pass"] is False
+    # recorded comparisons never decide the pass flag
+    assert report("s", {}, [ok], comparisons)["pass"] is True
