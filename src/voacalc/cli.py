@@ -30,7 +30,7 @@ from .w3 import W3Module
 MAX_WEIGHT = 40  # dims and basis weights, series cutoffs, Fock `act` output heights
 MAX_LEVEL = 16  # gram --level, primary --weight, weights of `act`/`decompose` inputs
 MAX_BASIS_DIM = 172_430  # Virasoro/W3 `basis` monomials: the W3 vacuum at weight 40
-MAX_FORM_DIM = 285  # monomials for gram, primary, decompose: the W3 vacuum at weight 16
+MAX_FORM_DIM = 285  # monomials for gram, primary, decompose, act inputs: the W3 vacuum at weight 16
 MAX_PROP21_LEVEL = 12
 MAX_M = 10
 MAX_SAMPLES = 100_000
@@ -245,6 +245,8 @@ def _cmd_act(args):
     if args.algebra in ("vir", "w3"):
         module = _hw_module(args)
         v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
+        for mono in v.keys():
+            _check_dim(module, module.level(mono), MAX_FORM_DIM)
         terms = module.terms(module.act(args.gen, args.mode, v))
     else:
         space = _fock_space(args)

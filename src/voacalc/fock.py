@@ -21,6 +21,12 @@ the output weight. Every other monomial a(-p)u' reduces to u' by the iterate
 down to 1_(n) = delta_{n,-1} or to a lattice operator (Kac, Vertex Algebras
 for Beginners; Lepowsky-Li 2004).
 
+Each rule has one kernel: `_insert` adds parts to a descending tuple,
+`FockSpace._lower` is alpha(j >= 0) on a monomial, and `FockSpace._lattice`
+is a lattice operator on a monomial, which depends on the charge only
+through the exponent 2k*b*charge. The public methods and the recursion call
+these kernels.
+
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
 (e^{a*alpha}, e^{b*alpha}) = delta_{a+b,0}.
@@ -29,8 +35,9 @@ The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 from .core import (
     ONE,
@@ -48,6 +55,14 @@ from .core import (
 from .virasoro import irreducible_character_c1, verma_character
 
 FockMonomial = tuple  # (parts, charge): descending tuple of ints, Fraction
+
+FOCK_SUITE_KS = (2, 3, 5)  # lattice parameters of `verify_fock`
+FOCK_SUITE_NS = (2, 3)  # lattice parameters of its charged-doublet checks
+
+
+def _insert(parts, extra) -> tuple:
+    """The descending tuple of parts together with the parts of extra."""
+    return tuple(sorted((*parts, *extra), reverse=True))
 
 
 class FockSpace:
@@ -71,20 +86,23 @@ class FockSpace:
         out: dict = {}
         for (parts, charge), coef in SparseVec.of(v).items():
             if m < 0:
-                new = tuple(sorted(parts + (-m,), reverse=True))
-                _add_term(out, (new, charge), coef)
-            elif m == 0:
-                factor = 2 * self.k * charge
-                if factor:
-                    _add_term(out, (parts, charge), coef * factor)
-            else:
-                mult = parts.count(m)
-                if mult:
-                    reduced = list(parts)
-                    reduced.remove(m)
-                    _add_term(out, (tuple(reduced), charge),
-                              coef * 2 * self.k * m * mult)
+                _add_term(out, (_insert(parts, (-m,)), charge), coef)
+            elif low := self._lower(m, parts, charge):
+                _add_term(out, (low[1], charge), coef * low[0])
         return SparseVec._raw(out)
+
+    def _lower(self, j: int, parts: tuple, charge):
+        """alpha(j), j >= 0, on (parts, charge) as (factor, new parts), or None
+        when it vanishes: alpha(0) scales by 2k*charge, alpha(j > 0) removes
+        one of the mult parts j with the factor 2k*j*mult."""
+        if j == 0:
+            return (2 * self.k * charge, parts) if charge else None
+        mult = parts.count(j)
+        if not mult:
+            return None
+        low = list(parts)
+        low.remove(j)
+        return 2 * self.k * j * mult, tuple(low)
 
     # -- distinguished vectors ------------------------------------------------
 
@@ -124,8 +142,6 @@ class FockSpace:
         The memos are dropped before the next monomial of v: kept for the
         whole call they grow with the length of v.
         """
-        k2 = 2 * self.k
-
         def sector(ucharge, charge):
             e0 = self._exponent(ucharge, charge) if ucharge else 0
             memo: dict = {}
@@ -143,8 +159,7 @@ class FockSpace:
                 out = {}
                 if not uparts:
                     if ucharge:
-                        lattice = self.lattice_vertex_mode(ucharge, m, (parts, charge))
-                        out = {new: x for (new, _), x in lattice.items()}
+                        out = self._lattice(ucharge, e0, m, parts)
                     elif m == -1:
                         out = {parts: 1}
                 else:
@@ -152,20 +167,13 @@ class FockSpace:
                     for j in range(top - p - m):
                         c = comb(p + j - 1, j)
                         for new, x in mode(rest, m + j, parts).items():
-                            new = tuple(sorted(new + (p + j,), reverse=True))
-                            _add_term(out, new, c * x)
-                    # a(j) w = factor * low: a(0) scales by 2k*charge,
-                    # a(j > 0) removes a part j
-                    lowered = [(0, k2 * charge, parts)] if charge else []
-                    for j in set(parts):
-                        low = list(parts)
-                        low.remove(j)
-                        lowered.append((j, k2 * j * parts.count(j), tuple(low)))
+                            _add_term(out, _insert(new, (p + j,)), c * x)
                     sign = 1 if p % 2 else -1
-                    for j, factor, low in lowered:
-                        c = sign * comb(p + j - 1, j) * factor
-                        for new, x in mode(rest, m - p - j, low).items():
-                            _add_term(out, new, c * x)
+                    for j in (0, *set(parts)):
+                        if low := self._lower(j, parts, charge):
+                            c = sign * comb(p + j - 1, j) * low[0]
+                            for new, x in mode(rest, m - p - j, low[1]).items():
+                                _add_term(out, new, c * x)
                 memo[key] = out
                 return out
 
@@ -202,26 +210,32 @@ class FockSpace:
             raise InputError("lattice operator needs a nonzero charge")
         out: dict = {}
         for (parts, charge), cv in SparseVec.of(v).items():
-            e0 = self._exponent(b, charge)
-            values = sorted(set(parts))
-            # E^+(z) removes t of the mult copies of each part value with the
-            # factor C(mult, t) (-2kb)^t; E^-(z) then adds a partition lam
-            for removed in product(*(range(parts.count(val) + 1) for val in values)):
-                factor, kept, dplus = cv, [], 0
-                for val, t in zip(values, removed):
-                    mult = parts.count(val)
-                    factor *= comb(mult, t) * (-2 * self.k * b) ** t
-                    kept += [val] * (mult - t)
-                    dplus += val * t
-                for lam in partitions(-n - 1 - e0 + dplus, 1):
-                    # coefficient of alpha(-lam) in exp(b sum_p alpha(-p) z^p / p)
-                    den = 1
-                    for val in set(lam):
-                        den *= val ** lam.count(val) * factorial(lam.count(val))
-                    new_parts = tuple(sorted(kept + list(lam), reverse=True))
-                    _add_term(out, (new_parts, charge + b),
-                              factor * b ** len(lam) / den)
+            lattice = self._lattice(b, self._exponent(b, charge), n, parts)
+            for new, x in lattice.items():
+                _add_term(out, (new, charge + b), cv * x)
         return SparseVec._raw(out)
+
+    def _lattice(self, b, e0: int, n: int, parts: tuple) -> dict:
+        """(e^{b*alpha})_n on (parts, charge) with e0 = 2k*b*charge, as
+        {new parts: coefficient}; the output charge is charge + b."""
+        out: dict = {}
+        values = sorted(set(parts))
+        # E^+(z) removes t of the mult copies of each part value with the
+        # factor C(mult, t) (-2kb)^t; E^-(z) then adds a partition lam
+        for removed in product(*(range(parts.count(val) + 1) for val in values)):
+            factor, kept, dplus = ONE, [], 0
+            for val, t in zip(values, removed):
+                mult = parts.count(val)
+                factor *= comb(mult, t) * (-2 * self.k * b) ** t
+                kept += [val] * (mult - t)
+                dplus += val * t
+            for lam in partitions(-n - 1 - e0 + dplus, 1):
+                # coefficient of alpha(-lam) in exp(b sum_p alpha(-p) z^p / p)
+                den = 1
+                for val in set(lam):
+                    den *= val ** lam.count(val) * factorial(lam.count(val))
+                _add_term(out, _insert(kept, lam), factor * b ** len(lam) / den)
+        return out
 
     def vir_act(self, n: int, v) -> SparseVec:
         """L_n via the conformal vector: L_n = (omega)_{n+1}."""
@@ -241,60 +255,42 @@ class FockSpace:
         (e^{a*alpha}, e^{b*alpha}) = delta_{a+b,0}, (1,1) = 1."""
         v = SparseVec.of(v)
         total = ZERO
-        for (pu, cu), au in SparseVec.of(u).items():
-            for (pv, cv), av in v.items():
-                if cu + cv != 0 or pu != pv:
-                    continue
+        for (parts, charge), au in SparseVec.of(u).items():
+            if av := v.coeff((parts, -charge)):
                 norm = ONE
-                for val in set(pu):
-                    mult = pu.count(val)
-                    norm *= (Fraction(2 * self.k * val) ** mult
-                             * factorial(mult))
+                for val in set(parts):
+                    mult = parts.count(val)
+                    norm *= Fraction(2 * self.k * val) ** mult * factorial(mult)
                 total += au * av * norm
         return total
 
     # -- bases and characters -------------------------------------------------
 
-    def _charges(self, weight: int):
+    def _charges(self, weight: int) -> list[int]:
         """Integer charges x with k*x^2 <= weight, in the order 0, 1, -1, ..."""
-        yield 0
-        x = 1
-        while self.k * x * x <= weight:
-            yield x
-            yield -x
-            x += 1
+        top = isqrt(max(weight, 0) // self.k)
+        return [0, *(s * x for x in range(1, top + 1) for s in (1, -1))]
 
     def basis(self, space: str, weight: int) -> list[FockMonomial]:
         """Monomial basis of "m1" (charge 0) or "vl" (all integer charges)."""
-        if weight < 0:
-            return []
-        if space == "m1":
-            return [(lam, Fraction(0)) for lam in partitions(weight, 1)]
-        if space == "vl":
-            out = []
-            for x in self._charges(weight):
-                rest = weight - self.k * x * x
-                for lam in partitions(rest, 1):
-                    out.append((lam, Fraction(x)))
-            return out
-        raise InputError(f"unknown space {space!r}; expected 'm1' or 'vl'")
+        if space not in ("m1", "vl"):
+            raise InputError(f"unknown space {space!r}; expected 'm1' or 'vl'")
+        charges = (0,) if space == "m1" else self._charges(weight)
+        return [(lam, Fraction(x)) for x in charges
+                for lam in partitions(weight - self.k * x * x, 1)]
 
     def theta_basis(self, sign: str, space: str, weight: int) -> list[SparseVec]:
         """Deterministic basis of the theta eigenspace ("+" or "-")."""
         if sign not in ("+", "-"):
             raise InputError("sign must be '+' or '-'")
-        want = 0 if sign == "+" else 1
+        eigenvalue = ONE if sign == "+" else -ONE
         out = []
         for mono in self.basis(space, weight):
-            parts, charge = mono
-            if charge == 0:
-                if len(parts) % 2 == want:
-                    out.append(SparseVec.unit(mono))
-            elif charge > 0:
-                mirror = (parts, -charge)
-                vec = SparseVec.unit(mono)
-                flip = -ONE if (len(parts) % 2 != want) else ONE
-                out.append(vec + SparseVec.unit(mirror).scaled(flip))
+            vec = SparseVec.unit(mono)
+            if mono[1] > 0:
+                out.append(vec + self.theta(vec).scaled(eigenvalue))
+            elif mono[1] == 0 and self.theta(vec) == vec.scaled(eigenvalue):
+                out.append(vec)
         return out
 
     def char_series(self, space: str, cutoff: int) -> list[int]:
@@ -305,7 +301,7 @@ class FockSpace:
         part j of its conjugate; partition_count(n - j, 1, j) counts those."""
         if cutoff < 0:
             raise InputError("cutoff must be nonnegative")
-        base, sign = (space[:-1], space[-1]) if space[-1] in "+-" else (space, "")
+        base, sign = (space[:-1], space[-1:]) if space[-1:] in "+-" else (space, "")
         if base not in ("m1", "vl"):
             raise InputError(f"unknown space {space!r}")
         out = []
@@ -339,23 +335,15 @@ def vector_str_terms(v: SparseVec) -> dict[str, str]:
 
 def even_square_sum_series(cutoff: int) -> list[int]:
     """Sum of the irreducible c=1 characters at weights (2i)^2, i >= 0."""
-    total = [0] * (cutoff + 1)
-    i = 0
-    while (2 * i) ** 2 <= cutoff:
-        total = series_add(total,
-                           irreducible_character_c1((2 * i) ** 2, cutoff))
-        i += 1
-    return total
+    return reduce(series_add, (irreducible_character_c1(m * m, cutoff)
+                               for m in range(0, isqrt(max(cutoff, 0)) + 1, 2)))
 
 
 def lattice_charge_tail_series(k: int, cutoff: int) -> list[int]:
     """Sum over m >= 1 of q^{k m^2} / euler-product, truncated."""
-    total = [0] * (cutoff + 1)
-    m = 1
-    while k * m * m <= cutoff:
-        total = series_add(total, verma_character(k * m * m, cutoff))
-        m += 1
-    return total
+    return reduce(series_add, (verma_character(k * m * m, cutoff)
+                               for m in range(1, isqrt(max(cutoff, 0) // k) + 1)),
+                  [0] * (cutoff + 1))
 
 
 # -- named verification suites ------------------------------------------------
@@ -395,11 +383,11 @@ def verify_lemma57(k: int = 3, cutoff: int = 20) -> dict:
     return report("lemma57", {"k": k, "cutoff": cutoff}, checks)
 
 
-def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
+def verify_fock() -> dict:
     """Bilinear-form values, mode-product identities, and the zero-mode
     eigenvalue on the charged doublet, with the recorded sign reported as a
     comparison."""
-    ks, ns = tuple(ks), tuple(ns)
+    ks, ns = FOCK_SUITE_KS, FOCK_SUITE_NS
     spaces = [FockSpace(k) for k in ks]
     one = SparseVec.unit(FockSpace.VACUUM)
     j7j = [sp.vertex_mode(sp.jvec(), 7, sp.jvec()) == one.scaled(Fraction(54))
@@ -426,15 +414,11 @@ def verify_fock(ks=(2, 3, 5), ns=(2, 3)) -> dict:
         vals = (sp.bilinear(x1, x1), sp.bilinear(x2, x2), sp.bilinear(x1, x2))
         checks.append(check_values(f"x-doublet-pairings-n{n}", "PAPER", [0, 0, 1], vals))
 
-        got = sp.lattice_vertex_mode(Fraction(-1), -2 * n - 1, x2)
-        checks.append(check(
-            f"x2-lowering-product-n{n}", "PAPER", "X3",
-            "X3" if got == x3 else "unexpected", got == x3))
-
-        got = sp.lattice_vertex_mode(Fraction(1), 4 * n - 1, x3)
-        checks.append(check(
-            f"x1-raising-product-n{n}", "PAPER", "X2",
-            "X2" if got == x2 else "unexpected", got == x2))
+        for name, b, mode, x, want, label in (("x2-lowering", -1, -2 * n - 1, x2, x3, "X3"),
+                                              ("x1-raising", 1, 4 * n - 1, x3, x2, "X2")):
+            ok = sp.lattice_vertex_mode(Fraction(b), mode, x) == want
+            checks.append(check(f"{name}-product-n{n}", "PAPER", label,
+                                label if ok else "unexpected", ok))
 
         trunc_ok = all(
             sp.lattice_vertex_mode(Fraction(-1), i, x2).is_zero()

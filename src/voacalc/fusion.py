@@ -42,6 +42,8 @@ M1_THETA_MINUS = "m1t-"
 _TWISTED = (M1_THETA_PLUS, M1_THETA_MINUS)
 _UNTWISTED_FIXED = (M1_PLUS, M1_MINUS)
 
+GRID_MAX_ROOT = 5  # square roots of the lowest weights on the Virasoro grid
+
 
 def vir_label(h) -> Label:
     h = Fraction(h)
@@ -58,45 +60,34 @@ def m1_label(lam) -> Label:
     return (M1_LAMBDA, abs(lam))
 
 
-_LABEL_RE = re.compile(
-    r"""^(?:
-        L\(1,(?P<h>-?\d+(?:/\d+)?)\)
-      | M\(1\)\(theta\)(?P<tsign>[+-])
-      | M\(1\)(?P<sign>[+-])
-      | M\(1,(?P<lam>-?\d+(?:/\d+)?)\)
-    )$""",
-    re.VERBOSE,
-)
+# the labels without a value, in the order of the random orbifold pool
+_NAMED = {
+    "M(1)+": (M1_PLUS,),
+    "M(1)-": (M1_MINUS,),
+    "M(1)(theta)+": (M1_THETA_PLUS,),
+    "M(1)(theta)-": (M1_THETA_MINUS,),
+}
+_VALUED_RE = re.compile(r"([LM])\(1,(-?\d+(?:/\d+)?)\)")
 
 
 def parse_label(text: str) -> Label:
     """Parse "L(1,9/4)", "M(1)+", "M(1,3/2)", "M(1)(theta)-" forms."""
-    m = _LABEL_RE.match(text.replace(" ", ""))
+    s = text.replace(" ", "")
+    if s in _NAMED:
+        return _NAMED[s]
+    m = _VALUED_RE.fullmatch(s)
     if not m:
         raise InputError(f"unrecognized module label {text!r}")
-    if m.group("h") is not None:
-        return vir_label(rational(m.group("h")))
-    if m.group("tsign") is not None:
-        return (M1_THETA_PLUS,) if m.group("tsign") == "+" else (M1_THETA_MINUS,)
-    if m.group("sign") is not None:
-        return (M1_PLUS,) if m.group("sign") == "+" else (M1_MINUS,)
-    return m1_label(rational(m.group("lam")))
+    value = rational(m.group(2))
+    return vir_label(value) if m.group(1) == "L" else m1_label(value)
 
 
 def label_str(label: Label) -> str:
-    kind = label[0]
-    if kind == VIR:
-        return f"L(1,{label[1]})"
-    if kind == M1_PLUS:
-        return "M(1)+"
-    if kind == M1_MINUS:
-        return "M(1)-"
-    if kind == M1_LAMBDA:
-        return f"M(1,{label[1]})"
-    if kind == M1_THETA_PLUS:
-        return "M(1)(theta)+"
-    if kind == M1_THETA_MINUS:
-        return "M(1)(theta)-"
+    if label[0] in (VIR, M1_LAMBDA):
+        return f"{'L' if label[0] == VIR else 'M'}(1,{label[1]})"
+    for text, named in _NAMED.items():
+        if label == named:
+            return text
     raise InputError(f"bad label {label!r}")
 
 
@@ -161,16 +152,7 @@ def fusion_dim(algebra: str, a: Label, b: Label, t: Label):
 
 # -- symmetry verification ----------------------------------------------------
 
-def _m1_label_pool():
-    lams = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
-            Fraction(5, 2), Fraction(3)]
-    pool = [(M1_PLUS,), (M1_MINUS,), (M1_THETA_PLUS,), (M1_THETA_MINUS,)]
-    pool.extend(m1_label(lam) for lam in lams)
-    return pool
-
-
-def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
-                           seed: int = 20240601) -> dict:
+def verify_fusion_symmetry(samples: int = 50, seed: int = 20240601) -> dict:
     """Exchange symmetry in the two bottom arguments and the bottom/target
     exchange (all labels here are self-contragredient), on the exhaustive
     square-weight grid and on seeded random orbifold triples, plus the
@@ -199,9 +181,9 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
     # exhaustive square grid: interval rule, exchange and bottom/target moves
     grid_total = 0
     rule_bad = swap_bad = dual_bad = 0
-    for m in range(max_root + 1):
-        for n in range(max_root + 1):
-            for k in range(max_root + 1):
+    for m in range(GRID_MAX_ROOT + 1):
+        for n in range(GRID_MAX_ROOT + 1):
+            for k in range(GRID_MAX_ROOT + 1):
                 a, b, t = (vir_label(m * m), vir_label(n * n),
                            vir_label(k * k))
                 grid_total += 1
@@ -222,7 +204,7 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
 
     # seeded random orbifold triples
     rng = random.Random(seed)
-    pool = _m1_label_pool()
+    pool = [*_NAMED.values(), *(m1_label(Fraction(n, 2)) for n in range(1, 7))]
     swap_bad = dual_bad = ident_bad = 0
     known = 0
     for _ in range(samples):
@@ -250,4 +232,4 @@ def verify_fusion_symmetry(max_root: int = 5, samples: int = 50,
                         f"{ident_bad} violations", ident_bad == 0))
 
     return report("fusion-symmetry",
-                  {"max_root": max_root, "samples": samples, "seed": seed}, checks)
+                  {"max_root": GRID_MAX_ROOT, "samples": samples, "seed": seed}, checks)

@@ -350,6 +350,24 @@ def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
 # -- lattice vertex modes by commuting the operator past each oscillator -------
 
 
+def bilinear_by_pairs(k: int, u, v) -> Fraction:
+    """The contravariant form of the rank-one Fock space with (alpha, alpha)
+    = 2k on u and v (maps of monomials (parts, charge) to coefficients, or
+    anything with .items()), by scanning every pair of their terms."""
+    total = Fraction(0)
+    for (pu, cu), au in u.items():
+        for (pv, cv), av in v.items():
+            if cu + cv != 0 or pu != pv:
+                continue
+            norm = Fraction(1)
+            for val in set(pu):
+                mult = pu.count(val)
+                norm *= (Fraction(2 * k * val) ** mult
+                         * factorial(mult))
+            total += au * av * norm
+    return total
+
+
 def lattice_vertex_mode_by_commutation(k: int, b, m: int, v) -> dict:
     """Mode (e^{b alpha})_(m) applied to v in the rank-one lattice space with
     (alpha, alpha) = 2k; v maps monomials (parts, charge) to coefficients (a

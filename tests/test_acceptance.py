@@ -244,7 +244,7 @@ def test_criterion_08_recorded_zero_mode_sign():
 
 def test_criterion_09_fusion_oracle():
     with Budget(1):
-        report = verify_fusion_symmetry(max_root=5, samples=50)
+        report = verify_fusion_symmetry(samples=50)
         assert report["pass"] is True
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["vir-grid-interval-rule"]["triples"] == 216

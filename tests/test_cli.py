@@ -376,6 +376,10 @@ BAD_INPUT_REPROS = (
     ("basis", "--algebra", "w3", "--weight", "41"),
     ("act", "--algebra", "w3", "--lam", "1", "--mu", "1", "--gen", "W", "--mode", "1",
      "--monomial", "W(-1)" * 17),
+    ("act", "--algebra", "w3", "--lam", "1", "--mu", "1", "--gen", "W", "--mode", "1",
+     "--monomial", "W(-1)" * 16),
+    ("act", "--algebra", "w3", "--lam", "1", "--mu", "1", "--gen", "W", "--mode", "1",
+     "--monomial", "W(-1)" * 9),
     ("decompose", "--monomial", "W(-3)" * 6),
     ("basis", "--algebra", "w3", "--lam", "1", "--mu", "1", "--weight", "40"),
     ("gram", "--algebra", "w3", "--lam", "1", "--mu", "1", "--level", "16"),
@@ -466,9 +470,10 @@ def test_verify_all(capsys):
 # recorded before the Virasoro and W3 engines shared one module base; for
 # the next three calls (mixed-weight `act --terms` inputs of both algebras and
 # a weight-9 `primary`), recorded before they shared one mode-action interface;
-# and for the suites at non-default parameters, recorded before the suite
-# reports were built by `core.check_values` and `core.report`. Any refactor
-# must keep these reports byte-identical
+# for the suites at non-default parameters, recorded before the suite
+# reports were built by `core.check_values` and `core.report`; and for the
+# Fock calls from `act --algebra fock` on, recorded before the Fock rules each
+# had one kernel. Any refactor must keep these reports byte-identical
 GOLDEN_STDOUT_SHA256 = {
     'dims --algebra w3 --c 1 --max-weight 8':
         "86079b0c76146ee3ac91b3c88c6f03376f5143166aff8ae781037cbd56420335",
@@ -516,6 +521,20 @@ GOLDEN_STDOUT_SHA256 = {
         "187f66cd56047c0d5de506a7c29cfd41e1e6f61e3cad1511b3476b950925196e",
     'verify fusion-symmetry --samples 300 --seed 7':
         "ecd589e7f4752b2295ed773053762a2be581bbd1bab5f0780bf2f22c6f78a561",
+    'act --algebra fock --k 2 --gen e --b 1 --mode 1 --monomial "a(-2)a(-1)e(-1)"':
+        "d281d07e25881a8aa2ca5711423fe0549ae698872eba66ea0d311dcc4e7ee4df",
+    'act --algebra fock --k 1 --gen e --b=-2 --mode -3 --monomial "a(-1)a(-1)e(1)"':
+        "80f7b02b2844c0eec7034b2c9eac8428adf0d10a607e16f10c8a7dd1845bf117",
+    'act --algebra fock --k 1 --gen J --mode 2 --monomial "a(-2)e(1)"':
+        "c222b823a0fbc2a07f0b1cbaa60be38fee1dd77781316e61affb46028e6ec616",
+    """act --algebra fock --k 3 --gen omega --mode 1 --terms '{"a(-3)a(-1)": 1, "a(-1)e(1)": "1/2"}'""":
+        "9788c20b5b4c497d197d5928abca3487e0d70cf097e048d42156d07a47f4fd8d",
+    'act --algebra fock --k 2 --gen a --mode 2 --monomial "a(-2)a(-2)e(1)"':
+        "a6bdb0b415e0e4da89276b040fc654c1929c9ec1c8b4de186c6ca7855c0d1b1d",
+    'basis --algebra vl --k 2 --weight 5':
+        "2816e96cb2f0836d29cfaa09057d42dd25ce1515dcaa955b0c20ef42bc18aa98",
+    'dims --algebra vl- --k 2 --max-weight 12':
+        "d243e8d8a9e9724a39b392a837afa158d5dab7d0b48eb2545b6b8c1a4933481c",
 }
 
 

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
 
-from voacalc.core import SparseVec, partitions
+from voacalc.core import InputError, SparseVec, partitions
 from voacalc.fock import (
     FockSpace,
     even_square_sum_series,
@@ -14,7 +15,11 @@ from voacalc.fock import (
     verify_lemma57,
 )
 
-from oracles import lattice_vertex_mode_by_commutation, vertex_mode_by_slots
+from oracles import (
+    bilinear_by_pairs,
+    lattice_vertex_mode_by_commutation,
+    vertex_mode_by_slots,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +93,28 @@ def test_bilinear_form_closed_form(k3):
     # charge pairing requires opposite charges
     assert k3.bilinear(unit((), 1), unit((), -1)) == 1
     assert k3.bilinear(unit((), 1), unit((), 1)) == 0
+
+
+def test_bilinear_matches_pair_scan_oracle():
+    # multi-term vectors whose charges 0, +-1, +-2 meet both opposite charges,
+    # which pair, and equal nonzero charges, which do not
+    rng = random.Random(5)
+    paired = unpaired = 0
+    for _ in range(300):
+        sp = FockSpace(rng.choice((1, 2, 3)))
+        pool = [(rng.choice(partitions(rng.randint(0, 4), 1)),
+                 Fraction(rng.choice((0, 1, -1, 2, -2)))) for _ in range(4)]
+        mirrors = [(parts, -charge) for parts, charge in pool]
+
+        def vector(monos):
+            return SparseVec([(mono, rng.choice((-3, -1, 1, 2, 5)))
+                              for mono in rng.sample(monos, rng.randint(1, 3))])
+        u, v = vector(pool), vector(pool + mirrors)
+        want = bilinear_by_pairs(sp.k, u, v)
+        assert sp.bilinear(u, v) == want, (sp.k, u, v)
+        paired += want != 0
+        unpaired += any(mono[1] and mono in v.keys() for mono in u.keys())
+    assert paired >= 100 and unpaired >= 50
 
 
 def test_bilinear_adjoint_of_heisenberg_modes(k2):
@@ -166,6 +193,9 @@ def test_char_series_heads(k3):
     vl = k3.char_series("vl", 12)
     m1 = k3.char_series("m1", 12)
     assert vl[3] == m1[3] + 2  # e^{a} and e^{-a}
+    for space in ("", "m2", "vl*"):
+        with pytest.raises(InputError, match=re.escape(f"unknown space {space!r}")):
+            k3.char_series(space, 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

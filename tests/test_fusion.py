@@ -30,6 +30,10 @@ def test_label_parsing_round_trip():
         parse_label("M(1,0)")
     with pytest.raises(ValueError):
         parse_label("L(2,1)")
+    # a final newline is not part of a label
+    for text in ("M(1)+\n", "L(1,4)\n"):
+        with pytest.raises(ValueError):
+            parse_label(text)
     with pytest.raises(ValueError):
         vir_label(-1)
 
