@@ -1,7 +1,9 @@
 """Shared exact-arithmetic substrate: partitions, integer square roots,
-sparse vectors, fraction-free linear algebra, integer q-series helpers, the
-verification-report builders (`check` and `check_values` for one check,
-`report` for a suite) and the error every input check raises.
+sparse vectors, fraction-free linear algebra (one elimination; lists of
+sparse vectors reach it only through `independent`, `coordinates` and
+`kernel`), integer q-series helpers, the verification-report builders
+(`check` and `check_values` for one check, `report` for a suite) and the
+error every input check raises.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -158,14 +160,6 @@ class SparseVec:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def dense(self, basis: Sequence) -> list[Fraction]:
-        """Coordinates against an ordered basis; every key must appear in it."""
-        index = {key: i for i, key in enumerate(basis)}
-        coords = [ZERO] * len(basis)
-        for k, c in self._terms.items():
-            coords[index[k]] = c
-        return coords
-
     def __repr__(self) -> str:
         if not self._terms:
             return "SparseVec(0)"
@@ -294,8 +288,35 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[F
     return kernel[-1][:-1]
 
 
-def rows_from_vectors(vectors: Sequence[SparseVec], basis: Sequence) -> list[list[Fraction]]:
-    return [v.dense(basis) for v in vectors]
+def _columns(vectors: Sequence[SparseVec]) -> list[list[Fraction]]:
+    """The matrix whose columns are the vectors: one row per key of their
+    supports, in first-appearance order. Pivot columns and kernels do not
+    depend on the row order."""
+    keys = dict.fromkeys(key for v in vectors for key in v.keys())
+    return [[v.coeff(key) for v in vectors] for key in keys]
+
+
+def independent(vectors: Sequence[SparseVec]) -> list[int]:
+    """Indices of the first maximal linearly independent subsequence of the
+    vectors: the pivot columns of their matrix. Zero vectors are never kept."""
+    return _bareiss_echelon(_columns(vectors))[1]
+
+
+def coordinates(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fraction] | None:
+    """The `solve` solution x of sum_i x_i vectors[i] = target (0 off the
+    independent subsequence), or None if target is not in their span."""
+    rows = _columns([*vectors, target]) or [[ZERO] * (len(vectors) + 1)]
+    return solve([row[:-1] for row in rows], [row[-1] for row in rows])
+
+
+def kernel(basis: Sequence, maps: Sequence[Callable[..., SparseVec]]) -> list[SparseVec]:
+    """The null_space basis of the joint kernel of linear maps on the span of
+    the basis keys, each map given as a function of one key. Each vector is
+    normalized_integer_vector under the basis order."""
+    rows = [row for f in maps for row in _columns([f(b) for b in basis])]
+    index = {b: i for i, b in enumerate(basis)}
+    return [normalized_integer_vector(SparseVec(zip(basis, coords)), index.__getitem__)
+            for coords in null_space(rows or [[ZERO] * len(basis)])]
 
 
 def normalized_integer_vector(v: SparseVec, key_order) -> SparseVec:

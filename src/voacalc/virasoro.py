@@ -5,8 +5,9 @@ V(c, 0)/U(Vir)L_{-1}v over exact rationals: PBW bases, straightened L_n
 action, the contravariant (Shapovalov) form, singular vectors and c = 1
 character series. HighestWeightModule, which the W3 modules share, holds
 what does not depend on the algebra: the one PBW straightening recursion,
-shared instances, forms, Gram matrices and primary spaces. A module supplies
-its basis, how a monomial splits off its first mode or takes a new one, its
+shared instances, forms and Gram matrices; its primary spaces are the
+`core.kernel` of L_1 and L_2 on a graded piece. A module supplies its
+basis, how a monomial splits off its first mode or takes a new one, its
 lowest-weight eigenvalues and its brackets; [L_n, L_m] sits in the base.
 
 Conventions
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     ONE,
@@ -31,8 +33,7 @@ from .core import (
     _add_term,
     check,
     check_values,
-    normalized_integer_vector,
-    null_space,
+    kernel,
     partition_count,
     partitions,
     rank,
@@ -69,7 +70,8 @@ class HighestWeightModule:
 
     On that this class builds the one straightening recursion `_act`, the
     shared instances, the action on vectors and its rendering, the
-    contravariant form with its Gram matrices, and primary spaces.
+    contravariant form with its Gram matrices, and primary spaces (through
+    `core.kernel`).
     """
 
     EMPTY = ()
@@ -185,20 +187,7 @@ class HighestWeightModule:
         vector scaled to coprime integers, first coefficient positive."""
         if weight < 1:
             raise InputError("primary spaces are graded by weights >= 1")
-        basis = self.basis(weight)
-        if not basis:
-            return []
-        rows: list[list[Fraction]] = []
-        for n in (1, 2):
-            images = [self._act("L", n, b) for b in basis]
-            for t in self.basis(weight - n):
-                rows.append([img.get(t, ZERO) for img in images])
-        index = {b: i for i, b in enumerate(basis)}
-        out = []
-        for coords in null_space(rows or [[ZERO] * len(basis)]):
-            vec = SparseVec({basis[j]: c for j, c in enumerate(coords) if c})
-            out.append(normalized_integer_vector(vec, index.__getitem__))
-        return out
+        return kernel(self.basis(weight), [partial(self.act, "L", n) for n in (1, 2)])
 
 
 class VirasoroModule(HighestWeightModule):

@@ -22,6 +22,8 @@ l_i >= 2 and w_j >= 3; for a Verma module with L_0, W_0 eigenvalues (lam, mu)
 it is l_i, w_j >= 1.
 
 The contravariant form takes L_n to L_{-n}, W_n to W_{-n}, with <1, 1> = 1.
+Virasoro block bases come from `core.independent`, and the recorded-word
+coordinates of `verify thm32` from `core.coordinates`.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ from .core import (
     SparseVec,
     _accumulate,
     _add_term,
-    _bareiss_echelon,
     check,
     check_values,
+    coordinates,
+    independent,
     partition_count,
     partitions,
     rank,
     report,
-    rows_from_vectors,
     solve,
 )
 from .virasoro import HighestWeightModule
@@ -191,19 +193,13 @@ class W3Module(HighestWeightModule):
             raise InputError(f"vector is not homogeneous: weights {sorted(weights)}")
         return weights.pop()
 
-    def vir_descendants(self, vec: SparseVec, weight: int) -> list[SparseVec]:
-        """Spanning vectors L_{-lambda} vec at the target weight (may be
-        linearly dependent; zero vectors dropped)."""
-        base = self.vector_weight(vec)
-        gap = weight - base
-        if gap < 0:
-            return []
-        out = []
-        for lam in partitions(gap, 1):
-            w = self.apply_word([("L", -m) for m in lam], vec)
-            if not w.is_zero():
-                out.append(w)
-        return out
+    def block_basis(self, vec: SparseVec, weight: int) -> list[SparseVec]:
+        """Basis of the Virasoro block of vec at the weight: the first maximal
+        independent subsequence of the L_{-lambda} vec, lambda in
+        `partitions` order."""
+        span = [self.apply_word([("L", -m) for m in lam], vec)
+                for lam in partitions(weight - self.vector_weight(vec), 1)]
+        return [span[j] for j in independent(span)]
 
     def decompose(self, v: SparseVec, primaries) -> tuple[dict, SparseVec]:
         """Resolve v against the Virasoro blocks generated by the vacuum and
@@ -221,28 +217,23 @@ class W3Module(HighestWeightModule):
             raise InputError("decompose needs the vacuum module: on a Verma module "
                              "the Virasoro blocks need not be orthogonal")
         weight = self.vector_weight(v)
-        basis = self.basis(weight)
         blocks = [("vacuum", SparseVec.unit(EMPTY))] + list(primaries)
         components: dict = {}
         acc = SparseVec.zero()
         for label, gen_vec in blocks:
-            span = self.vir_descendants(gen_vec, weight)
-            # the first maximal independent subsequence: pivot columns of
-            # the matrix whose columns are the span vectors
-            _, pivots = _bareiss_echelon([[s.coeff(b) for s in span] for b in basis])
-            block_basis = [span[j] for j in pivots]
-            if not block_basis:
+            block = self.block_basis(gen_vec, weight)
+            if not block:
                 components[label] = SparseVec.zero()
                 continue
-            g = [[self.pair(bi, bj) for bj in block_basis] for bi in block_basis]
-            if rank(g) < len(block_basis):
+            g = [[self.pair(bi, bj) for bj in block] for bi in block]
+            if rank(g) < len(block):
                 raise DegenerateBlockError(
                     f"block {label!r} has singular Gram form at weight {weight}; "
                     "orthogonal projection is undefined")
-            rhs = [self.pair(bi, v) for bi in block_basis]
+            rhs = [self.pair(bi, v) for bi in block]
             coeffs = solve(g, rhs)
             comp = SparseVec.zero()
-            for x, b in zip(coeffs, block_basis):
+            for x, b in zip(coeffs, block):
                 if x:
                     comp = comp + b.scaled(x)
             components[label] = comp
@@ -252,15 +243,14 @@ class W3Module(HighestWeightModule):
     def descendant_gap(self, weight: int, primaries) -> dict:
         """Dimension bookkeeping of the joint Virasoro-descendant span of the
         vacuum and the given primaries at a weight."""
-        basis = self.basis(weight)
         blocks = [("vacuum", SparseVec.unit(EMPTY))] + list(primaries)
         spans = {}
         joint: list[SparseVec] = []
         for label, gen_vec in blocks:
-            span = self.vir_descendants(gen_vec, weight)
-            spans[label] = rank(rows_from_vectors(span, basis))
-            joint.extend(span)
-        joint_rank = rank(rows_from_vectors(joint, basis))
+            block = self.block_basis(gen_vec, weight)
+            spans[label] = len(block)
+            joint.extend(block)
+        joint_rank = len(independent(joint))
         dim = self.dim(weight)
         return {
             "weight": weight,
@@ -464,13 +454,9 @@ def verify_theorem32(c=1) -> dict:
     checks.append(check("weight9-primary-dimension", "DERIVED", "1", str(len(prim9)),
                         len(prim9) == 1))
 
-    basis9 = mod.basis(9)
     u9 = prim9[0] if prim9 else None
 
-    word_coords = None
-    if u9 is not None:
-        cols = [[sv.coeff(b) for sv in straightened_words] for b in basis9]
-        word_coords = solve(cols, [u9.coeff(b) for b in basis9])
+    word_coords = None if u9 is None else coordinates(straightened_words, u9)
     checks.append(check("u9-in-recorded-span", "DERIVED", "yes",
                         "yes" if word_coords is not None else "no", word_coords is not None))
 
@@ -497,7 +483,7 @@ def verify_theorem32(c=1) -> dict:
         l2p4 = w1u9.coeff(((2, 2, 2, 2), ()))
         checks.append(check("W1-u9-L(-2)^4-coefficient", "PAPER", "nonzero", str(l2p4),
                             l2p4 != 0))
-        pairings = [mod.pair(SparseVec.unit(b), u9) for b in basis9]
+        pairings = [mod.pair(SparseVec.unit(b), u9) for b in mod.basis(9)]
         checks.append(check("u9-outside-form-radical", "PAPER", "nonzero pairing",
                             "nonzero" if any(pairings) else "all pairings 0", any(pairings)))
     else:

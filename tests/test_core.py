@@ -6,14 +6,16 @@ import pytest
 from voacalc.core import (
     SparseVec,
     check_values,
+    coordinates,
+    independent,
     inverse_euler,
+    kernel,
     normalized_integer_vector,
     null_space,
     partition_count,
     partitions,
     rank,
     report,
-    rows_from_vectors,
     series_add,
     solve,
     square_root,
@@ -98,7 +100,8 @@ def test_solve_consistent_and_inconsistent_systems():
 
 def test_solve_matches_rank_criterion_on_seeded_systems():
     """None exactly when rank(A) < rank([A|b]); otherwise A.x = b with every
-    non-pivot coordinate 0."""
+    non-pivot coordinate 0. `coordinates` of the columns of A as sparse
+    vectors gives the same answer."""
     rng = random.Random(23)
     inconsistent = 0
     for _ in range(300):
@@ -113,6 +116,8 @@ def test_solve_matches_rank_criterion_on_seeded_systems():
         else:
             rhs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in mat]
         x = solve(mat, rhs)
+        columns = [SparseVec(enumerate(col)) for col in zip(*mat)]
+        assert coordinates(columns, SparseVec(enumerate(rhs))) == x
         if gauss_rank(mat) < gauss_rank([row + [b] for row, b in zip(mat, rhs)]):
             assert x is None
             inconsistent += 1
@@ -138,10 +143,7 @@ def test_normalized_integer_vector_clears_denominators():
     assert all(x.denominator == 1 for x in coeffs)
 
 
-def test_rows_from_vectors_and_series_ops():
-    basis = [("a",), ("b",)]
-    vecs = [SparseVec({("a",): Fraction(1)}), SparseVec({("b",): Fraction(2)})]
-    assert rows_from_vectors(vecs, basis) == [[1, 0], [0, 2]]
+def test_series_add():
     assert series_add([1, 2], [3, 4, 5]) == [4, 6, 5]
 
 
@@ -149,6 +151,17 @@ def test_rank_empty_and_zero_cases():
     assert rank([]) == 0
     assert rank([[Fraction(0), Fraction(0)]]) == 0
     assert null_space([[Fraction(0)]]) == [[Fraction(1)]]
+    zero = SparseVec.zero()
+    assert coordinates([], zero) == []
+    assert coordinates([], SparseVec.unit("a")) is None
+    assert coordinates([zero, zero], zero) == [0, 0]
+    assert coordinates([zero], SparseVec.unit("a")) is None
+    assert independent([]) == []
+    assert independent([zero, zero]) == []
+    assert independent([zero, SparseVec.unit("a"), SparseVec.unit("a")]) == [1]
+    assert kernel([], [lambda key: SparseVec.unit(key)]) == []
+    assert kernel(["a", "b"], [lambda key: zero]) == [SparseVec.unit("a"), SparseVec.unit("b")]
+    assert kernel(["a", "b"], []) == [SparseVec.unit("a"), SparseVec.unit("b")]
 
 
 def test_check_values_renders_and_compares_lists():

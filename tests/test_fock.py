@@ -1,11 +1,12 @@
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, prod
 
 import pytest
 
-from voacalc.core import InputError, SparseVec, partitions
+from voacalc.core import InputError, SparseVec, kernel, normalized_integer_vector, partitions
 from voacalc.fock import (
     FockSpace,
     even_square_sum_series,
@@ -78,6 +79,19 @@ def test_virasoro_commutator_on_fock_space(k2):
                 if m + n == 0:
                     rhs = rhs + v.scaled(Fraction(m ** 3 - m, 12))
                 assert lhs == rhs, (m, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_m1_virasoro_primaries_sit_at_square_weights(k):
+    """M(1) = sum over m >= 0 of L(1, m^2): below weight 11 the joint kernel
+    of L_1 and L_2 is a line at weights 1, 4 and 9 and 0 elsewhere; at
+    weight 4 it is spanned by the paper's J."""
+    sp = FockSpace(k)
+    primaries = {w: kernel(sp.basis("m1", w), [partial(sp.vir_act, n) for n in (1, 2)])
+                 for w in range(1, 11)}
+    assert [len(primaries[w]) for w in range(1, 11)] == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0]
+    order = {mono: i for i, mono in enumerate(sp.basis("m1", 4))}
+    assert primaries[4] == [normalized_integer_vector(sp.jvec(), order.__getitem__)]
 
 
 def test_bilinear_form_closed_form(k3):

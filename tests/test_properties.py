@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from voacalc.core import SparseVec, _bareiss_echelon
+from voacalc.core import SparseVec, independent
 from voacalc.fock import FockSpace
 from voacalc.virasoro import VirasoroModule
 from voacalc.w3 import W3Module
@@ -360,9 +360,9 @@ def test_quartic_mode_commutator_expansion():
 
 
 def test_pivot_columns_select_first_independent_subsequence():
-    """W3Module.decompose keeps the span vectors at the pivot columns of the
-    matrix whose columns they are; that must be the first maximal independent
-    subsequence."""
+    """W3Module.block_basis keeps the descendants that `core.independent`
+    picks, the pivot columns of the matrix whose columns they are; that must
+    be the first maximal independent subsequence."""
     rng = random.Random(2024)
     for _ in range(200):
         dim = rng.randrange(1, 7)
@@ -379,6 +379,5 @@ def test_pivot_columns_select_first_independent_subsequence():
                                 for i in range(dim)])
             else:
                 vectors.append([rng.randrange(-4, 5) for _ in range(dim)])
-        columns = [[Fraction(v[i]) for v in vectors] for i in range(dim)]
-        _, pivots = _bareiss_echelon(columns)
+        pivots = independent([SparseVec(enumerate(v)) for v in vectors])
         assert pivots == independent_subsequence(vectors), vectors

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from voacalc.core import InputError, SparseVec, rank, rows_from_vectors
+from voacalc.core import InputError, SparseVec, solve
 from voacalc.virasoro import VirasoroModule
 from voacalc.w3 import (
     CONSISTENT_READING,
@@ -215,10 +215,8 @@ def test_true_weight9_primary_word_coordinates(vac):
     words = [word for _, word in WEIGHT9_GENERATOR_TERMS]
     span = [vac.apply_word(word) for word in words]
     basis = vac.basis(9)
-    rows = rows_from_vectors(span, basis)
-    target = [u9.coeff(b) for b in basis]
-    from voacalc.core import solve
-    coords = solve([list(col) for col in zip(*rows)], target)
+    rows = [[sv.coeff(b) for sv in span] for b in basis]
+    coords = solve(rows, [u9.coeff(b) for b in basis])
     assert coords is not None
     scale = Fraction(3312738) / coords[0]
     scaled = [x * scale for x in coords]
