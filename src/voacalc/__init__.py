@@ -6,10 +6,8 @@ Everything is computed over exact rationals; no floating point anywhere.
 """
 
 from .core import (
-    Fraction,
     InputError,
     SparseVec,
-    inverse_euler,
     normalized_integer_vector,
     null_space,
     partition_count,
@@ -20,9 +18,7 @@ from .core import (
 )
 from .virasoro import (
     VirasoroModule,
-    char_series,
     irreducible_character_c1,
-    is_perfect_square,
     verify_prop21,
     verma_character,
 )

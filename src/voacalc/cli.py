@@ -218,13 +218,16 @@ def _cmd_dims(args):
     return {"weights": weights, "dims": dims}, False
 
 
+_VIR_CHARACTERS = {"verma": virasoro.verma_character, "l1": virasoro.irreducible_character_c1}
+
+
 def _cmd_char(args):
     cutoff = _cutoff_or_env(args.cutoff)
     if args.algebra == "vir":
         _reject_flags(args, "k")
         if args.h is None:
             raise InputError("--h is required for --algebra vir")
-        series = virasoro.char_series((args.kind or "l1", args.h), cutoff)
+        series = _VIR_CHARACTERS[args.kind or "l1"](args.h, cutoff)
     else:
         series = _fock_space(args).char_series(args.algebra, cutoff)
     return {"cutoff": cutoff, "series": series}, False

@@ -342,11 +342,6 @@ def series_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
 
 
-def inverse_euler(cutoff: int) -> list[int]:
-    """Coefficients of 1/phi(q) = prod_{m>=1} 1/(1-q^m): the partition numbers."""
-    return [partition_count(n) for n in range(cutoff + 1)]
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 

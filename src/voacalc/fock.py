@@ -25,7 +25,8 @@ Each rule has one kernel: `_insert` adds parts to a descending tuple,
 `FockSpace._lower` is alpha(j >= 0) on a monomial, and `FockSpace._lattice`
 is a lattice operator on a monomial, which depends on the charge only
 through the exponent 2k*b*charge. The public methods and the recursion call
-these kernels.
+these kernels. `lattice_vertex_mode` is `vertex_mode` of e^{b*alpha}, so
+`vertex_mode` is the one path into `_lattice` and its exponent check.
 
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
@@ -63,6 +64,15 @@ FOCK_SUITE_NS = (2, 3)  # lattice parameters of its charged-doublet checks
 def _insert(parts, extra) -> tuple:
     """The descending tuple of parts together with the parts of extra."""
     return tuple(sorted((*parts, *extra), reverse=True))
+
+
+def _z(parts) -> int:
+    """z_lambda = prod_i i^(m_i) m_i! for the multiplicities m_i of the parts."""
+    z = 1
+    for val in set(parts):
+        mult = parts.count(val)
+        z *= val ** mult * factorial(mult)
+    return z
 
 
 class FockSpace:
@@ -185,8 +195,9 @@ class FockSpace:
             for (uparts, ucharge), cu in u.items():
                 if ucharge not in sectors:
                     sectors[ucharge] = sector(ucharge, charge)
+                c, out_charge = cu * cv, ucharge + charge
                 for new, x in sectors[ucharge](uparts, n, parts).items():
-                    _add_term(out, (new, ucharge + charge), cu * cv * x)
+                    _add_term(out, (new, out_charge), c * x)
         return SparseVec._raw(out)
 
     def _exponent(self, b, charge) -> int:
@@ -205,15 +216,9 @@ class FockSpace:
 
     def lattice_vertex_mode(self, b, n: int, v) -> SparseVec:
         """Mode (e^{b*alpha})_n of the lattice operator with charge b != 0."""
-        b = Fraction(b)
-        if b == 0:
+        if Fraction(b) == 0:
             raise InputError("lattice operator needs a nonzero charge")
-        out: dict = {}
-        for (parts, charge), cv in SparseVec.of(v).items():
-            lattice = self._lattice(b, self._exponent(b, charge), n, parts)
-            for new, x in lattice.items():
-                _add_term(out, (new, charge + b), cv * x)
-        return SparseVec._raw(out)
+        return self.vertex_mode(self.xvec(b), n, v)
 
     def _lattice(self, b, e0: int, n: int, parts: tuple) -> dict:
         """(e^{b*alpha})_n on (parts, charge) with e0 = 2k*b*charge, as
@@ -231,10 +236,7 @@ class FockSpace:
                 dplus += val * t
             for lam in partitions(-n - 1 - e0 + dplus, 1):
                 # coefficient of alpha(-lam) in exp(b sum_p alpha(-p) z^p / p)
-                den = 1
-                for val in set(lam):
-                    den *= val ** lam.count(val) * factorial(lam.count(val))
-                _add_term(out, _insert(kept, lam), factor * b ** len(lam) / den)
+                _add_term(out, _insert(kept, lam), factor * b ** len(lam) / _z(lam))
         return out
 
     def vir_act(self, n: int, v) -> SparseVec:
@@ -257,11 +259,7 @@ class FockSpace:
         total = ZERO
         for (parts, charge), au in SparseVec.of(u).items():
             if av := v.coeff((parts, -charge)):
-                norm = ONE
-                for val in set(parts):
-                    mult = parts.count(val)
-                    norm *= Fraction(2 * self.k * val) ** mult * factorial(mult)
-                total += au * av * norm
+                total += au * av * (2 * self.k) ** len(parts) * _z(parts)
         return total
 
     # -- bases and characters -------------------------------------------------

@@ -119,13 +119,6 @@ class HighestWeightModule:
         if n == a:
             _add_term(out, rest, Fraction(n**3 - n, 12) * self.c)
 
-    def _modes(self, mono):
-        """(gen, m) for the creation modes gen_{-m} of a monomial, left to
-        right: their adjoints gen_m act in this order in the form."""
-        while (first := self._first(mono)) is not None:
-            gen, m, mono = first
-            yield gen, m
-
     # -- action on vectors -------------------------------------------------
 
     def act(self, gen: str, n: int, v) -> SparseVec:
@@ -160,10 +153,11 @@ class HighestWeightModule:
         total = ZERO
         for mono, coef in SparseVec.of(u).items():
             w = v
-            for gen, part in self._modes(mono):
+            # the creation modes gen_{-m} of mono, left to right: their
+            # adjoints gen_m act in this order in the form
+            while not w.is_zero() and (first := self._first(mono)) is not None:
+                gen, part, mono = first
                 w = self.act(gen, part, w)
-                if w.is_zero():
-                    break
             total += coef * w.coeff(self.EMPTY)
         return total
 
@@ -244,10 +238,6 @@ class VirasoroModule(HighestWeightModule):
 # characters (integer q-series, coefficients at q^0 .. q^cutoff)
 
 
-def is_perfect_square(x) -> bool:
-    return square_root(x) is not None
-
-
 def _require_integral_weight(h) -> int:
     h = Fraction(h)
     if h.denominator != 1 or h < 0:
@@ -277,16 +267,6 @@ def irreducible_character_c1(h, cutoff: int) -> list[int]:
     if m is None:
         return out
     return [a - b for a, b in zip(out, verma_character((m + 1) ** 2, cutoff))]
-
-
-def char_series(label, cutoff: int) -> list[int]:
-    """Dispatch on a module descriptor: ("verma", h) or ("l1", h)."""
-    kind, h = label
-    if kind == "verma":
-        return verma_character(h, cutoff)
-    if kind == "l1":
-        return irreducible_character_c1(h, cutoff)
-    raise InputError(f"unknown module descriptor {label!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,27 @@ def product_series(factors, cutoff: int) -> list[int]:
     return series
 
 
+# -- the Kac determinant --------------------------------------------------------
+
+
+def kac_weight(t, r: int, s: int) -> Fraction:
+    """h_{r,s}(t) = (r^2-1)t/4 + (s^2-1)/(4t) - (rs-1)/2 at central charge
+    c = 13 - 6(t + 1/t)."""
+    t = Fraction(t)
+    return Fraction(r * r - 1, 4) * t + Fraction(s * s - 1, 4) / t - Fraction(r * s - 1, 2)
+
+
+def kac_product(t, h, n: int) -> Fraction:
+    """prod_{rs <= n} (h - h_{r,s}(t))^p(n - rs): the Virasoro Verma Gram
+    determinant at level n up to a factor that depends on n alone (Kac 1979;
+    Feigin-Fuchs 1984)."""
+    out = Fraction(1)
+    for r in range(1, n + 1):
+        for s in range(1, n // r + 1):
+            out *= (Fraction(h) - kac_weight(t, r, s)) ** len(brute_partitions(n - r * s))
+    return out
+
+
 # -- plain Gaussian elimination ------------------------------------------------
 
 
@@ -245,6 +266,26 @@ def gauss_rank(rows) -> int:
         if r == len(mat):
             break
     return r
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over Fraction
+    with row swaps (the package eliminates fraction-free, by Bareiss)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        pivot = next((i for i in range(col, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for i in range(col + 1, len(mat)):
+            if mat[i][col]:
+                f = mat[i][col] / mat[col][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return det
 
 
 def independent_subsequence(vectors) -> list[int]:

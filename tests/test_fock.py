@@ -261,8 +261,8 @@ def test_vertex_mode_of_exponential_is_lattice_mode(k):
     for v in _vl_vectors(sp):
         for b in (1, -1, 2):
             for n in range(-6, 5):
-                assert sp.vertex_mode(sp.xvec(b), n, v) == \
-                    sp.lattice_vertex_mode(b, n, v), (b, n, v)
+                assert dict(sp.vertex_mode(sp.xvec(b), n, v).items()) == \
+                    lattice_vertex_mode_by_commutation(k, b, n, v), (b, n, v)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -346,6 +346,11 @@ def test_lattice_operator_commutator(k):
 def test_non_integral_operator_charge_is_rejected(k2):
     with pytest.raises(ValueError):
         k2.lattice_vertex_mode(Fraction(1, 2), 0, SparseVec.unit(k2.VACUUM))
+
+
+def test_zero_operator_charge_is_rejected(k2):
+    with pytest.raises(InputError, match="lattice operator needs a nonzero charge"):
+        k2.lattice_vertex_mode(0, 0, SparseVec.unit(k2.VACUUM))
 
 
 def test_monomial_rendering():

@@ -6,15 +6,13 @@ import pytest
 from voacalc.core import SparseVec
 from voacalc.virasoro import (
     VirasoroModule,
-    char_series,
     irreducible_character_c1,
-    is_perfect_square,
     monomial_str,
     verify_prop21,
     verma_character,
 )
 
-from oracles import apply_mode, pair, straighten_words
+from oracles import apply_mode, fraction_det, kac_product, kac_weight, pair, straighten_words
 
 MODULE_PARAMS = [
     (Fraction(1), Fraction(0), False),
@@ -128,7 +126,7 @@ def test_irreducible_character_c1_square_and_nonsquare():
     got = irreducible_character_c1(1, 8)
     verma1, verma4 = verma_character(1, 8), verma_character(4, 8)
     assert got == [a - b for a, b in zip(verma1, verma4)]
-    assert char_series(("l1", 0), 6) == [1, 0, 1, 1, 2, 2, 4]
+    assert irreducible_character_c1(0, 6) == [1, 0, 1, 1, 2, 2, 4]
 
 
 def test_quarter_square_weights_are_rejected():
@@ -138,12 +136,35 @@ def test_quarter_square_weights_are_rejected():
         verma_character(Fraction(-1), 5)
 
 
-def test_is_perfect_square():
-    assert [x for x in range(17) if is_perfect_square(x)] == [0, 1, 4, 9, 16]
-    assert not is_perfect_square(Fraction(9, 4))
-    assert not is_perfect_square(-4)
-    assert is_perfect_square(10**20)
-    assert not is_perfect_square(10**20 + 1)
+def _central_charge(t):
+    return 13 - 6 * (t + 1 / t)
+
+
+def test_gram_determinant_is_the_kac_product_up_to_a_level_constant():
+    rng = random.Random(12)
+    samples = []
+    while len(samples) < 4:
+        t = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        h = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        if all(kac_product(t, h, n) for n in range(1, 7)):
+            samples.append((t, h))
+    for n in range(1, 7):
+        ratios = {fraction_det(VirasoroModule.get(_central_charge(t), h).gram(n))
+                  / kac_product(t, h, n) for t, h in samples}
+        assert len(ratios) == 1 and 0 not in ratios, (n, ratios)
+    assert [fraction_det(VirasoroModule.get(1, 5).gram(n)) / kac_product(1, 5, n)
+            for n in range(1, 5)] == [2, 32, 2304, 37748736]
+
+
+def test_gram_determinant_vanishes_on_the_kac_curves():
+    for t in (Fraction(1), Fraction(5, 3), Fraction(-2, 7)):
+        c = _central_charge(t)
+        for r in range(1, 7):
+            for s in range(1, 6 // r + 1):
+                module = VirasoroModule.get(c, kac_weight(t, r, s))
+                for n in range(r * s, 7):
+                    assert fraction_det(module.gram(n)) == 0, (t, r, s, n)
+                    assert module.gram_nullity(n) >= 1, (t, r, s, n)
 
 
 def test_gram_rank_equals_irreducible_dimension():
