@@ -12,6 +12,7 @@ no floats enter any computation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -237,10 +238,52 @@ def _bareiss_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     return m[:r], pivots
 
 
+# p = 2^61 - 1, a Mersenne prime: the modulus of the rank certificate
+_PRIME = (1 << 61) - 1
+
+# how many `rank` calls each path answered: "mod_p" (certified full rank) or
+# "bareiss" (the exact fallback); a count that nothing in the package reads
+rank_paths: Counter = Counter()
+
+
+def _rank_mod_p(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over GF(_PRIME) of the `_integer_rows` of the matrix: a lower
+    bound on its rational rank, since a minor that is nonzero mod p is
+    nonzero."""
+    m = [[x % _PRIME for x in row] for row in _integer_rows(rows)]
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        mr = m[r][col:]
+        inv = pow(mr[0], -1, _PRIME)
+        for i in range(r + 1, nrows):
+            f = m[i][col] * inv % _PRIME
+            if f:
+                m[i][col:] = [(x - f * y) % _PRIME for x, y in zip(m[i][col:], mr)]
+        r += 1
+    return r
+
+
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix."""
+    """Rank of an exact rational matrix.
+
+    The rank mod p = 2^61 - 1 is a lower bound on the rational rank, so when
+    it is min(rows, cols) it is the rank (path "mod_p" of `rank_paths`).
+    Otherwise the answer comes from the exact Bareiss elimination ("bareiss"):
+    rank-deficient matrices pay for both."""
     if not rows or not rows[0]:
         return 0
+    r = _rank_mod_p(rows)
+    if r == min(len(rows), len(rows[0])):
+        rank_paths["mod_p"] += 1
+        return r
+    rank_paths["bareiss"] += 1
     _, pivots = _bareiss_echelon(rows)
     return len(pivots)
 

@@ -5,10 +5,12 @@ V(c, 0)/U(Vir)L_{-1}v over exact rationals: PBW bases, straightened L_n
 action, the contravariant (Shapovalov) form, singular vectors and c = 1
 character series. HighestWeightModule, which the W3 modules share, holds
 what does not depend on the algebra: the one PBW straightening recursion,
-shared instances, forms and Gram matrices; its primary spaces are the
-`core.kernel` of L_1 and L_2 on a graded piece. A module supplies its
-basis, how a monomial splits off its first mode or takes a new one, its
-lowest-weight eigenvalues and its brackets; [L_n, L_m] sits in the base.
+shared instances, the contravariant form, Gram matrices (each built from
+the ones below it, by the adjoint of a monomial's first mode) and primary
+spaces (the `core.kernel` of L_1 and L_2 on a graded piece). A module
+supplies its basis, how a monomial splits off its first mode or takes a new
+one, its lowest-weight eigenvalues and its brackets; [L_n, L_m] sits in the
+base.
 
 Conventions
 -----------
@@ -162,9 +164,27 @@ class HighestWeightModule:
         return total
 
     def gram(self, weight: int) -> list[list[Fraction]]:
-        """Contravariant Gram matrix at a weight, rows/cols in basis order."""
-        units = [SparseVec.unit(b) for b in self.basis(weight)]
-        return [[self.pair(a, b) for b in units] for a in units]
+        """Contravariant Gram matrix at a weight, rows/cols in basis order.
+
+        Built up from weight 0: for a = gen_{-m} rest,
+        <a, b> = <rest, gen_m b> = sum_c (gen_m b)_c <rest, c> over c in
+        basis(weight - m), the step `pair` takes, so each entry is the same
+        exact value as `pair(a, b)`. The matrices of the lower weights live
+        only for this call."""
+        ladder: dict[int, tuple[dict, list[list[Fraction]]]] = {
+            0: ({self.EMPTY: 0}, [[ONE]])}
+        for w in range(1, weight + 1):
+            basis = self.basis(w)
+            rows = []
+            for a in basis:
+                gen, m, rest = self._first(a)
+                index, below = ladder[w - m]
+                row = below[index[rest]]
+                rows.append([sum((coef * row[index[c]]
+                                  for c, coef in self._act(gen, m, b).items()), ZERO)
+                             for b in basis])
+            ladder[w] = ({b: i for i, b in enumerate(basis)}, rows)
+        return ladder[weight][1] if weight >= 0 else []
 
     def gram_rank(self, weight: int) -> int:
         return rank(self.gram(weight))

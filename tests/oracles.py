@@ -244,6 +244,17 @@ def kac_product(t, h, n: int) -> Fraction:
     return out
 
 
+# -- Gram matrices entry by entry ----------------------------------------------
+
+
+def gram_by_pairs(mod, w) -> list:
+    """Gram matrix of a highest-weight module at weight w with one `pair`
+    per entry, each straightening a whole mode word (the package builds the
+    matrix from the matrices of the lower weights instead)."""
+    units = mod.basis(w)
+    return [[mod.pair(a, b) for b in units] for a in units]
+
+
 # -- plain Gaussian elimination ------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from voacalc.core import (
     partition_count,
     partitions,
     rank,
+    rank_paths,
     report,
     series_add,
     solve,
@@ -70,6 +72,51 @@ def test_rank_matches_gaussian_elimination_on_random_matrices():
         mat = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                 for _ in range(cols)] for _ in range(rows)]
         assert rank(mat) == gauss_rank(mat)
+
+
+def _rational_matrix(rng, rows, cols, inner):
+    """A seeded rows x cols product of rational factors through `inner`
+    columns: its rank is at most inner, and generically equal to
+    min(rows, cols, inner)."""
+    def factor(n, m):
+        return [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(m)]
+                for _ in range(n)]
+    left, right = factor(rows, inner), factor(inner, cols)
+    return [[sum((row[k] * right[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for row in left]
+
+
+@pytest.mark.parametrize("rows,cols", [(6, 6), (3, 7), (7, 3), (1, 5), (5, 1)])
+def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
+    """Full-rank, rank-deficient and zero matrices of every shape: the mod-p
+    certificate answers the full ones, Bareiss the others, and both agree
+    with plain Fraction elimination."""
+    rng = random.Random(rows * 10 + cols)
+    before = Counter(rank_paths)
+    full = min(rows, cols)
+    for inner in (full, full, full - 1, max(full - 2, 0), 0):
+        mat = _rational_matrix(rng, rows, cols, inner)
+        assert rank(mat) == gauss_rank(mat), (rows, cols, inner)
+    taken = rank_paths - before
+    assert taken["mod_p"] >= 1 and taken["bareiss"] >= 1, taken
+
+
+def test_rank_falls_back_when_p_divides_the_determinant():
+    """p = 2^61 - 1: these matrices have rank 2 or 1 over Q but a smaller
+    rank mod p, so only the Bareiss fallback gives the answer."""
+    p = 2**61 - 1
+    cases = [
+        [[p]],
+        [[Fraction(p, 3)]],
+        [[p + 1, 1], [1, 1]],
+        [[p + 1, 1, 0], [1, 1, 0]],
+        [[2, 0], [0, Fraction(3 * p, 5)], [0, 0]],
+    ]
+    for mat in cases:
+        mat = [[Fraction(x) for x in row] for row in mat]
+        before = rank_paths["bareiss"]
+        assert rank(mat) == gauss_rank(mat) == min(len(mat), len(mat[0])), mat
+        assert rank_paths["bareiss"] == before + 1, mat
 
 
 def test_null_space_vectors_lie_in_kernel_and_span_it():

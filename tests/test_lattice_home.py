@@ -14,15 +14,16 @@ KERNELS = {"_lattice", "_exponent"}
 HOME = "fock.FockSpace.vertex_mode"
 
 
-def _kernel_calls(path: Path) -> list[tuple[str, str]]:
-    """(kernel name, outermost `Class.method` or function around the call)."""
+def calls_of(path: Path, names) -> list[tuple[str, str]]:
+    """(name, outermost `Class.method` or function around the call) for each
+    call in the file of a function or method with one of the names."""
     calls = []
 
     def visit(node, owner):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in KERNELS:
+            if name in names:
                 calls.append((name, owner))
         for child in ast.iter_child_nodes(node):
             inner = owner
@@ -36,5 +37,5 @@ def _kernel_calls(path: Path) -> list[tuple[str, str]]:
 
 
 def test_only_vertex_mode_calls_the_lattice_kernels():
-    calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in _kernel_calls(path)]
+    calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, KERNELS)]
     assert sorted(calls) == [("_exponent", HOME), ("_lattice", HOME)], calls

@@ -12,7 +12,15 @@ from voacalc.virasoro import (
     verma_character,
 )
 
-from oracles import apply_mode, fraction_det, kac_product, kac_weight, pair, straighten_words
+from oracles import (
+    apply_mode,
+    fraction_det,
+    gram_by_pairs,
+    kac_product,
+    kac_weight,
+    pair,
+    straighten_words,
+)
 
 MODULE_PARAMS = [
     (Fraction(1), Fraction(0), False),
@@ -138,6 +146,19 @@ def test_quarter_square_weights_are_rejected():
 
 def _central_charge(t):
     return 13 - 6 * (t + 1 / t)
+
+
+@pytest.mark.parametrize("c,h,vacuum,top", [
+    (Fraction(1), Fraction(4), False, 10),
+    (Fraction(1), Fraction(5), False, 10),
+    (Fraction(1), Fraction(5, 6), False, 10),
+    (Fraction(-22, 5), Fraction(-1, 5), False, 10),
+    (Fraction(1, 2), Fraction(0), True, 14),
+])
+def test_gram_from_lower_weights_equals_the_pairwise_gram(c, h, vacuum, top):
+    module = VirasoroModule(c, h, vacuum=vacuum)
+    for level in range(-1, top + 1):
+        assert module.gram(level) == gram_by_pairs(module, level), level
 
 
 def test_gram_determinant_is_the_kac_product_up_to_a_level_constant():

@@ -17,7 +17,7 @@ from voacalc.w3 import (
     w3_monomial_str,
 )
 
-from oracles import straighten_w3_words, w3_pair, w3_word
+from oracles import gram_by_pairs, straighten_w3_words, w3_pair, w3_word
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,16 @@ def test_level3_gram_is_diagonal():
         assert basis == [((3,), ()), ((), (3,))]
         g = module.gram(3)
         assert g == [[2 * c, 0], [0, c / 3]]
+
+
+@pytest.mark.parametrize("c,weights,top", [
+    (Fraction(4, 5), (), 11),
+    (Fraction(1, 3), (Fraction(2, 7), Fraction(1, 5)), 6),
+])
+def test_gram_from_lower_weights_equals_the_pairwise_gram(c, weights, top):
+    module = W3Module(c, *weights)
+    for weight in range(-1, top + 1):
+        assert module.gram(weight) == gram_by_pairs(module, weight), weight
 
 
 def test_annihilation_of_the_vacuum_vector(vac):
