@@ -22,11 +22,14 @@ down to 1_(n) = delta_{n,-1} or to a lattice operator (Kac, Vertex Algebras
 for Beginners; Lepowsky-Li 2004).
 
 Each rule has one kernel: `_insert` adds parts to a descending tuple,
-`FockSpace._lower` is alpha(j >= 0) on a monomial, and `FockSpace._lattice`
+`FockSpace._lower` is alpha(j >= 0) on a monomial, `FockSpace._lattice`
 is a lattice operator on a monomial, which depends on the charge only
-through the exponent 2k*b*charge. The public methods and the recursion call
-these kernels. `lattice_vertex_mode` is `vertex_mode` of e^{b*alpha}, so
-`vertex_mode` is the one path into `_lattice` and its exponent check.
+through the exponent 2k*b*charge, and `_exp_series(b, d)` is the bounded
+table of the integers d!*b^len(lam)/z_lam, the weight-d coefficients of
+exp(b sum_p alpha(-p) z^p / p) times d!, that `_lattice` adds from. The
+public methods and the recursion call these kernels. `lattice_vertex_mode`
+is `vertex_mode` of e^{b*alpha}, so `vertex_mode` is the one path into
+`_lattice` and its exponent check.
 
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
@@ -36,7 +39,7 @@ The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb, factorial, isqrt
 
@@ -73,6 +76,18 @@ def _z(parts) -> int:
         mult = parts.count(val)
         z *= val ** mult * factorial(mult)
     return z
+
+
+EXP_SERIES_CACHE = 256  # (b, d) tables kept by `_exp_series`
+
+
+@lru_cache(maxsize=EXP_SERIES_CACHE)
+def _exp_series(b: int, d: int) -> tuple:
+    """The weight-d terms of exp(b sum_{p>=1} alpha(-p) z^p / p), times d!:
+    (lam, d!*b^len(lam)/z_lam) over partitions(d), all ints, since z_lam
+    divides d! (Macdonald, Symmetric Functions, I.2)."""
+    fact = factorial(d)
+    return tuple((lam, fact // _z(lam) * b ** len(lam)) for lam in partitions(d, 1))
 
 
 class FockSpace:
@@ -222,22 +237,33 @@ class FockSpace:
 
     def _lattice(self, b, e0: int, n: int, parts: tuple) -> dict:
         """(e^{b*alpha})_n on (parts, charge) with e0 = 2k*b*charge, as
-        {new parts: coefficient}; the output charge is charge + b."""
+        {new parts: coefficient}; the output charge is charge + b.
+
+        E^+(z) removes t of the mult copies of each part value with the
+        factor C(mult, t) (-2kb)^t; E^-(z) then adds the partitions lam of
+        d = top - (weight kept), top = -n-1-e0+|parts|, with the
+        coefficients d!*b^len(lam)/z_lam / d! of `_exp_series`. Scaled by
+        top!/d!, every term is an integer over top!, so the sums run in
+        ints and each output term is divided once."""
+        top = -n - 1 - e0 + sum(parts)
+        if top < 0:
+            return {}
+        b, denominator = int(b), factorial(top)
         out: dict = {}
         values = sorted(set(parts))
-        # E^+(z) removes t of the mult copies of each part value with the
-        # factor C(mult, t) (-2kb)^t; E^-(z) then adds a partition lam
-        for removed in product(*(range(parts.count(val) + 1) for val in values)):
-            factor, kept, dplus = ONE, [], 0
-            for val, t in zip(values, removed):
-                mult = parts.count(val)
+        mults = [parts.count(val) for val in values]
+        for removed in product(*(range(mult + 1) for mult in mults)):
+            factor, kept, d = 1, [], top
+            for val, mult, t in zip(values, mults, removed):
                 factor *= comb(mult, t) * (-2 * self.k * b) ** t
                 kept += [val] * (mult - t)
-                dplus += val * t
-            for lam in partitions(-n - 1 - e0 + dplus, 1):
-                # coefficient of alpha(-lam) in exp(b sum_p alpha(-p) z^p / p)
-                _add_term(out, _insert(kept, lam), factor * b ** len(lam) / _z(lam))
-        return out
+                d -= val * (mult - t)
+            if d < 0:
+                continue
+            factor *= denominator // factorial(d)
+            for lam, c in _exp_series(b, d):
+                _add_term(out, _insert(kept, lam), factor * c)
+        return {key: Fraction(c, denominator) for key, c in out.items()}
 
     def vir_act(self, n: int, v) -> SparseVec:
         """L_n via the conformal vector: L_n = (omega)_{n+1}."""

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 
 # -- naive Virasoro straightening by term rewriting ---------------------------
@@ -420,6 +421,14 @@ def bilinear_by_pairs(k: int, u, v) -> Fraction:
     return total
 
 
+def _z(lam) -> int:
+    """z_lam = prod_i i^(m_i) m_i! for the multiplicities m_i of the parts."""
+    z = 1
+    for part in set(lam):
+        z *= part ** lam.count(part) * factorial(lam.count(part))
+    return z
+
+
 def lattice_vertex_mode_by_commutation(k: int, b, m: int, v) -> dict:
     """Mode (e^{b alpha})_(m) applied to v in the rank-one lattice space with
     (alpha, alpha) = 2k; v maps monomials (parts, charge) to coefficients (a
@@ -452,10 +461,7 @@ def lattice_vertex_mode_by_commutation(k: int, b, m: int, v) -> dict:
         if n not in series:
             series[n] = {}
             for lam in brute_partitions(n):
-                z = 1
-                for part in set(lam):
-                    z *= part ** lam.count(part) * factorial(lam.count(part))
-                series[n][lam] = b ** len(lam) / z
+                series[n][lam] = b ** len(lam) / _z(lam)
         return series[n]
 
     def on_monomial(mode, parts, charge) -> dict:
@@ -477,3 +483,49 @@ def lattice_vertex_mode_by_commutation(k: int, b, m: int, v) -> dict:
         for lam, x in on_monomial(m, tuple(parts), Fraction(charge)).items():
             add(out, (lam, Fraction(charge) + b), Fraction(cv) * x)
     return out
+
+
+# -- the lattice-operator kernel one Fraction term at a time -------------------
+
+
+def lattice_by_terms(k: int, b, e0: int, n: int, parts: tuple) -> dict:
+    """(e^{b alpha})_n on (parts, charge) with e0 = 2k*b*charge, as {new
+    parts: coefficient}, with one Fraction b^len(lam)/z_lam per term.
+
+    E^+(z) removes t of the mult copies of each part value with the factor
+    C(mult, t) (-2kb)^t; E^-(z) then adds each partition lam of
+    -n-1-e0+(weight removed)."""
+    b = Fraction(b)
+    out: dict = {}
+    values = sorted(set(parts))
+    for removed in product(*(range(parts.count(val) + 1) for val in values)):
+        factor, kept, dplus = Fraction(1), [], 0
+        for val, t in zip(values, removed):
+            mult = parts.count(val)
+            factor *= comb(mult, t) * (-2 * k * b) ** t
+            kept += [val] * (mult - t)
+            dplus += val * t
+        d = -n - 1 - e0 + dplus
+        for lam in (brute_partitions(d) if d >= 0 else ()):
+            key = tuple(sorted(kept + list(lam), reverse=True))
+            val = out.get(key, 0) + factor * b ** len(lam) / _z(lam)
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return out
+
+
+def exp_series_by_recurrence(b, d: int) -> dict:
+    """The weight-d terms S_d of exp(b sum_{p>=1} alpha(-p) z^p / p), as
+    {lam: coefficient}, by the power-sum recurrence
+    d S_d = b sum_{p=1}^{d} alpha(-p) S_{d-p}, S_0 = 1."""
+    series = [{(): Fraction(1)}]
+    for w in range(1, d + 1):
+        s: dict = {}
+        for p in range(1, w + 1):
+            for mu, c in series[w - p].items():
+                key = tuple(sorted(mu + (p,), reverse=True))
+                s[key] = s.get(key, 0) + Fraction(b) * c / w
+        series.append(s)
+    return series[d]

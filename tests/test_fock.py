@@ -9,6 +9,7 @@ import pytest
 from voacalc.core import InputError, SparseVec, kernel, normalized_integer_vector, partitions
 from voacalc.fock import (
     FockSpace,
+    _exp_series,
     even_square_sum_series,
     lattice_charge_tail_series,
     monomial_str,
@@ -18,6 +19,8 @@ from voacalc.fock import (
 
 from oracles import (
     bilinear_by_pairs,
+    exp_series_by_recurrence,
+    lattice_by_terms,
     lattice_vertex_mode_by_commutation,
     vertex_mode_by_slots,
 )
@@ -313,6 +316,40 @@ def test_lattice_vertex_mode_matches_commutation_oracle():
             (k, b, n, v)
         nonzero += bool(want)
     assert nonzero >= 1000
+
+
+def test_lattice_kernel_matches_fraction_per_term_oracle():
+    # the integer kernel against the same sum taken one Fraction at a time,
+    # on every parts of weight <= 8; top = -n-1-e0+|parts| is the weight
+    # the exponential series may add, so top < 0 leaves nothing (terms may
+    # also cancel when top >= 0)
+    nonzero = 0
+    for k in (1, 2, 3):
+        sp = FockSpace(k)
+        for b in (1, -1, 2, -2):
+            for parts in (lam for w in range(9) for lam in partitions(w, 1)):
+                for charge in (0, 1, -1):
+                    e0 = 2 * k * b * charge
+                    for top in (-1, 0, 2, 5):
+                        n = -1 - e0 + sum(parts) - top
+                        got = sp._lattice(Fraction(b), e0, n, parts)
+                        assert got == lattice_by_terms(k, b, e0, n, parts), \
+                            (k, b, e0, n, parts)
+                        assert top >= 0 or got == {}, (k, b, e0, n, parts)
+                        nonzero += bool(got)
+    assert nonzero >= 7000
+
+
+def test_exp_series_table_matches_power_sum_recurrence():
+    for b in (1, -1, 2, -2, 3):
+        for d in range(11):
+            table = _exp_series(b, d)
+            assert [lam for lam, _ in table] == list(partitions(d, 1))
+            assert all(lam is mu for (lam, _), mu in zip(table, partitions(d, 1)))
+            assert all(type(c) is int for _, c in table), (b, d)
+            want = {lam: factorial(d) * c
+                    for lam, c in exp_series_by_recurrence(b, d).items()}
+            assert dict(table) == want, (b, d)
 
 
 def _binomial(m, i):

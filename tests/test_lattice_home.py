@@ -2,12 +2,16 @@
 `_exponent` are each called exactly once, and only from
 `FockSpace.vertex_mode` (its nested recursion included).
 `lattice_vertex_mode` reaches them through `vertex_mode`, so anything put on
-that one path, such as a memo of `_lattice`, sees every lattice mode."""
+that one path, such as a memo of `_lattice`, sees every lattice mode. The
+table of exponential-series coefficients, `_exp_series`, is read only by
+`FockSpace._lattice`, and its cache has a fixed bound."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from voacalc.fock import EXP_SERIES_CACHE, _exp_series
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "voacalc"
 KERNELS = {"_lattice", "_exponent"}
@@ -39,3 +43,14 @@ def calls_of(path: Path, names) -> list[tuple[str, str]]:
 def test_only_vertex_mode_calls_the_lattice_kernels():
     calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, KERNELS)]
     assert sorted(calls) == [("_exponent", HOME), ("_lattice", HOME)], calls
+
+
+def test_only_the_lattice_kernel_reads_the_exp_series_table():
+    calls = [call for path in sorted(PACKAGE.glob("*.py"))
+             for call in calls_of(path, {"_exp_series"})]
+    assert calls == [("_exp_series", "fock.FockSpace._lattice")], calls
+
+
+def test_exp_series_table_is_bounded():
+    assert isinstance(EXP_SERIES_CACHE, int) and EXP_SERIES_CACHE > 0
+    assert _exp_series.cache_info().maxsize == EXP_SERIES_CACHE
