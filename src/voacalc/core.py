@@ -1,5 +1,6 @@
 """Shared exact-arithmetic substrate: partitions, integer square roots,
-sparse vectors, fraction-free linear algebra (one elimination; lists of
+sparse vectors, exact linear algebra (one elimination mod primes, certified
+exactly, with fraction-free Bareiss elimination as its fallback; lists of
 sparse vectors reach it only through `independent`, `coordinates` and
 `kernel`), integer q-series helpers, the verification-report builders
 (`check` and `check_values` for one check, `report` for a suite) and the
@@ -12,6 +13,7 @@ no floats enter any computation.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -189,7 +191,8 @@ def _accumulate(dst: dict, src: Mapping, factor: Fraction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (fraction-free Bareiss elimination)
+# exact linear algebra (elimination mod primes, certified exactly; fraction-free
+# Bareiss elimination as the fallback)
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (row space, null space
@@ -197,7 +200,7 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     out = []
     for row in rows:
         scale = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
@@ -238,54 +241,190 @@ def _bareiss_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     return m[:r], pivots
 
 
-# p = 2^61 - 1, a Mersenne prime: the modulus of the rank certificate
-_PRIME = (1 << 61) - 1
+# the moduli of the certified elimination: primes just below 2^61, the
+# Mersenne prime 2^61 - 1 first
+_PRIMES = tuple((1 << 61) - d for d in (1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579))
 
-# how many `rank` calls each path answered: "mod_p" (certified full rank) or
-# "bareiss" (the exact fallback); a count that nothing in the package reads
+# how many eliminations (`rank`, `null_space`, `independent`) each path
+# answered: "mod_p" (full rank mod the first prime, nothing left to certify:
+# every column a pivot, or for `rank` every row), "kernel" (the kernel basis
+# rebuilt from the primes satisfies M.x = 0 exactly) or "bareiss" (the exact
+# fallback); and under "primes" the eliminations mod a prime they ran. A
+# count that nothing in the package reads.
 rank_paths: Counter = Counter()
 
 
-def _rank_mod_p(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over GF(_PRIME) of the `_integer_rows` of the matrix: a lower
-    bound on its rational rank, since a minor that is nonzero mod p is
-    nonzero."""
-    m = [[x % _PRIME for x in row] for row in _integer_rows(rows)]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot_row is None:
+def _echelon_mod(rows: list[list[tuple[int, int]]], ncols: int,
+                 p: int) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """The reduced row echelon form mod the prime p of the integer matrix
+    given by the (column, entry) pairs of its nonzero entries, as
+    {pivot column: row}, and the indices of the rows that added a pivot.
+    Each row is a dict of its nonzero residues: 1 at its pivot, none left of
+    it or at another pivot column. Rows are inserted one at a time, so the
+    pivot columns are the leftmost independent ones mod p."""
+    ech: dict[int, dict[int, int]] = {}
+    kept: list[int] = []
+    for index, row in enumerate(rows):
+        v = {j: x % p for j, x in row}
+        get = v.get
+        for c in [c for c in v if c in ech]:
+            f = v[c]
+            for j, y in ech[c].items():
+                v[j] = get(j, 0) - f * y
+        v = {j: x for j, x in ((j, x % p) for j, x in v.items()) if x}
+        if not v:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        mr = m[r][col:]
-        inv = pow(mr[0], -1, _PRIME)
-        for i in range(r + 1, nrows):
-            f = m[i][col] * inv % _PRIME
-            if f:
-                m[i][col:] = [(x - f * y) % _PRIME for x, y in zip(m[i][col:], mr)]
-        r += 1
-    return r
+        kept.append(index)
+        lead = min(v)
+        inv = pow(v[lead], -1, p)
+        v = {j: x * inv % p for j, x in v.items()}
+        for r in ech.values():
+            g = r.get(lead)
+            if g:
+                for j, y in v.items():
+                    x = (r.get(j, 0) - g * y) % p
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+        ech[lead] = v
+        if len(ech) == ncols:
+            break
+    return ech, kept
+
+
+def _rationals(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Numerators and a common denominator of rationals n/d congruent to the
+    residues, each found with |n|, d <= sqrt(modulus/2) by the extended
+    Euclidean algorithm (rational reconstruction), or None if one has none.
+    The denominator so far is tried first, so most entries cost a product."""
+    bound = math.isqrt(modulus >> 1)
+    nums: list[int] = []
+    den = 1
+    for a in residues:
+        n = a * den % modulus
+        if n > bound:
+            n -= modulus
+        if n < -bound:
+            r0, r1, s0, s1 = modulus, n + modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            if s1 < 0:
+                r1, s1 = -r1, -s1
+            nums = [x * s1 for x in nums]
+            den *= s1
+            n = r1
+        nums.append(n)
+    return nums, den
+
+
+def _exact_kernel(m: list[list[int]], free: list[int], pivots: list[int],
+                  residues: list[list[int]], modulus: int) -> list[list[Fraction]] | None:
+    """The kernel vectors whose pivot coordinates are the residues mod
+    modulus read back as rationals (free column f at 1, the other free
+    columns at 0), or None if one does not read back or misses M.x = 0 in
+    exact integer arithmetic."""
+    ncols = len(m[0])
+    kernel = []
+    for f, res in zip(free, residues):
+        got = _rationals(res, modulus)
+        if got is None:
+            return None
+        nums, den = got
+        support = [(c, n) for c, n in zip(pivots, nums) if n] + [(f, den)]
+        if any(sum(row[j] * y for j, y in support) for row in m):
+            return None
+        x = [ZERO] * ncols
+        x[f] = ONE
+        for c, n in support[:-1]:
+            x[c] = Fraction(n, den)
+        kernel.append(x)
+    return kernel
+
+
+def _eliminate(rows: Sequence[Sequence[Fraction]],
+               rank_only: bool = False) -> tuple[list[int], list[list[Fraction]] | None]:
+    """The pivot columns of a matrix (leftmost first, as Bareiss finds them)
+    and its `null_space` basis, from its reduced echelon forms mod the
+    _PRIMES.
+
+    Each free column f mod p gives the kernel vector with x_f = 1, the other
+    free coordinates 0 and the rest on pivots left of f. These are combined
+    over the primes by the Chinese remainder theorem and read back as
+    rationals, and taken only once all of them satisfy M.x = 0 exactly. Then
+    each f depends on the columns left of it over Q, and n - r_p independent
+    kernel vectors bound the rank by r_p, which a minor nonzero mod p bounds
+    from below: the free columns are Bareiss's, and each vector is the one
+    kernel vector of its free column, as Bareiss's back substitution gives
+    it. If the pivot columns differ between primes, or no vectors verify by
+    the last prime, the Bareiss elimination answers.
+
+    Full rank mod the first prime needs no certificate: with a pivot in every
+    column the kernel is 0. With `rank_only`, a pivot in every row also ends
+    the work, and the kernel may come back as None.
+    """
+    m = _integer_rows(rows)
+    ncols = len(m[0])
+    # the echelon form does not depend on the order of the rows; taking
+    # those that start furthest right first keeps the rows short
+    sparse = sorted(filter(None, ([(j, x) for j, x in enumerate(row) if x] for row in m)),
+                    key=lambda row: -row[0][0])
+    pivots: list[int] = []
+    for count, p in enumerate(_PRIMES):
+        rank_paths["primes"] += 1
+        ech, kept = _echelon_mod(sparse, ncols, p)
+        if not count:
+            pivots = sorted(ech)
+            sparse = [sparse[i] for i in kept]
+            if len(pivots) == ncols or rank_only and len(pivots) == len(m):
+                rank_paths["mod_p"] += 1
+                return pivots, [] if len(pivots) == ncols else None
+            free = [j for j in range(ncols) if j not in ech]
+            residues = [[0] * bisect(pivots, f) for f in free]
+            modulus = 1
+        elif sorted(ech) != pivots:
+            break
+        step = pow(modulus, -1, p)
+        for f, res in zip(free, residues):
+            for i, c in enumerate(pivots[:len(res)]):
+                res[i] += modulus * ((-ech[c].get(f, 0) - res[i]) * step % p)
+        modulus *= p
+        kernel = _exact_kernel(m, free, pivots, residues, modulus)
+        if kernel is not None:
+            rank_paths["kernel"] += 1
+            return pivots, kernel
+    rank_paths["bareiss"] += 1
+    echelon, pivots = _bareiss_echelon(rows)
+    if rank_only:
+        return pivots, None
+    pivot_set = set(pivots)
+    basis: list[list[Fraction]] = []
+    for f in (j for j in range(ncols) if j not in pivot_set):
+        x = [ZERO] * ncols
+        x[f] = ONE
+        for i in range(len(pivots) - 1, -1, -1):
+            col = pivots[i]
+            row = echelon[i]
+            s = ZERO
+            for j in range(col + 1, ncols):
+                if x[j]:
+                    s += Fraction(row[j]) * x[j]
+            x[col] = -s / row[col]
+        basis.append(x)
+    return pivots, basis
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix.
-
-    The rank mod p = 2^61 - 1 is a lower bound on the rational rank, so when
-    it is min(rows, cols) it is the rank (path "mod_p" of `rank_paths`).
-    Otherwise the answer comes from the exact Bareiss elimination ("bareiss"):
-    rank-deficient matrices pay for both."""
+    """Rank of an exact rational matrix: the number of pivot columns of
+    `_eliminate`, which stops at the first prime when the rank mod p is
+    min(rows, cols), since a rank mod p is a lower bound on the rational
+    rank."""
     if not rows or not rows[0]:
         return 0
-    r = _rank_mod_p(rows)
-    if r == min(len(rows), len(rows[0])):
-        rank_paths["mod_p"] += 1
-        return r
-    rank_paths["bareiss"] += 1
-    _, pivots = _bareiss_echelon(rows)
-    return len(pivots)
+    return len(_eliminate(rows, rank_only=True)[0])
 
 
 def null_space(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -296,24 +435,7 @@ def null_space(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    ech, pivots = _bareiss_echelon(rows)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    basis: list[list[Fraction]] = []
-    for f in free_cols:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for i in range(len(pivots) - 1, -1, -1):
-            col = pivots[i]
-            row = ech[i]
-            s = ZERO
-            for j in range(col + 1, ncols):
-                if x[j]:
-                    s += Fraction(row[j]) * x[j]
-            x[col] = -s / row[col]
-        basis.append(x)
-    return basis
+    return _eliminate(rows)[1]
 
 
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -342,7 +464,8 @@ def _columns(vectors: Sequence[SparseVec]) -> list[list[Fraction]]:
 def independent(vectors: Sequence[SparseVec]) -> list[int]:
     """Indices of the first maximal linearly independent subsequence of the
     vectors: the pivot columns of their matrix. Zero vectors are never kept."""
-    return _bareiss_echelon(_columns(vectors))[1]
+    rows = _columns(vectors)
+    return _eliminate(rows)[0] if rows else []
 
 
 def coordinates(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fraction] | None:

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from voacalc import core
 from voacalc.core import (
     SparseVec,
+    _bareiss_echelon,
+    _columns,
     check_values,
     coordinates,
     independent,
@@ -88,9 +91,9 @@ def _rational_matrix(rng, rows, cols, inner):
 
 @pytest.mark.parametrize("rows,cols", [(6, 6), (3, 7), (7, 3), (1, 5), (5, 1)])
 def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
-    """Full-rank, rank-deficient and zero matrices of every shape: the mod-p
-    certificate answers the full ones, Bareiss the others, and both agree
-    with plain Fraction elimination."""
+    """Full-rank, rank-deficient and zero matrices of every shape: the first
+    prime answers the full ones, the kernel certificate the others, and both
+    agree with plain Fraction elimination."""
     rng = random.Random(rows * 10 + cols)
     before = Counter(rank_paths)
     full = min(rows, cols)
@@ -98,7 +101,7 @@ def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
         mat = _rational_matrix(rng, rows, cols, inner)
         assert rank(mat) == gauss_rank(mat), (rows, cols, inner)
     taken = rank_paths - before
-    assert taken["mod_p"] >= 1 and taken["bareiss"] >= 1, taken
+    assert taken["mod_p"] >= 1 and taken["kernel"] >= 1 and not taken["bareiss"], taken
 
 
 def test_rank_falls_back_when_p_divides_the_determinant():
@@ -117,6 +120,74 @@ def test_rank_falls_back_when_p_divides_the_determinant():
         before = rank_paths["bareiss"]
         assert rank(mat) == gauss_rank(mat) == min(len(mat), len(mat[0])), mat
         assert rank_paths["bareiss"] == before + 1, mat
+
+
+def _paths_of(fn, *args):
+    """fn(*args) and the `rank_paths` counts it added."""
+    before = Counter(rank_paths)
+    out = fn(*args)
+    return out, rank_paths - before
+
+
+def _big_kernel_matrix(rng, n):
+    """A seeded (n-1) x n integer matrix with entries near 2^40: its kernel
+    vector has entries whose numerators or denominators pass 2^130."""
+    return [[Fraction(rng.randrange(-2**40, 2**40)) for _ in range(n)] for _ in range(n - 1)]
+
+
+def _minor_of_p_matrix(rng, rows, cols):
+    """A seeded integer matrix whose leading 2 x 2 minor is p = 2^61 - 1 and
+    whose other rows are 0 in the first two columns: column 1 is a multiple
+    of column 0 mod p but not over Q, so the pivot columns mod p differ."""
+    p = 2**61 - 1
+    b, c = rng.randrange(1, 9), rng.randrange(1, 9)
+    mat = [[1, b], [c, p + b * c]] + [[0, 0] for _ in range(rows - 2)]
+    mat = [row + [rng.randrange(-5, 6) for _ in range(cols - 2)] for row in mat]
+    return [[Fraction(x) for x in row] for row in mat]
+
+
+def _certified_cases():
+    rng = random.Random(41)
+    cases = [pytest.param("kernel", 1, _rational_matrix(rng, rows, cols, min(rows, cols) - 2),
+                          id=f"deficient-{rows}x{cols}")
+             for rows, cols in ((5, 5), (4, 7), (7, 4), (6, 6))]
+    cases += [pytest.param("kernel", 4, _big_kernel_matrix(rng, n), id=f"big-{n - 1}x{n}")
+              for n in (5, 6, 7)]
+    cases += [pytest.param("bareiss", 2, _minor_of_p_matrix(rng, rows, cols),
+                           id=f"minor-p-{rows}x{cols}")
+              for rows, cols in ((3, 4), (4, 6), (5, 5))]
+    return cases
+
+
+@pytest.mark.parametrize("path,primes,mat", _certified_cases())
+def test_certified_answers_equal_bareiss(path, primes, mat, monkeypatch):
+    """null_space, independent and solve on rank-deficient matrices, on
+    matrices whose kernel entries pass 2^130 and need several primes, and on
+    matrices with a minor divisible by 2^61 - 1 give what Bareiss gives
+    (`_bareiss_echelon` alone, with no prime to eliminate by), and each takes
+    the expected path: the kernel certificate, or the fallback once the
+    pivot columns mod the first two primes disagree."""
+    rng = random.Random(len(mat) * 100 + len(mat[0]))
+    columns = [SparseVec(enumerate(col)) for col in zip(*mat)]
+    rhs = [Fraction(rng.randrange(-5, 6)) for _ in mat]
+    in_span = [sum(row[:2], Fraction(0)) for row in mat]
+    calls = [(null_space, mat), (independent, columns), (solve, mat, rhs), (solve, mat, in_span)]
+    got = [_paths_of(*call) for call in calls]
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_PRIMES", ())
+        want = [_paths_of(*call) for call in calls]
+    assert [out for out, _ in got] == [out for out, _ in want]
+    assert independent(columns) == _bareiss_echelon(_columns(columns))[1]
+    assert all(taken[path] == 1 and taken["primes"] >= primes for _, taken in got), got
+    assert all(taken["bareiss"] == 1 and not taken["primes"] for _, taken in want), want
+    assert rank(mat) == gauss_rank(mat)
+    kernel_basis = got[0][0]
+    assert len(kernel_basis) == len(mat[0]) - gauss_rank(mat)
+    for vec in kernel_basis:
+        assert all(sum((r * x for r, x in zip(row, vec)), Fraction(0)) == 0 for row in mat)
+    if primes > 2:
+        assert max(max(abs(x.numerator), x.denominator) for v in kernel_basis for x in v) > 2**130
+    assert got[3][0] is not None
 
 
 def test_null_space_vectors_lie_in_kernel_and_span_it():

@@ -1,8 +1,9 @@
 """The elimination and the rule that turns sparse vectors into its rows live
-in core alone: no other module of src/voacalc names `_bareiss_echelon`,
-`_columns` or `_rank_mod_p`; they reach it through `independent`,
-`coordinates`, `kernel`, `rank`, `null_space` and `solve`. The modular rank
-is a certificate of `rank` alone, so `rank` is its one caller."""
+in core alone: no other module of src/voacalc names its internals; they reach
+it through `independent`, `coordinates`, `kernel`, `rank`, `null_space` and
+`solve`. Inside core, `rank`, `null_space` and `independent` are the only
+callers of the certified elimination `_eliminate`, and it is the only caller
+of the elimination mod p, the kernel read-back and the Bareiss fallback."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from pathlib import Path
 from test_lattice_home import calls_of
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "voacalc"
-PRIVATE = {"_bareiss_echelon", "_columns", "_rank_mod_p"}
+PRIVATE = {"_bareiss_echelon", "_columns", "_eliminate", "_echelon_mod", "_exact_kernel",
+           "_rationals", "_PRIMES"}
 
 
 def test_only_core_names_the_elimination_internals():
@@ -34,6 +36,12 @@ def test_only_core_names_the_elimination_internals():
     assert not leaks, "elimination internals outside core:\n" + "\n".join(leaks)
 
 
-def test_rank_alone_calls_the_modular_rank():
-    calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, {"_rank_mod_p"})]
-    assert calls == [("_rank_mod_p", "core.rank")], calls
+def test_only_the_entry_points_call_the_certified_elimination():
+    inner = {"_eliminate", "_echelon_mod", "_exact_kernel", "_rationals", "_bareiss_echelon"}
+    calls = sorted(call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, inner))
+    assert calls == sorted([
+        ("_eliminate", "core.rank"), ("_eliminate", "core.null_space"),
+        ("_eliminate", "core.independent"), ("_echelon_mod", "core._eliminate"),
+        ("_exact_kernel", "core._eliminate"), ("_rationals", "core._exact_kernel"),
+        ("_bareiss_echelon", "core._eliminate"),
+    ]), calls
