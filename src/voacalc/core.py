@@ -1,10 +1,9 @@
 """Shared exact-arithmetic substrate: partitions, integer square roots,
-sparse vectors, exact linear algebra (one elimination mod primes, certified
-exactly, with fraction-free Bareiss elimination as its fallback; lists of
-sparse vectors reach it only through `independent`, `coordinates` and
-`kernel`), integer q-series helpers, the verification-report builders
-(`check` and `check_values` for one check, `report` for a suite) and the
-error every input check raises.
+sparse vectors, exact linear algebra (one elimination mod primes, drawn
+until its answer is certified exactly; lists of sparse vectors reach it
+only through `independent`, `coordinates` and `kernel`), integer q-series
+helpers, the verification-report builders (`check` and `check_values` for
+one check, `report` for a suite) and the error every input check raises.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -17,6 +16,7 @@ from bisect import bisect
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -191,8 +191,7 @@ def _accumulate(dst: dict, src: Mapping, factor: Fraction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (elimination mod primes, certified exactly; fraction-free
-# Bareiss elimination as the fallback)
+# exact linear algebra (elimination mod primes, certified exactly)
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (row space, null space
@@ -204,53 +203,46 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination.
-
-    Returns (echelon rows over the integers, pivot column list). Pivoting is
-    deterministic: leftmost nonzero column, first nonzero row.
-    """
-    m = _integer_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases 2 ... 37, which no composite below
+    3.3 * 10^24 passes."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
             continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        p = m[r][col]
-        for i in range(r + 1, nrows):
-            mi = m[i]
-            mr = m[r]
-            f = mi[col]
-            for j in range(col, ncols):
-                mi[j] = (p * mi[j] - f * mr[j]) // prev
-        prev = p
-        pivots.append(col)
-        r += 1
-    return m[:r], pivots
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-# the moduli of the certified elimination: primes just below 2^61, the
-# Mersenne prime 2^61 - 1 first
-_PRIMES = tuple((1 << 61) - d for d in (1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579))
+@lru_cache(maxsize=None)
+def _prime(i: int) -> int:
+    """The moduli of the certified elimination: the i-th prime below 2^61,
+    counting down from the Mersenne prime 2^61 - 1."""
+    p = 1 << 61
+    for _ in range(i + 1):
+        p -= 1
+        while not _is_prime(p):
+            p -= 1
+    return p
+
 
 # how many eliminations (`rank`, `null_space`, `independent`) each path
-# answered: "mod_p" (full rank mod the first prime, nothing left to certify:
-# every column a pivot, or for `rank` every row), "kernel" (the kernel basis
-# rebuilt from the primes satisfies M.x = 0 exactly) or "bareiss" (the exact
-# fallback); and under "primes" the eliminations mod a prime they ran. A
-# count that nothing in the package reads.
+# answered: "mod_p" (full rank mod a prime, nothing left to certify: every
+# column a pivot, or for `rank` every row) or "kernel" (the kernel basis
+# rebuilt from the primes satisfies M.x = 0 exactly); and under "primes" the
+# eliminations mod a prime they ran. A count that nothing in the package
+# reads.
 rank_paths: Counter = Counter()
 
 
@@ -321,35 +313,32 @@ def _rationals(residues: list[int], modulus: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _exact_kernel(m: list[list[int]], free: list[int], pivots: list[int],
-                  residues: list[list[int]], modulus: int) -> list[list[Fraction]] | None:
+def _exact_kernel(free: list[int], pivots: list[int], residues: list[list[int]],
+                  modulus: int) -> list[list[tuple[int, int]]] | None:
     """The kernel vectors whose pivot coordinates are the residues mod
     modulus read back as rationals (free column f at 1, the other free
-    columns at 0), or None if one does not read back or misses M.x = 0 in
-    exact integer arithmetic."""
-    ncols = len(m[0])
-    kernel = []
+    columns at 0), each scaled by its common denominator to the (column,
+    integer) pairs of its support, f last; or None if one does not read
+    back."""
+    vectors = []
     for f, res in zip(free, residues):
         got = _rationals(res, modulus)
         if got is None:
             return None
         nums, den = got
-        support = [(c, n) for c, n in zip(pivots, nums) if n] + [(f, den)]
-        if any(sum(row[j] * y for j, y in support) for row in m):
-            return None
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for c, n in support[:-1]:
-            x[c] = Fraction(n, den)
-        kernel.append(x)
-    return kernel
+        vectors.append([(c, n) for c, n in zip(pivots, nums) if n] + [(f, den)])
+    return vectors
+
+
+def _misses(vectors: list[list[tuple[int, int]]], rows: Iterable[list[int]]) -> bool:
+    """Whether some integer row is not 0 on some vector, in exact arithmetic."""
+    return any(sum(row[j] * y for j, y in v) for row in rows for v in vectors)
 
 
 def _eliminate(rows: Sequence[Sequence[Fraction]],
                rank_only: bool = False) -> tuple[list[int], list[list[Fraction]] | None]:
-    """The pivot columns of a matrix (leftmost first, as Bareiss finds them)
-    and its `null_space` basis, from its reduced echelon forms mod the
-    _PRIMES.
+    """The pivot columns of a matrix (leftmost first) and its `null_space`
+    basis, from its reduced echelon forms mod the primes `_prime(i)`.
 
     Each free column f mod p gives the kernel vector with x_f = 1, the other
     free coordinates 0 and the rest on pivots left of f. These are combined
@@ -357,69 +346,71 @@ def _eliminate(rows: Sequence[Sequence[Fraction]],
     rationals, and taken only once all of them satisfy M.x = 0 exactly. Then
     each f depends on the columns left of it over Q, and n - r_p independent
     kernel vectors bound the rank by r_p, which a minor nonzero mod p bounds
-    from below: the free columns are Bareiss's, and each vector is the one
-    kernel vector of its free column, as Bareiss's back substitution gives
-    it. If the pivot columns differ between primes, or no vectors verify by
-    the last prime, the Bareiss elimination answers.
+    from below: the free columns and kernel vectors are those of exact
+    elimination over Q.
 
-    Full rank mod the first prime needs no certificate: with a pivot in every
-    column the kernel is 0. With `rank_only`, a pivot in every row also ends
-    the work, and the kernel may come back as None.
+    A rank mod p is at most the rank over Q, and at equal rank each pivot
+    column mod p is at or right of the one over Q. So a prime whose pivot
+    columns differ from those kept replaces them, and starts the residues
+    again, if it has a larger rank or the lexicographically smaller columns;
+    otherwise it is passed over. The primes after the one whose pivots are
+    kept eliminate only the rows it kept. If the vectors are 0 on those rows
+    but not on a dropped one, the kept rows have a smaller rank over Q than
+    M, and the rows and pivots start again from all the rows. Only the
+    finitely many primes dividing one nonzero minor of M go wrong, so some
+    prime ends the loop.
+
+    Full rank mod a prime needs no certificate: with a pivot in every column
+    the kernel is 0. With `rank_only`, a pivot in every row also ends the
+    work, and the kernel may come back as None.
     """
-    m = _integer_rows(rows)
-    ncols = len(m[0])
+    ncols = len(rows[0])
+    m = [row for row in _integer_rows(rows) if any(row)]
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in m]
     # the echelon form does not depend on the order of the rows; taking
     # those that start furthest right first keeps the rows short
-    sparse = sorted(filter(None, ([(j, x) for j, x in enumerate(row) if x] for row in m)),
-                    key=lambda row: -row[0][0])
-    pivots: list[int] = []
-    for count, p in enumerate(_PRIMES):
+    order = live = sorted(range(len(m)), key=lambda k: -sparse[k][0][0])
+    pivots = None
+    for i in count():
         rank_paths["primes"] += 1
-        ech, kept = _echelon_mod(sparse, ncols, p)
-        if not count:
-            pivots = sorted(ech)
-            sparse = [sparse[i] for i in kept]
-            if len(pivots) == ncols or rank_only and len(pivots) == len(m):
-                rank_paths["mod_p"] += 1
-                return pivots, [] if len(pivots) == ncols else None
+        p = _prime(i)
+        ech, kept = _echelon_mod([sparse[k] for k in live], ncols, p)
+        got = sorted(ech)
+        if len(got) == ncols or rank_only and len(got) == len(rows):
+            rank_paths["mod_p"] += 1
+            return got, [] if len(got) == ncols else None
+        if pivots is None or (-len(got), got) < (-len(pivots), pivots):
+            pivots, live = got, [live[k] for k in kept]
             free = [j for j in range(ncols) if j not in ech]
             residues = [[0] * bisect(pivots, f) for f in free]
             modulus = 1
-        elif sorted(ech) != pivots:
-            break
+        elif got != pivots:
+            continue
         step = pow(modulus, -1, p)
         for f, res in zip(free, residues):
-            for i, c in enumerate(pivots[:len(res)]):
-                res[i] += modulus * ((-ech[c].get(f, 0) - res[i]) * step % p)
+            for k, c in enumerate(pivots[:len(res)]):
+                res[k] += modulus * ((-ech[c].get(f, 0) - res[k]) * step % p)
         modulus *= p
-        kernel = _exact_kernel(m, free, pivots, residues, modulus)
-        if kernel is not None:
-            rank_paths["kernel"] += 1
-            return pivots, kernel
-    rank_paths["bareiss"] += 1
-    echelon, pivots = _bareiss_echelon(rows)
-    if rank_only:
-        return pivots, None
-    pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
-    for f in (j for j in range(ncols) if j not in pivot_set):
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for i in range(len(pivots) - 1, -1, -1):
-            col = pivots[i]
-            row = echelon[i]
-            s = ZERO
-            for j in range(col + 1, ncols):
-                if x[j]:
-                    s += Fraction(row[j]) * x[j]
-            x[col] = -s / row[col]
-        basis.append(x)
-    return pivots, basis
+        vectors = _exact_kernel(free, pivots, residues, modulus)
+        if vectors is None or _misses(vectors, (m[k] for k in live)):
+            continue
+        if _misses(vectors, (m[k] for k in set(order).difference(live))):
+            live, pivots = order, None
+            continue
+        rank_paths["kernel"] += 1
+        kernel = []
+        for v in vectors:
+            (f, den), x = v[-1], [ZERO] * ncols
+            x[f] = ONE
+            for c, n in v[:-1]:
+                x[c] = Fraction(n, den)
+            kernel.append(x)
+        return pivots, kernel
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of an exact rational matrix: the number of pivot columns of
-    `_eliminate`, which stops at the first prime when the rank mod p is
+    `_eliminate`, which stops at a prime when the rank mod p is
     min(rows, cols), since a rank mod p is a lower bound on the rational
     rank."""
     if not rows or not rows[0]:

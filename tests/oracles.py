@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately use different algorithms from the package (global
-term-rewriting instead of head recursion, plain Gaussian elimination instead
-of fraction-free elimination, direct enumeration instead of closed forms or
-recursions) so that agreement is meaningful evidence of correctness.
+term-rewriting instead of head recursion, Gauss-Jordan elimination over
+Fraction instead of elimination mod primes, direct enumeration instead of
+closed forms or recursions) so that agreement is meaningful evidence of
+correctness.
 """
 
 from __future__ import annotations
@@ -259,11 +260,16 @@ def gram_by_pairs(mod, w) -> list:
 # -- plain Gaussian elimination ------------------------------------------------
 
 
-def gauss_rank(rows) -> int:
+def gauss_echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fraction:
+    its nonzero rows and their pivot columns."""
     mat = [[Fraction(x) for x in row] for row in rows]
-    r = 0
+    pivots: list[int] = []
     cols = len(mat[0]) if mat else 0
     for col in range(cols):
+        r = len(pivots)
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
@@ -274,15 +280,33 @@ def gauss_rank(rows) -> int:
             if i != r and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def gauss_rank(rows) -> int:
+    return len(gauss_echelon(rows)[1])
+
+
+def gauss_null_space(rows) -> list[list[Fraction]]:
+    """One kernel vector per free column f, ascending: x_f = 1, the other
+    free coordinates 0 and x_c = -R[i][f] at the pivot column c of row i of
+    the reduced echelon form R."""
+    reduced, pivots = gauss_echelon(rows)
+    cols = len(rows[0])
+    basis = []
+    for f in (j for j in range(cols) if j not in pivots):
+        x = [Fraction(0)] * cols
+        x[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            x[c] = -row[f]
+        basis.append(x)
+    return basis
 
 
 def fraction_det(rows) -> Fraction:
     """Determinant of a square matrix by Gaussian elimination over Fraction
-    with row swaps (the package eliminates fraction-free, by Bareiss)."""
+    with row swaps (the package eliminates mod primes)."""
     mat = [[Fraction(x) for x in row] for row in rows]
     det = Fraction(1)
     for col in range(len(mat)):

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from voacalc import core
 from voacalc.core import (
     SparseVec,
-    _bareiss_echelon,
-    _columns,
+    _is_prime,
+    _prime,
     check_values,
     coordinates,
     independent,
@@ -25,7 +24,14 @@ from voacalc.core import (
     square_root,
 )
 
-from oracles import brute_partitions, gauss_rank, independent_subsequence, product_series
+from oracles import (
+    brute_partitions,
+    gauss_echelon,
+    gauss_null_space,
+    gauss_rank,
+    independent_subsequence,
+    product_series,
+)
 
 
 def test_partitions_match_brute_force():
@@ -101,12 +107,12 @@ def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
         mat = _rational_matrix(rng, rows, cols, inner)
         assert rank(mat) == gauss_rank(mat), (rows, cols, inner)
     taken = rank_paths - before
-    assert taken["mod_p"] >= 1 and taken["kernel"] >= 1 and not taken["bareiss"], taken
+    assert taken["mod_p"] >= 1 and taken["kernel"] >= 1, taken
 
 
 def test_rank_falls_back_when_p_divides_the_determinant():
     """p = 2^61 - 1: these matrices have rank 2 or 1 over Q but a smaller
-    rank mod p, so only the Bareiss fallback gives the answer."""
+    rank mod p, so a later prime gives the answer."""
     p = 2**61 - 1
     cases = [
         [[p]],
@@ -117,9 +123,9 @@ def test_rank_falls_back_when_p_divides_the_determinant():
     ]
     for mat in cases:
         mat = [[Fraction(x) for x in row] for row in mat]
-        before = rank_paths["bareiss"]
-        assert rank(mat) == gauss_rank(mat) == min(len(mat), len(mat[0])), mat
-        assert rank_paths["bareiss"] == before + 1, mat
+        got, taken = _paths_of(rank, mat)
+        assert got == gauss_rank(mat) == min(len(mat), len(mat[0])), mat
+        assert taken["primes"] >= 2 and taken["mod_p"] + taken["kernel"] == 1, (mat, taken)
 
 
 def _paths_of(fn, *args):
@@ -148,46 +154,95 @@ def _minor_of_p_matrix(rng, rows, cols):
 
 def _certified_cases():
     rng = random.Random(41)
-    cases = [pytest.param("kernel", 1, _rational_matrix(rng, rows, cols, min(rows, cols) - 2),
+    cases = [pytest.param({"kernel"}, 1, _rational_matrix(rng, rows, cols, min(rows, cols) - 2),
                           id=f"deficient-{rows}x{cols}")
              for rows, cols in ((5, 5), (4, 7), (7, 4), (6, 6))]
-    cases += [pytest.param("kernel", 4, _big_kernel_matrix(rng, n), id=f"big-{n - 1}x{n}")
+    cases += [pytest.param({"kernel"}, 4, _big_kernel_matrix(rng, n), id=f"big-{n - 1}x{n}")
               for n in (5, 6, 7)]
-    cases += [pytest.param("bareiss", 2, _minor_of_p_matrix(rng, rows, cols),
+    cases += [pytest.param({"mod_p", "kernel"}, 2, _minor_of_p_matrix(rng, rows, cols),
                            id=f"minor-p-{rows}x{cols}")
               for rows, cols in ((3, 4), (4, 6), (5, 5))]
     return cases
 
 
-@pytest.mark.parametrize("path,primes,mat", _certified_cases())
-def test_certified_answers_equal_bareiss(path, primes, mat, monkeypatch):
+def _gauss_solve(mat, rhs):
+    """The solution of mat.x = rhs with x_c the last entry of row i of the
+    reduced echelon form of [mat | rhs] at its pivot column c and 0 off the
+    pivot columns, or None if the rhs column is a pivot."""
+    reduced, pivots = gauss_echelon([row + [b] for row, b in zip(mat, rhs)])
+    if pivots and pivots[-1] == len(mat[0]):
+        return None
+    x = [Fraction(0)] * len(mat[0])
+    for row, c in zip(reduced, pivots):
+        x[c] = row[-1]
+    return x
+
+
+def _oracle_calls(mat, rhs_list):
+    """The `null_space`, `independent` and `solve` calls on mat (independent
+    on its columns as sparse vectors), each with the Gauss-Jordan answer."""
+    columns = [SparseVec(enumerate(col)) for col in zip(*mat)]
+    return ([((null_space, mat), gauss_null_space(mat)),
+             ((independent, columns), gauss_echelon(mat)[1])]
+            + [((solve, mat, rhs), _gauss_solve(mat, rhs)) for rhs in rhs_list])
+
+
+@pytest.mark.parametrize("paths,primes,mat", _certified_cases())
+def test_certified_answers_equal_bareiss(paths, primes, mat):
     """null_space, independent and solve on rank-deficient matrices, on
     matrices whose kernel entries pass 2^130 and need several primes, and on
-    matrices with a minor divisible by 2^61 - 1 give what Bareiss gives
-    (`_bareiss_echelon` alone, with no prime to eliminate by), and each takes
-    the expected path: the kernel certificate, or the fallback once the
-    pivot columns mod the first two primes disagree."""
+    matrices with a minor divisible by 2^61 - 1 give what Gauss-Jordan
+    elimination over Fraction gives, and each takes an expected path: the
+    kernel certificate, or for the minor-p ones full rank or the kernel
+    certificate mod a later prime, whose pivot columns replace those mod
+    2^61 - 1."""
     rng = random.Random(len(mat) * 100 + len(mat[0]))
-    columns = [SparseVec(enumerate(col)) for col in zip(*mat)]
     rhs = [Fraction(rng.randrange(-5, 6)) for _ in mat]
     in_span = [sum(row[:2], Fraction(0)) for row in mat]
-    calls = [(null_space, mat), (independent, columns), (solve, mat, rhs), (solve, mat, in_span)]
-    got = [_paths_of(*call) for call in calls]
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "_PRIMES", ())
-        want = [_paths_of(*call) for call in calls]
-    assert [out for out, _ in got] == [out for out, _ in want]
-    assert independent(columns) == _bareiss_echelon(_columns(columns))[1]
-    assert all(taken[path] == 1 and taken["primes"] >= primes for _, taken in got), got
-    assert all(taken["bareiss"] == 1 and not taken["primes"] for _, taken in want), want
+    calls = _oracle_calls(mat, [rhs, in_span])
+    got = [_paths_of(*call) for call, _ in calls]
+    assert [out for out, _ in got] == [want for _, want in calls]
+    for _, taken in got:
+        (answered,) = set(taken) - {"primes"}
+        assert answered in paths and taken[answered] == 1 and taken["primes"] >= primes, got
     assert rank(mat) == gauss_rank(mat)
     kernel_basis = got[0][0]
-    assert len(kernel_basis) == len(mat[0]) - gauss_rank(mat)
     for vec in kernel_basis:
         assert all(sum((r * x for r, x in zip(row, vec)), Fraction(0)) == 0 for row in mat)
     if primes > 2:
         assert max(max(abs(x.numerator), x.denominator) for v in kernel_basis for x in v) > 2**130
     assert got[3][0] is not None
+
+
+@pytest.mark.parametrize("mat", [[[1, 2, 3], [2**61, 2, 3]],
+                                 [[1, 1, 0, 0], [1, 2**61, 0, 0], [2, 2, 0, 0]]],
+                         ids=["2x3", "3x4"])
+def test_dropped_row_independent_over_q_restarts_from_all_rows(mat):
+    """2^61 = 1 + p for the first prime p = 2^61 - 1, which keeps one row
+    and drops another that is independent of it over Q. The kernel read back
+    from the kept row is 0 on it and not on the dropped row, which proves
+    that the kept rows lost rank: the next prime eliminates all the rows and
+    certifies."""
+    mat = [[Fraction(x) for x in row] for row in mat]
+    in_span = [sum(row[:2], Fraction(0)) for row in mat]
+    for (fn, *args), want in _oracle_calls(mat, [in_span]):
+        got, taken = _paths_of(fn, *args)
+        assert got == want, fn.__name__
+        assert taken == Counter(primes=2, kernel=1), (fn.__name__, taken)
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(10**4) if _is_prime(n)] == [n for n in range(10**4) if trial(n)]
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not _is_prime(n), n
+
+
+def test_primes_count_down_from_the_mersenne_prime():
+    assert [_prime(i) for i in range(12)] == [
+        (1 << 61) - d for d in (1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579)]
 
 
 def test_null_space_vectors_lie_in_kernel_and_span_it():

@@ -3,7 +3,8 @@ in core alone: no other module of src/voacalc names its internals; they reach
 it through `independent`, `coordinates`, `kernel`, `rank`, `null_space` and
 `solve`. Inside core, `rank`, `null_space` and `independent` are the only
 callers of the certified elimination `_eliminate`, and it is the only caller
-of the elimination mod p, the kernel read-back and the Bareiss fallback."""
+of the prime draw, the elimination mod p, the kernel read-back and its exact
+check; the prime draw alone calls the primality test."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from pathlib import Path
 from test_lattice_home import calls_of
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "voacalc"
-PRIVATE = {"_bareiss_echelon", "_columns", "_eliminate", "_echelon_mod", "_exact_kernel",
-           "_rationals", "_PRIMES"}
+PRIVATE = {"_columns", "_eliminate", "_echelon_mod", "_exact_kernel", "_is_prime", "_misses",
+           "_prime", "_rationals"}
 
 
 def test_only_core_names_the_elimination_internals():
@@ -37,11 +38,13 @@ def test_only_core_names_the_elimination_internals():
 
 
 def test_only_the_entry_points_call_the_certified_elimination():
-    inner = {"_eliminate", "_echelon_mod", "_exact_kernel", "_rationals", "_bareiss_echelon"}
+    inner = {"_eliminate", "_echelon_mod", "_exact_kernel", "_is_prime", "_misses", "_prime",
+             "_rationals"}
     calls = sorted(call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, inner))
     assert calls == sorted([
         ("_eliminate", "core.rank"), ("_eliminate", "core.null_space"),
         ("_eliminate", "core.independent"), ("_echelon_mod", "core._eliminate"),
         ("_exact_kernel", "core._eliminate"), ("_rationals", "core._exact_kernel"),
-        ("_bareiss_echelon", "core._eliminate"),
+        ("_prime", "core._eliminate"), ("_is_prime", "core._prime"),
+        ("_misses", "core._eliminate"), ("_misses", "core._eliminate"),
     ]), calls
