@@ -8,7 +8,6 @@ Everything is computed over exact rationals; no floating point anywhere.
 from .core import (
     InputError,
     SparseVec,
-    normalized_integer_vector,
     null_space,
     partition_count,
     partitions,

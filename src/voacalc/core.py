@@ -1,9 +1,13 @@
 """Shared exact-arithmetic substrate: partitions, integer square roots,
-sparse vectors, exact linear algebra (one elimination mod primes, drawn
-until its answer is certified exactly; lists of sparse vectors reach it
-only through `independent`, `coordinates` and `kernel`), integer q-series
-helpers, the verification-report builders (`check` and `check_values` for
-one check, `report` for a suite) and the error every input check raises.
+sparse vectors, exact linear algebra, integer q-series helpers, the
+verification-report builders (`check` and `check_values` for one check,
+`report` for a suite) and the error every input check raises.
+
+The linear algebra is one elimination of sparse integer rows mod primes,
+drawn until its answer is certified exactly. Dense rational matrices reach
+it through `rank`, `null_space` and `solve`, lists of sparse vectors through
+`independent`, `coordinates` and `kernel`; each row is scaled to integers
+once, by `_integer_row`.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -193,14 +197,13 @@ def _accumulate(dst: dict, src: Mapping, factor: Fraction) -> None:
 # ---------------------------------------------------------------------------
 # exact linear algebra (elimination mod primes, certified exactly)
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (row space, null space
-    and rank are unchanged by nonzero row scaling)."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """A rational row given by (column, entry) pairs as {column: int} over
+    its nonzero entries, scaled by the lcm of their denominators (row space,
+    null space and rank are unchanged by nonzero row scaling)."""
+    row = [(j, x) for j, x in entries if x]
+    scale = math.lcm(*(x.denominator for _, x in row))
+    return {j: x.numerator * (scale // x.denominator) for j, x in row}
 
 
 def _is_prime(n: int) -> bool:
@@ -237,27 +240,23 @@ def _prime(i: int) -> int:
     return p
 
 
-# how many eliminations (`rank`, `null_space`, `independent`) each path
-# answered: "mod_p" (full rank mod a prime, nothing left to certify: every
-# column a pivot, or for `rank` every row) or "kernel" (the kernel basis
-# rebuilt from the primes satisfies M.x = 0 exactly); and under "primes" the
-# eliminations mod a prime they ran. A count that nothing in the package
-# reads.
+# how many calls of `_eliminate` each path answered: "mod_p" (full rank mod
+# a prime, nothing left to certify: every column a pivot, or for `rank`
+# every row) or "kernel" (the kernel basis rebuilt from the primes satisfies
+# M.x = 0 exactly); and under "primes" the eliminations mod a prime they
+# ran. A count that nothing in the package reads.
 rank_paths: Counter = Counter()
 
 
-def _echelon_mod(rows: list[list[tuple[int, int]]], ncols: int,
-                 p: int) -> tuple[dict[int, dict[int, int]], list[int]]:
+def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, dict[int, int]]:
     """The reduced row echelon form mod the prime p of the integer matrix
-    given by the (column, entry) pairs of its nonzero entries, as
-    {pivot column: row}, and the indices of the rows that added a pivot.
-    Each row is a dict of its nonzero residues: 1 at its pivot, none left of
-    it or at another pivot column. Rows are inserted one at a time, so the
-    pivot columns are the leftmost independent ones mod p."""
+    with the given sparse rows, as {pivot column: row}. Each row is a dict
+    of its nonzero residues: 1 at its pivot, none left of it or at another
+    pivot column. Rows are inserted one at a time, so the pivot columns are
+    the leftmost independent ones mod p."""
     ech: dict[int, dict[int, int]] = {}
-    kept: list[int] = []
-    for index, row in enumerate(rows):
-        v = {j: x % p for j, x in row}
+    for row in rows:
+        v = {j: x % p for j, x in row.items()}
         get = v.get
         for c in [c for c in v if c in ech]:
             f = v[c]
@@ -266,7 +265,6 @@ def _echelon_mod(rows: list[list[tuple[int, int]]], ncols: int,
         v = {j: x for j, x in ((j, x % p) for j, x in v.items()) if x}
         if not v:
             continue
-        kept.append(index)
         lead = min(v)
         inv = pow(v[lead], -1, p)
         v = {j: x * inv % p for j, x in v.items()}
@@ -282,7 +280,7 @@ def _echelon_mod(rows: list[list[tuple[int, int]]], ncols: int,
         ech[lead] = v
         if len(ech) == ncols:
             break
-    return ech, kept
+    return ech
 
 
 def _rationals(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
@@ -318,8 +316,8 @@ def _exact_kernel(free: list[int], pivots: list[int], residues: list[list[int]],
     """The kernel vectors whose pivot coordinates are the residues mod
     modulus read back as rationals (free column f at 1, the other free
     columns at 0), each scaled by its common denominator to the (column,
-    integer) pairs of its support, f last; or None if one does not read
-    back."""
+    integer) pairs of its support in ascending columns, f last; or None if
+    one does not read back."""
     vectors = []
     for f, res in zip(free, residues):
         got = _rationals(res, modulus)
@@ -330,57 +328,53 @@ def _exact_kernel(free: list[int], pivots: list[int], residues: list[list[int]],
     return vectors
 
 
-def _misses(vectors: list[list[tuple[int, int]]], rows: Iterable[list[int]]) -> bool:
-    """Whether some integer row is not 0 on some vector, in exact arithmetic."""
-    return any(sum(row[j] * y for j, y in v) for row in rows for v in vectors)
+def _misses(vectors: list[list[tuple[int, int]]], rows: list[dict[int, int]]) -> bool:
+    """Whether some sparse integer row is not 0 on some vector, in exact
+    arithmetic."""
+    return any(sum(row.get(j, 0) * y for j, y in v) for row in rows for v in vectors)
 
 
-def _eliminate(rows: Sequence[Sequence[Fraction]],
-               rank_only: bool = False) -> tuple[list[int], list[list[Fraction]] | None]:
-    """The pivot columns of a matrix (leftmost first) and its `null_space`
-    basis, from its reduced echelon forms mod the primes `_prime(i)`.
+def _eliminate(rows: Sequence[dict[int, int]], ncols: int, rank_only: bool = False
+               ) -> tuple[list[int], list[list[tuple[int, int]]] | None]:
+    """The pivot columns (leftmost first) and the `_exact_kernel` vectors of
+    the integer matrix with ncols columns and the given rows, each a dict
+    {column: nonzero int} (an empty dict is a zero row), from its reduced
+    echelon forms mod the primes `_prime(i)`.
 
-    Each free column f mod p gives the kernel vector with x_f = 1, the other
-    free coordinates 0 and the rest on pivots left of f. These are combined
-    over the primes by the Chinese remainder theorem and read back as
-    rationals, and taken only once all of them satisfy M.x = 0 exactly. Then
-    each f depends on the columns left of it over Q, and n - r_p independent
-    kernel vectors bound the rank by r_p, which a minor nonzero mod p bounds
-    from below: the free columns and kernel vectors are those of exact
-    elimination over Q.
+    Every prime eliminates every row. Each free column f mod p gives the
+    kernel vector with x_f = 1, the other free coordinates 0 and the rest on
+    pivots left of f. These are combined over the primes by the Chinese
+    remainder theorem and read back as rationals, and taken only once all of
+    them satisfy M.x = 0 exactly. Then each f depends on the columns left of
+    it over Q, and n - r_p independent kernel vectors bound the rank by r_p,
+    which a minor nonzero mod p bounds from below: the free columns and
+    kernel vectors are those of exact elimination over Q.
 
     A rank mod p is at most the rank over Q, and at equal rank each pivot
     column mod p is at or right of the one over Q. So a prime whose pivot
     columns differ from those kept replaces them, and starts the residues
     again, if it has a larger rank or the lexicographically smaller columns;
-    otherwise it is passed over. The primes after the one whose pivots are
-    kept eliminate only the rows it kept. If the vectors are 0 on those rows
-    but not on a dropped one, the kept rows have a smaller rank over Q than
-    M, and the rows and pivots start again from all the rows. Only the
-    finitely many primes dividing one nonzero minor of M go wrong, so some
-    prime ends the loop.
+    otherwise it is passed over. Only the finitely many primes dividing one
+    nonzero minor of M go wrong, so some prime ends the loop.
 
     Full rank mod a prime needs no certificate: with a pivot in every column
     the kernel is 0. With `rank_only`, a pivot in every row also ends the
     work, and the kernel may come back as None.
     """
-    ncols = len(rows[0])
-    m = [row for row in _integer_rows(rows) if any(row)]
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in m]
     # the echelon form does not depend on the order of the rows; taking
     # those that start furthest right first keeps the rows short
-    order = live = sorted(range(len(m)), key=lambda k: -sparse[k][0][0])
+    m = sorted(filter(None, rows), key=lambda row: -min(row))
     pivots = None
     for i in count():
         rank_paths["primes"] += 1
         p = _prime(i)
-        ech, kept = _echelon_mod([sparse[k] for k in live], ncols, p)
+        ech = _echelon_mod(m, ncols, p)
         got = sorted(ech)
         if len(got) == ncols or rank_only and len(got) == len(rows):
             rank_paths["mod_p"] += 1
             return got, [] if len(got) == ncols else None
         if pivots is None or (-len(got), got) < (-len(pivots), pivots):
-            pivots, live = got, [live[k] for k in kept]
+            pivots = got
             free = [j for j in range(ncols) if j not in ech]
             residues = [[0] * bisect(pivots, f) for f in free]
             modulus = 1
@@ -392,20 +386,19 @@ def _eliminate(rows: Sequence[Sequence[Fraction]],
                 res[k] += modulus * ((-ech[c].get(f, 0) - res[k]) * step % p)
         modulus *= p
         vectors = _exact_kernel(free, pivots, residues, modulus)
-        if vectors is None or _misses(vectors, (m[k] for k in live)):
-            continue
-        if _misses(vectors, (m[k] for k in set(order).difference(live))):
-            live, pivots = order, None
-            continue
-        rank_paths["kernel"] += 1
-        kernel = []
-        for v in vectors:
-            (f, den), x = v[-1], [ZERO] * ncols
-            x[f] = ONE
-            for c, n in v[:-1]:
-                x[c] = Fraction(n, den)
-            kernel.append(x)
-        return pivots, kernel
+        if vectors is not None and not _misses(vectors, m):
+            rank_paths["kernel"] += 1
+            return pivots, vectors
+
+
+def _fractions(vector: list[tuple[int, int]], ncols: int) -> list[Fraction]:
+    """A kernel vector of `_eliminate` as ncols Fractions: x_f = 1 at its
+    free column f, the last pair."""
+    den = vector[-1][1]
+    x = [ZERO] * ncols
+    for c, n in vector:
+        x[c] = Fraction(n, den)
+    return x
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -415,7 +408,8 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     rank."""
     if not rows or not rows[0]:
         return 0
-    return len(_eliminate(rows, rank_only=True)[0])
+    m = [_integer_row(enumerate(row)) for row in rows]
+    return len(_eliminate(m, len(rows[0]), rank_only=True)[0])
 
 
 def null_space(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -426,68 +420,60 @@ def null_space(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """
     if not rows:
         return []
-    return _eliminate(rows)[1]
+    m = [_integer_row(enumerate(row)) for row in rows]
+    return [_fractions(v, len(rows[0])) for v in _eliminate(m, len(rows[0]))[1]]
 
 
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows . x = rhs, or None if inconsistent.
-
-    Free coordinates are set to 0 (deterministic): the solution is the
-    null_space vector of the free column -rhs of [rows | -rhs]. If that
-    column is a pivot, every kernel vector ends in 0 and there is none.
-    """
+    """One exact solution of rows . x = rhs, or None if inconsistent: the
+    `coordinates` of rhs in the columns of rows, so free coordinates are 0."""
     if not rows:
         return None
-    kernel = null_space([list(row) + [-b] for row, b in zip(rows, rhs)])
-    if not kernel or not kernel[-1][-1]:
-        return None
-    return kernel[-1][:-1]
+    return coordinates([SparseVec(enumerate(col)) for col in zip(*rows)],
+                       SparseVec(enumerate(rhs)))
 
 
-def _columns(vectors: Sequence[SparseVec]) -> list[list[Fraction]]:
-    """The matrix whose columns are the vectors: one row per key of their
-    supports, in first-appearance order. Pivot columns and kernels do not
-    depend on the row order."""
-    keys = dict.fromkeys(key for v in vectors for key in v.keys())
-    return [[v.coeff(key) for v in vectors] for key in keys]
+def _columns(vectors: Sequence[SparseVec]) -> list[dict[int, int]]:
+    """The `_integer_row`s of the matrix whose columns are the vectors: one
+    row per key of their supports, in first-appearance order. Pivot columns
+    and kernels do not depend on the row order."""
+    rows: dict = {}
+    for j, v in enumerate(vectors):
+        for key, c in v.items():
+            rows.setdefault(key, []).append((j, c))
+    return [_integer_row(entries) for entries in rows.values()]
 
 
 def independent(vectors: Sequence[SparseVec]) -> list[int]:
     """Indices of the first maximal linearly independent subsequence of the
     vectors: the pivot columns of their matrix. Zero vectors are never kept."""
     rows = _columns(vectors)
-    return _eliminate(rows)[0] if rows else []
+    return _eliminate(rows, len(vectors))[0] if rows else []
 
 
 def coordinates(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fraction] | None:
-    """The `solve` solution x of sum_i x_i vectors[i] = target (0 off the
-    independent subsequence), or None if target is not in their span."""
-    rows = _columns([*vectors, target]) or [[ZERO] * (len(vectors) + 1)]
-    return solve([row[:-1] for row in rows], [row[-1] for row in rows])
+    """The x with sum_i x_i vectors[i] = target, 0 off the independent
+    subsequence: the kernel vector of the free last column of
+    [vectors | -target]. None if target is not in their span, that is, if
+    the last column is a pivot."""
+    n = len(vectors)
+    basis = _eliminate(_columns([*vectors, target.scaled(-ONE)]), n + 1)[1]
+    if not basis or basis[-1][-1][0] != n:
+        return None
+    return _fractions(basis[-1], n + 1)[:-1]
 
 
 def kernel(basis: Sequence, maps: Sequence[Callable[..., SparseVec]]) -> list[SparseVec]:
     """The null_space basis of the joint kernel of linear maps on the span of
     the basis keys, each map given as a function of one key. Each vector is
-    normalized_integer_vector under the basis order."""
+    scaled to coprime integer coefficients, the first in basis order
+    positive: a deterministic representative of its line."""
     rows = [row for f in maps for row in _columns([f(b) for b in basis])]
-    index = {b: i for i, b in enumerate(basis)}
-    return [normalized_integer_vector(SparseVec(zip(basis, coords)), index.__getitem__)
-            for coords in null_space(rows or [[ZERO] * len(basis)])]
-
-
-def normalized_integer_vector(v: SparseVec, key_order) -> SparseVec:
-    """Scale v so all coefficients are coprime integers and the coefficient of
-    the smallest key under key_order is positive. Deterministic representative
-    of the line spanned by v."""
-    if v.is_zero():
-        return v
-    denom_lcm = math.lcm(*(c.denominator for _, c in v.items()))
-    factor = Fraction(denom_lcm, math.gcd(*(int(c * denom_lcm) for _, c in v.items())))
-    lead_key = min(v.keys(), key=key_order)
-    if v.coeff(lead_key) < 0:
-        factor = -factor
-    return v.scaled(factor)
+    out = []
+    for v in _eliminate(rows, len(basis))[1]:
+        g = math.gcd(*(n for _, n in v)) * (1 if v[0][1] > 0 else -1)
+        out.append(SparseVec._raw({basis[c]: Fraction(n // g) for c, n in v}))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 
 # -- naive Virasoro straightening by term rewriting ---------------------------
@@ -302,6 +302,17 @@ def gauss_null_space(rows) -> list[list[Fraction]]:
             x[c] = -row[f]
         basis.append(x)
     return basis
+
+
+def primitive_integer_vector(x) -> list[Fraction]:
+    """x scaled to coprime integers whose first nonzero entry is positive:
+    the one such representative of the line through a nonzero x."""
+    scale = lcm(*(c.denominator for c in x))
+    ints = [c.numerator * (scale // c.denominator) for c in x]
+    g = gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return [Fraction(c, g) for c in ints]
 
 
 def fraction_det(rows) -> Fraction:

@@ -12,7 +12,6 @@ from voacalc.core import (
     coordinates,
     independent,
     kernel,
-    normalized_integer_vector,
     null_space,
     partition_count,
     partitions,
@@ -30,6 +29,7 @@ from oracles import (
     gauss_null_space,
     gauss_rank,
     independent_subsequence,
+    primitive_integer_vector,
     product_series,
 )
 
@@ -112,7 +112,8 @@ def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
 
 def test_rank_falls_back_when_p_divides_the_determinant():
     """p = 2^61 - 1: these matrices have rank 2 or 1 over Q but a smaller
-    rank mod p, so a later prime gives the answer."""
+    rank mod p. The kernel read back mod p is not 0 on every row, and the
+    second prime, with full rank, gives the answer."""
     p = 2**61 - 1
     cases = [
         [[p]],
@@ -125,7 +126,7 @@ def test_rank_falls_back_when_p_divides_the_determinant():
         mat = [[Fraction(x) for x in row] for row in mat]
         got, taken = _paths_of(rank, mat)
         assert got == gauss_rank(mat) == min(len(mat), len(mat[0])), mat
-        assert taken["primes"] >= 2 and taken["mod_p"] + taken["kernel"] == 1, (mat, taken)
+        assert taken["primes"] == 2 and taken["mod_p"] + taken["kernel"] == 1, (mat, taken)
 
 
 def _paths_of(fn, *args):
@@ -218,11 +219,10 @@ def test_certified_answers_equal_bareiss(paths, primes, mat):
                                  [[1, 1, 0, 0], [1, 2**61, 0, 0], [2, 2, 0, 0]]],
                          ids=["2x3", "3x4"])
 def test_dropped_row_independent_over_q_restarts_from_all_rows(mat):
-    """2^61 = 1 + p for the first prime p = 2^61 - 1, which keeps one row
-    and drops another that is independent of it over Q. The kernel read back
-    from the kept row is 0 on it and not on the dropped row, which proves
-    that the kept rows lost rank: the next prime eliminates all the rows and
-    certifies."""
+    """2^61 = 1 + p for the first prime p = 2^61 - 1, under which one row
+    drops out of the echelon form although it is independent of the others
+    over Q. The kernel read back mod p misses that row, and the next prime,
+    with a larger rank, replaces the pivots and certifies."""
     mat = [[Fraction(x) for x in row] for row in mat]
     in_span = [sum(row[:2], Fraction(0)) for row in mat]
     for (fn, *args), want in _oracle_calls(mat, [in_span]):
@@ -308,12 +308,26 @@ def test_square_root():
         assert square_root(x) is None
 
 
-def test_normalized_integer_vector_clears_denominators():
-    v = SparseVec({("a",): Fraction(2, 3), ("b",): Fraction(-4, 9)})
-    w = normalized_integer_vector(v, key_order=lambda k: k)
-    assert w.coeff(("a",)) == 3 and w.coeff(("b",)) == -2
-    coeffs = [w.coeff(k) for k in w.keys()]
-    assert all(x.denominator == 1 for x in coeffs)
+def test_kernel_matches_gauss_jordan_on_seeded_maps():
+    """`kernel` of seeded random maps with rational coefficients, an all-zero
+    map among them, is the Gauss-Jordan null space of their stacked matrices,
+    each vector scaled to coprime integers with its first nonzero coefficient
+    positive."""
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(40):
+        basis = [("b", i) for i in range(rng.randrange(1, 7))]
+        outputs = [("y", i) for i in range(rng.randrange(1, 5))]
+        tables = [{b: SparseVec({y: Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
+                                 for y in outputs if rng.random() < 0.6})
+                   for b in basis} for _ in range(rng.randrange(1, 3))]
+        tables.insert(rng.randrange(len(tables) + 1), {b: SparseVec.zero() for b in basis})
+        mat = [[table[b].coeff(y) for b in basis] for table in tables for y in outputs]
+        want = [primitive_integer_vector(x) for x in gauss_null_space(mat)]
+        got = kernel(basis, [table.__getitem__ for table in tables])
+        assert [[v.coeff(b) for b in basis] for v in got] == want, mat
+        nonzero += bool(want)
+    assert 10 <= nonzero <= 35, nonzero
 
 
 def test_series_add():

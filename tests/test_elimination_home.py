@@ -1,10 +1,13 @@
-"""The elimination and the rule that turns sparse vectors into its rows live
-in core alone: no other module of src/voacalc names its internals; they reach
-it through `independent`, `coordinates`, `kernel`, `rank`, `null_space` and
-`solve`. Inside core, `rank`, `null_space` and `independent` are the only
-callers of the certified elimination `_eliminate`, and it is the only caller
-of the prime draw, the elimination mod p, the kernel read-back and its exact
-check; the prime draw alone calls the primality test."""
+"""The elimination and the rules that turn matrices and sparse vectors into
+its rows live in core alone: no other module of src/voacalc names its
+internals; they reach it through `independent`, `coordinates`, `kernel`,
+`rank`, `null_space` and `solve`. Inside core, `rank`, `null_space`,
+`independent`, `coordinates` and `kernel` are the only callers of the
+certified elimination `_eliminate`, and it is the only caller of the prime
+draw, the elimination mod p, the kernel read-back and its exact check; the
+prime draw alone calls the primality test. Rows are scaled to integers only
+by `_integer_row`, called by `rank`, `null_space` and `_columns`, and every
+row `_eliminate` is given is a dict of column to nonzero int."""
 
 from __future__ import annotations
 
@@ -13,9 +16,12 @@ from pathlib import Path
 
 from test_lattice_home import calls_of
 
+from voacalc import core
+from voacalc.cli import main
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "voacalc"
-PRIVATE = {"_columns", "_eliminate", "_echelon_mod", "_exact_kernel", "_is_prime", "_misses",
-           "_prime", "_rationals"}
+PRIVATE = {"_columns", "_eliminate", "_echelon_mod", "_exact_kernel", "_fractions",
+           "_integer_row", "_is_prime", "_misses", "_prime", "_rationals"}
 
 
 def test_only_core_names_the_elimination_internals():
@@ -38,13 +44,37 @@ def test_only_core_names_the_elimination_internals():
 
 
 def test_only_the_entry_points_call_the_certified_elimination():
-    inner = {"_eliminate", "_echelon_mod", "_exact_kernel", "_is_prime", "_misses", "_prime",
-             "_rationals"}
-    calls = sorted(call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, inner))
+    calls = sorted(call for path in sorted(PACKAGE.glob("*.py"))
+                   for call in calls_of(path, PRIVATE))
     assert calls == sorted([
         ("_eliminate", "core.rank"), ("_eliminate", "core.null_space"),
-        ("_eliminate", "core.independent"), ("_echelon_mod", "core._eliminate"),
+        ("_eliminate", "core.independent"), ("_eliminate", "core.coordinates"),
+        ("_eliminate", "core.kernel"), ("_echelon_mod", "core._eliminate"),
         ("_exact_kernel", "core._eliminate"), ("_rationals", "core._exact_kernel"),
         ("_prime", "core._eliminate"), ("_is_prime", "core._prime"),
-        ("_misses", "core._eliminate"), ("_misses", "core._eliminate"),
+        ("_misses", "core._eliminate"), ("_integer_row", "core.rank"),
+        ("_integer_row", "core.null_space"), ("_integer_row", "core._columns"),
+        ("_fractions", "core.null_space"), ("_fractions", "core.coordinates"),
+        ("_columns", "core.independent"), ("_columns", "core.coordinates"),
+        ("_columns", "core.kernel"),
     ]), calls
+
+
+def test_the_elimination_is_given_sparse_integer_rows(capsys, monkeypatch):
+    """Wrap `_eliminate` through an in-process `verify all` and
+    `primary --weight 10`: every row is a dict of column to nonzero int,
+    with each column below ncols."""
+    eliminate, seen = core._eliminate, []
+
+    def wrapped(rows, ncols, rank_only=False):
+        seen.append((rows, ncols))
+        return eliminate(rows, ncols, rank_only)
+
+    monkeypatch.setattr(core, "_eliminate", wrapped)
+    assert main(["verify", "all"]) == 0 and main(["primary", "--weight", "10"]) == 0
+    capsys.readouterr()
+    bad = [(row, ncols) for rows, ncols in seen for row in rows
+           if type(row) is not dict or not all(
+               type(j) is int and 0 <= j < ncols and type(x) is int and x
+               for j, x in row.items())]
+    assert len(seen) > 40 and not bad, (len(seen), bad[:3])

@@ -6,7 +6,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from voacalc.core import InputError, SparseVec, kernel, normalized_integer_vector, partitions
+from voacalc.core import InputError, SparseVec, kernel, partitions
 from voacalc.fock import (
     FockSpace,
     _exp_series,
@@ -88,13 +88,14 @@ def test_virasoro_commutator_on_fock_space(k2):
 def test_m1_virasoro_primaries_sit_at_square_weights(k):
     """M(1) = sum over m >= 0 of L(1, m^2): below weight 11 the joint kernel
     of L_1 and L_2 is a line at weights 1, 4 and 9 and 0 elsewhere; at
-    weight 4 it is spanned by the paper's J."""
+    weight 4 it is spanned by the paper's J, here as the coprime integer
+    vector -4k^2 J = 4k a(-3)a(-1) - 3k a(-2)^2 - a(-1)^4."""
     sp = FockSpace(k)
     primaries = {w: kernel(sp.basis("m1", w), [partial(sp.vir_act, n) for n in (1, 2)])
                  for w in range(1, 11)}
     assert [len(primaries[w]) for w in range(1, 11)] == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0]
-    order = {mono: i for i, mono in enumerate(sp.basis("m1", 4))}
-    assert primaries[4] == [normalized_integer_vector(sp.jvec(), order.__getitem__)]
+    j = SparseVec({((3, 1), 0): 4 * k, ((2, 2), 0): -3 * k, ((1, 1, 1, 1), 0): -1})
+    assert primaries[4] == [j] and sp.jvec().scaled(Fraction(-4 * k * k)) == j
 
 
 def test_bilinear_form_closed_form(k3):
