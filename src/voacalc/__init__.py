@@ -8,12 +8,10 @@ Everything is computed over exact rationals; no floating point anywhere.
 from .core import (
     InputError,
     SparseVec,
-    null_space,
     partition_count,
     partitions,
     rank,
     series_add,
-    solve,
 )
 from .virasoro import (
     VirasoroModule,

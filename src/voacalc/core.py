@@ -4,10 +4,10 @@ verification-report builders (`check` and `check_values` for one check,
 `report` for a suite) and the error every input check raises.
 
 The linear algebra is one elimination of sparse integer rows mod primes,
-drawn until its answer is certified exactly. Dense rational matrices reach
-it through `rank`, `null_space` and `solve`, lists of sparse vectors through
-`independent`, `coordinates` and `kernel`; each row is scaled to integers
-once, by `_integer_row`.
+drawn until its answer is certified exactly. A dense rational matrix reaches
+it through `rank`, lists of sparse vectors through `independent`,
+`coordinates` and `kernel`; each row is scaled to integers once, by
+`_integer_row`.
 
 Every coefficient in this package is an exact rational (`fractions.Fraction`);
 no floats enter any computation.
@@ -391,16 +391,6 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int, rank_only: bool = Fal
             return pivots, vectors
 
 
-def _fractions(vector: list[tuple[int, int]], ncols: int) -> list[Fraction]:
-    """A kernel vector of `_eliminate` as ncols Fractions: x_f = 1 at its
-    free column f, the last pair."""
-    den = vector[-1][1]
-    x = [ZERO] * ncols
-    for c, n in vector:
-        x[c] = Fraction(n, den)
-    return x
-
-
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of an exact rational matrix: the number of pivot columns of
     `_eliminate`, which stops at a prime when the rank mod p is
@@ -410,27 +400,6 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
         return 0
     m = [_integer_row(enumerate(row)) for row in rows]
     return len(_eliminate(m, len(rows[0]), rank_only=True)[0])
-
-
-def null_space(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Deterministic exact basis of {x : rows . x = 0}.
-
-    One basis vector per free column, in ascending column order, with the free
-    coordinate set to 1 and remaining free coordinates 0.
-    """
-    if not rows:
-        return []
-    m = [_integer_row(enumerate(row)) for row in rows]
-    return [_fractions(v, len(rows[0])) for v in _eliminate(m, len(rows[0]))[1]]
-
-
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows . x = rhs, or None if inconsistent: the
-    `coordinates` of rhs in the columns of rows, so free coordinates are 0."""
-    if not rows:
-        return None
-    return coordinates([SparseVec(enumerate(col)) for col in zip(*rows)],
-                       SparseVec(enumerate(rhs)))
 
 
 def _columns(vectors: Sequence[SparseVec]) -> list[dict[int, int]]:
@@ -460,14 +429,19 @@ def coordinates(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fractio
     basis = _eliminate(_columns([*vectors, target.scaled(-ONE)]), n + 1)[1]
     if not basis or basis[-1][-1][0] != n:
         return None
-    return _fractions(basis[-1], n + 1)[:-1]
+    *pairs, (_, den) = basis[-1]
+    x = [ZERO] * n
+    for c, num in pairs:
+        x[c] = Fraction(num, den)
+    return x
 
 
 def kernel(basis: Sequence, maps: Sequence[Callable[..., SparseVec]]) -> list[SparseVec]:
-    """The null_space basis of the joint kernel of linear maps on the span of
-    the basis keys, each map given as a function of one key. Each vector is
-    scaled to coprime integer coefficients, the first in basis order
-    positive: a deterministic representative of its line."""
+    """A basis of the joint kernel of linear maps on the span of the basis
+    keys, each map given as a function of one key: the `_eliminate` kernel
+    vectors, one per free column in ascending order. Each is scaled to
+    coprime integer coefficients, the first in basis order positive: a
+    deterministic representative of its line."""
     rows = [row for f in maps for row in _columns([f(b) for b in basis])]
     out = []
     for v in _eliminate(rows, len(basis))[1]:

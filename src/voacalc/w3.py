@@ -22,8 +22,10 @@ l_i >= 2 and w_j >= 3; for a Verma module with L_0, W_0 eigenvalues (lam, mu)
 it is l_i, w_j >= 1.
 
 The contravariant form takes L_n to L_{-n}, W_n to W_{-n}, with <1, 1> = 1.
-Virasoro block bases come from `core.independent`, and the recorded-word
-coordinates of `verify thm32` from `core.coordinates`.
+Virasoro block bases come from `core.independent`. `decompose` pairs each
+block vector through the adjoints of its Virasoro modes, and solves for the
+projection with `core.coordinates`, as `verify thm32` does for the
+recorded-word coordinates.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .core import (
     partitions,
     rank,
     report,
-    solve,
 )
 from .virasoro import HighestWeightModule
 
@@ -193,13 +194,14 @@ class W3Module(HighestWeightModule):
             raise InputError(f"vector is not homogeneous: weights {sorted(weights)}")
         return weights.pop()
 
-    def block_basis(self, vec: SparseVec, weight: int) -> list[SparseVec]:
+    def block_basis(self, vec: SparseVec, weight: int) -> tuple[list, list[SparseVec]]:
         """Basis of the Virasoro block of vec at the weight: the first maximal
         independent subsequence of the L_{-lambda} vec, lambda in
-        `partitions` order."""
-        span = [self.apply_word([("L", -m) for m in lam], vec)
-                for lam in partitions(weight - self.vector_weight(vec), 1)]
-        return [span[j] for j in independent(span)]
+        `partitions` order, and the lambdas kept."""
+        lams = partitions(weight - self.vector_weight(vec), 1)
+        span = [self.apply_word([("L", -m) for m in lam], vec) for lam in lams]
+        kept = independent(span)
+        return [lams[j] for j in kept], [span[j] for j in kept]
 
     def decompose(self, v: SparseVec, primaries) -> tuple[dict, SparseVec]:
         """Resolve v against the Virasoro blocks generated by the vacuum and
@@ -212,6 +214,11 @@ class W3Module(HighestWeightModule):
         remainder is orthogonal to every block. Raises DegenerateBlockError if
         some block's Gram matrix is singular at this weight, and InputError on
         a Verma module, where the blocks need not be orthogonal.
+
+        A block vector is b = L_{-lambda_1} ... L_{-lambda_r} g, and
+        <b, y> = <g, L_{lambda_r} ... L_{lambda_1} y>: y is lowered by the
+        modes of lambda and paired once with g at the weight of g. Column j
+        of the Gram matrix takes y = b_j, the right-hand side y = v.
         """
         if not self.vacuum:
             raise InputError("decompose needs the vacuum module: on a Verma module "
@@ -219,26 +226,23 @@ class W3Module(HighestWeightModule):
         weight = self.vector_weight(v)
         blocks = [("vacuum", SparseVec.unit(EMPTY))] + list(primaries)
         components: dict = {}
-        acc = SparseVec.zero()
         for label, gen_vec in blocks:
-            block = self.block_basis(gen_vec, weight)
+            lams, block = self.block_basis(gen_vec, weight)
             if not block:
                 components[label] = SparseVec.zero()
                 continue
-            g = [[self.pair(bi, bj) for bj in block] for bi in block]
-            if rank(g) < len(block):
+            words = [[("L", m) for m in reversed(lam)] for lam in lams]
+            *columns, rhs = [[self.pair(gen_vec, self.apply_word(word, y)) for word in words]
+                             for y in (*block, v)]
+            if rank(columns) < len(block):
                 raise DegenerateBlockError(
                     f"block {label!r} has singular Gram form at weight {weight}; "
                     "orthogonal projection is undefined")
-            rhs = [self.pair(bi, v) for bi in block]
-            coeffs = solve(g, rhs)
-            comp = SparseVec.zero()
-            for x, b in zip(coeffs, block):
-                if x:
-                    comp = comp + b.scaled(x)
-            components[label] = comp
-            acc = acc + comp
-        return components, v - acc
+            coeffs = coordinates([SparseVec(enumerate(col)) for col in columns],
+                                 SparseVec(enumerate(rhs)))
+            components[label] = sum((b.scaled(x) for x, b in zip(coeffs, block) if x),
+                                    SparseVec.zero())
+        return components, v - sum(components.values(), SparseVec.zero())
 
     def descendant_gap(self, weight: int, primaries) -> dict:
         """Dimension bookkeeping of the joint Virasoro-descendant span of the
@@ -247,7 +251,7 @@ class W3Module(HighestWeightModule):
         spans = {}
         joint: list[SparseVec] = []
         for label, gen_vec in blocks:
-            block = self.block_basis(gen_vec, weight)
+            block = self.block_basis(gen_vec, weight)[1]
             spans[label] = len(block)
             joint.extend(block)
         joint_rank = len(independent(joint))

@@ -14,6 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, lcm
 
+from voacalc.core import SparseVec
+from voacalc.w3 import DegenerateBlockError
+
 
 # -- naive Virasoro straightening by term rewriting ---------------------------
 
@@ -257,6 +260,33 @@ def gram_by_pairs(mod, w) -> list:
     return [[mod.pair(a, b) for b in units] for a in units]
 
 
+def decompose_by_pairs(mod, v, primaries) -> tuple[dict, SparseVec]:
+    """W3Module.decompose with one `pair` per entry of each block's Gram
+    matrix and of its right-hand side, each straightening a whole mode word,
+    and a Gauss-Jordan solve (the package lowers by the adjoint modes and
+    pairs once with the generator instead). Each block basis is a first
+    maximal independent subsequence of the L_{-lambda} g found by
+    Gauss-Jordan ranks; the projection does not depend on which."""
+    weight = mod.vector_weight(v)
+    units = mod.basis(weight)
+    components = {}
+    for label, g in [("vacuum", SparseVec.unit(mod.EMPTY))] + list(primaries):
+        lams = sorted(brute_partitions(weight - mod.vector_weight(g)), reverse=True)
+        span = [mod.apply_word([("L", -m) for m in lam], g) for lam in lams]
+        keep = independent_subsequence([[x.coeff(u) for u in units] for x in span])
+        block = [span[i] for i in keep]
+        components[label] = SparseVec.zero()
+        if not block:
+            continue
+        gram = [[mod.pair(a, b) for b in block] for a in block]
+        if gauss_rank(gram) < len(block):
+            raise DegenerateBlockError(f"block {label!r} is degenerate at weight {weight}")
+        x = gauss_solve(gram, [mod.pair(a, v) for a in block])
+        for xi, b in zip(x, block):
+            components[label] = components[label] + b.scaled(xi)
+    return components, v - sum(components.values(), SparseVec.zero())
+
+
 # -- plain Gaussian elimination ------------------------------------------------
 
 
@@ -302,6 +332,19 @@ def gauss_null_space(rows) -> list[list[Fraction]]:
             x[c] = -row[f]
         basis.append(x)
     return basis
+
+
+def gauss_solve(mat, rhs):
+    """The solution of mat.x = rhs with x_c the last entry of row i of the
+    reduced echelon form of [mat | rhs] at its pivot column c and 0 off the
+    pivot columns, or None if the rhs column is a pivot."""
+    reduced, pivots = gauss_echelon([list(row) + [b] for row, b in zip(mat, rhs)])
+    if pivots and pivots[-1] == len(mat[0]):
+        return None
+    x = [Fraction(0)] * len(mat[0])
+    for row, c in zip(reduced, pivots):
+        x[c] = row[-1]
+    return x
 
 
 def primitive_integer_vector(x) -> list[Fraction]:

@@ -473,7 +473,9 @@ def test_verify_all(capsys):
 # for the suites at non-default parameters, recorded before the suite
 # reports were built by `core.check_values` and `core.report`; and for the
 # Fock calls from `act --algebra fock` on, recorded before the Fock rules each
-# had one kernel. Any refactor must keep these reports byte-identical
+# had one kernel; and for the last, a weight-12 `decompose` with all three
+# blocks non-empty, recorded before `decompose` paired each block through its
+# mode words. Any refactor must keep these reports byte-identical
 GOLDEN_STDOUT_SHA256 = {
     'dims --algebra w3 --c 1 --max-weight 8':
         "86079b0c76146ee3ac91b3c88c6f03376f5143166aff8ae781037cbd56420335",
@@ -535,6 +537,8 @@ GOLDEN_STDOUT_SHA256 = {
         "2816e96cb2f0836d29cfaa09057d42dd25ce1515dcaa955b0c20ef42bc18aa98",
     'dims --algebra vl- --k 2 --max-weight 12':
         "d243e8d8a9e9724a39b392a837afa158d5dab7d0b48eb2545b6b8c1a4933481c",
+    'decompose --algebra w3 --c 1 --monomial "L(-2)W(-4)W(-3)W(-3)"':
+        "c9074fd3292340a1cad727328f6f0dff07221e07ab93f58dc327aabccea8a81c",
 }
 
 

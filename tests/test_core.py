@@ -12,14 +12,12 @@ from voacalc.core import (
     coordinates,
     independent,
     kernel,
-    null_space,
     partition_count,
     partitions,
     rank,
     rank_paths,
     report,
     series_add,
-    solve,
     square_root,
 )
 
@@ -28,6 +26,7 @@ from oracles import (
     gauss_echelon,
     gauss_null_space,
     gauss_rank,
+    gauss_solve,
     independent_subsequence,
     primitive_integer_vector,
     product_series,
@@ -166,31 +165,29 @@ def _certified_cases():
     return cases
 
 
-def _gauss_solve(mat, rhs):
-    """The solution of mat.x = rhs with x_c the last entry of row i of the
-    reduced echelon form of [mat | rhs] at its pivot column c and 0 off the
-    pivot columns, or None if the rhs column is a pivot."""
-    reduced, pivots = gauss_echelon([row + [b] for row, b in zip(mat, rhs)])
-    if pivots and pivots[-1] == len(mat[0]):
-        return None
-    x = [Fraction(0)] * len(mat[0])
-    for row, c in zip(reduced, pivots):
-        x[c] = row[-1]
-    return x
+def _matrix_kernel(mat):
+    """`kernel` of the one map x -> mat.x on the coordinates 0 .. ncols - 1,
+    as dense Fraction lists."""
+    cols = list(range(len(mat[0])))
+    vectors = kernel(cols, [lambda j: SparseVec((i, row[j]) for i, row in enumerate(mat))])
+    return [[v.coeff(j) for j in cols] for v in vectors]
 
 
 def _oracle_calls(mat, rhs_list):
-    """The `null_space`, `independent` and `solve` calls on mat (independent
-    on its columns as sparse vectors), each with the Gauss-Jordan answer."""
+    """The `kernel`, `independent` and `coordinates` calls on mat (the last
+    two on its columns as sparse vectors), each with the Gauss-Jordan answer;
+    the kernel vectors scaled to coprime integers."""
     columns = [SparseVec(enumerate(col)) for col in zip(*mat)]
-    return ([((null_space, mat), gauss_null_space(mat)),
+    return ([((_matrix_kernel, mat),
+              [primitive_integer_vector(x) for x in gauss_null_space(mat)]),
              ((independent, columns), gauss_echelon(mat)[1])]
-            + [((solve, mat, rhs), _gauss_solve(mat, rhs)) for rhs in rhs_list])
+            + [((coordinates, columns, SparseVec(enumerate(rhs))), gauss_solve(mat, rhs))
+               for rhs in rhs_list])
 
 
 @pytest.mark.parametrize("paths,primes,mat", _certified_cases())
 def test_certified_answers_equal_bareiss(paths, primes, mat):
-    """null_space, independent and solve on rank-deficient matrices, on
+    """kernel, independent and coordinates on rank-deficient matrices, on
     matrices whose kernel entries pass 2^130 and need several primes, and on
     matrices with a minor divisible by 2^61 - 1 give what Gauss-Jordan
     elimination over Fraction gives, and each takes an expected path: the
@@ -245,14 +242,14 @@ def test_primes_count_down_from_the_mersenne_prime():
         (1 << 61) - d for d in (1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579)]
 
 
-def test_null_space_vectors_lie_in_kernel_and_span_it():
+def test_kernel_vectors_lie_in_kernel_and_span_it():
     rng = random.Random(11)
     for _ in range(25):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 6)
         mat = [[Fraction(rng.randrange(-3, 4)) for _ in range(cols)]
                for _ in range(rows)]
-        basis = null_space(mat)
+        basis = _matrix_kernel(mat)
         assert len(basis) == cols - gauss_rank(mat)
         for vec in basis:
             for row in mat:
@@ -261,19 +258,24 @@ def test_null_space_vectors_lie_in_kernel_and_span_it():
             assert gauss_rank(basis) == len(basis)
 
 
-def test_solve_consistent_and_inconsistent_systems():
+def _coordinates_of(mat, rhs):
+    """`coordinates` of rhs in the columns of mat, all as sparse vectors."""
+    return coordinates([SparseVec(enumerate(col)) for col in zip(*mat)],
+                       SparseVec(enumerate(rhs)))
+
+
+def test_coordinates_consistent_and_inconsistent_systems():
     mat = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve(mat, [Fraction(3), Fraction(6)]) is not None
-    assert solve(mat, [Fraction(3), Fraction(7)]) is None
-    sol = solve([[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]],
-                [Fraction(3), Fraction(4)])
+    assert _coordinates_of(mat, [Fraction(3), Fraction(6)]) is not None
+    assert _coordinates_of(mat, [Fraction(3), Fraction(7)]) is None
+    sol = _coordinates_of([[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]],
+                          [Fraction(3), Fraction(4)])
     assert sol == [Fraction(3, 2), Fraction(5, 2)]
 
 
-def test_solve_matches_rank_criterion_on_seeded_systems():
+def test_coordinates_match_rank_criterion_on_seeded_systems():
     """None exactly when rank(A) < rank([A|b]); otherwise A.x = b with every
-    non-pivot coordinate 0. `coordinates` of the columns of A as sparse
-    vectors gives the same answer."""
+    non-pivot coordinate 0, the Gauss-Jordan solution of [A|b]."""
     rng = random.Random(23)
     inconsistent = 0
     for _ in range(300):
@@ -287,9 +289,8 @@ def test_solve_matches_rank_criterion_on_seeded_systems():
             rhs = [sum(a * b for a, b in zip(row, x0)) for row in mat]
         else:
             rhs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in mat]
-        x = solve(mat, rhs)
-        columns = [SparseVec(enumerate(col)) for col in zip(*mat)]
-        assert coordinates(columns, SparseVec(enumerate(rhs))) == x
+        x = _coordinates_of(mat, rhs)
+        assert x == gauss_solve(mat, rhs)
         if gauss_rank(mat) < gauss_rank([row + [b] for row, b in zip(mat, rhs)]):
             assert x is None
             inconsistent += 1
@@ -337,7 +338,7 @@ def test_series_add():
 def test_rank_empty_and_zero_cases():
     assert rank([]) == 0
     assert rank([[Fraction(0), Fraction(0)]]) == 0
-    assert null_space([[Fraction(0)]]) == [[Fraction(1)]]
+    assert _matrix_kernel([[Fraction(0)]]) == [[Fraction(1)]]
     zero = SparseVec.zero()
     assert coordinates([], zero) == []
     assert coordinates([], SparseVec.unit("a")) is None

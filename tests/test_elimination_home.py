@@ -1,13 +1,12 @@
 """The elimination and the rules that turn matrices and sparse vectors into
 its rows live in core alone: no other module of src/voacalc names its
-internals; they reach it through `independent`, `coordinates`, `kernel`,
-`rank`, `null_space` and `solve`. Inside core, `rank`, `null_space`,
-`independent`, `coordinates` and `kernel` are the only callers of the
-certified elimination `_eliminate`, and it is the only caller of the prime
-draw, the elimination mod p, the kernel read-back and its exact check; the
-prime draw alone calls the primality test. Rows are scaled to integers only
-by `_integer_row`, called by `rank`, `null_space` and `_columns`, and every
-row `_eliminate` is given is a dict of column to nonzero int."""
+internals; they reach it through `independent`, `coordinates`, `kernel` and
+`rank`. Inside core, these four are the only callers of the certified
+elimination `_eliminate`, and it is the only caller of the prime draw, the
+elimination mod p, the kernel read-back and its exact check; the prime draw
+alone calls the primality test. Rows are scaled to integers only by
+`_integer_row`, called by `rank` and `_columns`, and every row `_eliminate`
+is given is a dict of column to nonzero int."""
 
 from __future__ import annotations
 
@@ -20,8 +19,8 @@ from voacalc import core
 from voacalc.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "voacalc"
-PRIVATE = {"_columns", "_eliminate", "_echelon_mod", "_exact_kernel", "_fractions",
-           "_integer_row", "_is_prime", "_misses", "_prime", "_rationals"}
+PRIVATE = {"_columns", "_eliminate", "_echelon_mod", "_exact_kernel", "_integer_row",
+           "_is_prime", "_misses", "_prime", "_rationals"}
 
 
 def test_only_core_names_the_elimination_internals():
@@ -47,14 +46,12 @@ def test_only_the_entry_points_call_the_certified_elimination():
     calls = sorted(call for path in sorted(PACKAGE.glob("*.py"))
                    for call in calls_of(path, PRIVATE))
     assert calls == sorted([
-        ("_eliminate", "core.rank"), ("_eliminate", "core.null_space"),
-        ("_eliminate", "core.independent"), ("_eliminate", "core.coordinates"),
-        ("_eliminate", "core.kernel"), ("_echelon_mod", "core._eliminate"),
-        ("_exact_kernel", "core._eliminate"), ("_rationals", "core._exact_kernel"),
-        ("_prime", "core._eliminate"), ("_is_prime", "core._prime"),
-        ("_misses", "core._eliminate"), ("_integer_row", "core.rank"),
-        ("_integer_row", "core.null_space"), ("_integer_row", "core._columns"),
-        ("_fractions", "core.null_space"), ("_fractions", "core.coordinates"),
+        ("_eliminate", "core.rank"), ("_eliminate", "core.independent"),
+        ("_eliminate", "core.coordinates"), ("_eliminate", "core.kernel"),
+        ("_echelon_mod", "core._eliminate"), ("_exact_kernel", "core._eliminate"),
+        ("_rationals", "core._exact_kernel"), ("_prime", "core._eliminate"),
+        ("_is_prime", "core._prime"), ("_misses", "core._eliminate"),
+        ("_integer_row", "core.rank"), ("_integer_row", "core._columns"),
         ("_columns", "core.independent"), ("_columns", "core.coordinates"),
         ("_columns", "core.kernel"),
     ]), calls

@@ -1,8 +1,10 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from voacalc.core import InputError, SparseVec, solve
+from voacalc.core import InputError, SparseVec
 from voacalc.virasoro import VirasoroModule
 from voacalc.w3 import (
     CONSISTENT_READING,
@@ -17,7 +19,14 @@ from voacalc.w3 import (
     w3_monomial_str,
 )
 
-from oracles import gram_by_pairs, straighten_w3_words, w3_pair, w3_word
+from oracles import (
+    decompose_by_pairs,
+    gauss_solve,
+    gram_by_pairs,
+    straighten_w3_words,
+    w3_pair,
+    w3_word,
+)
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +235,7 @@ def test_true_weight9_primary_word_coordinates(vac):
     span = [vac.apply_word(word) for word in words]
     basis = vac.basis(9)
     rows = [[sv.coeff(b) for sv in span] for b in basis]
-    coords = solve(rows, [u9.coeff(b) for b in basis])
+    coords = gauss_solve(rows, [u9.coeff(b) for b in basis])
     assert coords is not None
     scale = Fraction(3312738) / coords[0]
     scaled = [x * scale for x in coords]
@@ -259,6 +268,43 @@ def test_decompose_w3_of_w_has_no_w_component(vac):
     assert remainder.is_zero()
     assert not components["vacuum"].is_zero()
     assert not components["u6"].is_zero()
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_decompose_matches_the_pairwise_projection(c):
+    """decompose, which lowers by the adjoint modes of each block word and
+    pairs once with the generator, gives the components and remainder of the
+    projection with one `pair` per Gram entry (`decompose_by_pairs`), on
+    seeded random vectors at weights 3-10. The blocks are the vacuum, W(-3),
+    the weight-6 primary (empty below weight 6) and W(-4) = L(-1)W(-3), which
+    is not primary."""
+    mod = W3Module.get(c)
+    w, w4 = unit((), (3,)), unit((), (4,))
+    assert mod.act("L", -1, w) == w4 and not mod.act("L", 1, w4).is_zero()
+    primaries = [("w", w), ("u6", mod.primary_space(6)[0]), ("w4", w4)]
+    rng = random.Random(18 + c)
+    nonzero = Counter()
+    for weight in range(3, 11):
+        basis = mod.basis(weight)
+        for _ in range(2):
+            v = SparseVec({m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+                           for m in rng.sample(basis, min(len(basis), 4))})
+            got = mod.decompose(v, primaries)
+            assert got == decompose_by_pairs(mod, v, primaries), (weight, v)
+            nonzero.update(label for label, comp in got[0].items() if not comp.is_zero())
+            nonzero["remainder"] += not got[1].is_zero()
+    assert set(+nonzero) == {"vacuum", "w", "u6", "w4", "remainder"}, nonzero
+
+
+def test_decompose_and_the_pairwise_projection_both_reject_a_degenerate_block():
+    # at c = 1/2 the vacuum block has a singular Gram form from weight 6 on
+    mod = W3Module.get(Fraction(1, 2))
+    primaries = [("w", unit((), (3,))), ("u6", mod.primary_space(6)[0])]
+    v = unit((), (3, 3))
+    with pytest.raises(DegenerateBlockError, match="vacuum"):
+        mod.decompose(v, primaries)
+    with pytest.raises(DegenerateBlockError, match="vacuum"):
+        decompose_by_pairs(mod, v, primaries)
 
 
 def test_weight8_dimension_gap(vac):
