@@ -9,8 +9,9 @@ it through `rank`, lists of sparse vectors through `independent`,
 `coordinates` and `kernel`; each row is scaled to integers once, by
 `_integer_row`.
 
-Every coefficient in this package is an exact rational (`fractions.Fraction`);
-no floats enter any computation.
+Every coefficient in this package is an exact rational (`fractions.Fraction`,
+or int numerators over one denominator in the Gram ladder); no floats enter
+any computation.
 """
 
 from __future__ import annotations
@@ -391,11 +392,11 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int, rank_only: bool = Fal
             return pivots, vectors
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix: the number of pivot columns of
-    `_eliminate`, which stops at a prime when the rank mod p is
-    min(rows, cols), since a rank mod p is a lower bound on the rational
-    rank."""
+def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank of an exact rational matrix, its entries `int` or `Fraction`:
+    the number of pivot columns of `_eliminate`, which stops at a prime when
+    the rank mod p is min(rows, cols), since a rank mod p is a lower bound
+    on the rational rank."""
     if not rows or not rows[0]:
         return 0
     m = [_integer_row(enumerate(row)) for row in rows]

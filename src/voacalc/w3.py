@@ -218,7 +218,8 @@ class W3Module(HighestWeightModule):
         A block vector is b = L_{-lambda_1} ... L_{-lambda_r} g, and
         <b, y> = <g, L_{lambda_r} ... L_{lambda_1} y>: y is lowered by the
         modes of lambda and paired once with g at the weight of g. Column j
-        of the Gram matrix takes y = b_j, the right-hand side y = v.
+        of the Gram matrix takes y = b_j, the right-hand side y = v. The
+        lambdas share their first parts, so each y is lowered once per prefix.
         """
         if not self.vacuum:
             raise InputError("decompose needs the vacuum module: on a Verma module "
@@ -231,9 +232,15 @@ class W3Module(HighestWeightModule):
             if not block:
                 components[label] = SparseVec.zero()
                 continue
-            words = [[("L", m) for m in reversed(lam)] for lam in lams]
-            *columns, rhs = [[self.pair(gen_vec, self.apply_word(word, y)) for word in words]
-                             for y in (*block, v)]
+            pairings = []
+            for y in (*block, v):
+                seen = {(): y}  # prefix of lambda -> y lowered by its modes
+                for lam in lams:
+                    for k, part in enumerate(lam, 1):
+                        if lam[:k] not in seen:
+                            seen[lam[:k]] = self.act("L", part, seen[lam[:k - 1]])
+                pairings.append([self.pair(gen_vec, seen[lam]) for lam in lams])
+            *columns, rhs = pairings
             if rank(columns) < len(block):
                 raise DegenerateBlockError(
                     f"block {label!r} has singular Gram form at weight {weight}; "

@@ -109,6 +109,23 @@ def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
     assert taken["mod_p"] >= 1 and taken["kernel"] >= 1, taken
 
 
+@pytest.mark.parametrize("rows,cols", [(6, 6), (4, 7), (7, 4)])
+def test_rank_of_an_int_matrix_equals_its_rank_over_a_common_denominator(rows, cols):
+    """`rank` takes int entries as they are: an int matrix (entries up to
+    2^80, full rank and rank-deficient) has the rank of the same matrix
+    divided by one Fraction, and Gauss-Jordan agrees with both."""
+    rng = random.Random(rows * 100 + cols)
+    full = min(rows, cols)
+    for inner in (full, full - 1, full - 3, 0):
+        left = [[rng.randrange(-2**40, 2**40) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randrange(-2**40, 2**40) for _ in range(cols)] for _ in range(inner)]
+        ints = [[sum(row[k] * right[k][j] for k in range(inner)) for j in range(cols)]
+                for row in left]
+        scale = Fraction(rng.randrange(1, 10**6), 3**20 * 7**9)
+        fractions = [[x / scale for x in row] for row in ints]
+        assert rank(ints) == rank(fractions) == gauss_rank(fractions) == inner
+
+
 def test_rank_falls_back_when_p_divides_the_determinant():
     """p = 2^61 - 1: these matrices have rank 2 or 1 over Q but a smaller
     rank mod p. The kernel read back mod p is not 0 on every row, and the

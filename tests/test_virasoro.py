@@ -15,6 +15,7 @@ from voacalc.virasoro import (
 from oracles import (
     apply_mode,
     fraction_det,
+    gauss_rank,
     gram_by_pairs,
     kac_product,
     kac_weight,
@@ -159,6 +160,21 @@ def test_gram_from_lower_weights_equals_the_pairwise_gram(c, h, vacuum, top):
     module = VirasoroModule(c, h, vacuum=vacuum)
     for level in range(-1, top + 1):
         assert module.gram(level) == gram_by_pairs(module, level), level
+
+
+@pytest.mark.parametrize("c,h", [
+    (Fraction(-22, 5), Fraction(-1, 5)),
+    (Fraction(1), Fraction(5, 6)),
+])
+def test_gram_rank_of_the_integer_ladder_equals_the_pairwise_rank(c, h):
+    """`gram_rank` and `gram_nullity` read the integer numerators of the
+    Gram matrix, whose denominators change from level to level here; both
+    equal the Gauss-Jordan rank of the pairwise Gram."""
+    module = VirasoroModule(c, h)
+    for level in range(-1, 11):
+        expected = gauss_rank(gram_by_pairs(module, level))
+        assert module.gram_rank(level) == expected, level
+        assert module.gram_nullity(level) == module.dim(level) - expected, level
 
 
 def test_gram_determinant_is_the_kac_product_up_to_a_level_constant():

@@ -21,6 +21,7 @@ from voacalc.w3 import (
 
 from oracles import (
     decompose_by_pairs,
+    gauss_rank,
     gauss_solve,
     gram_by_pairs,
     straighten_w3_words,
@@ -118,6 +119,17 @@ def test_gram_from_lower_weights_equals_the_pairwise_gram(c, weights, top):
     module = W3Module(c, *weights)
     for weight in range(-1, top + 1):
         assert module.gram(weight) == gram_by_pairs(module, weight), weight
+
+
+def test_gram_rank_of_the_integer_ladder_equals_the_pairwise_rank():
+    """`gram_rank` and `gram_nullity` on the W3 Verma module (1/3, 2/7, 1/5),
+    whose Gram denominators change from weight to weight, equal the
+    Gauss-Jordan rank of the pairwise Gram."""
+    module = W3Module(Fraction(1, 3), Fraction(2, 7), Fraction(1, 5))
+    for weight in range(-1, 7):
+        expected = gauss_rank(gram_by_pairs(module, weight))
+        assert module.gram_rank(weight) == expected, weight
+        assert module.gram_nullity(weight) == module.dim(weight) - expected, weight
 
 
 def test_annihilation_of_the_vacuum_vector(vac):
