@@ -31,6 +31,13 @@ public methods and the recursion call these kernels. `lattice_vertex_mode`
 is `vertex_mode` of e^{b*alpha}, so `vertex_mode` is the one path into
 `_lattice` and its exponent check.
 
+The recursion runs in ints. alpha(0) contributes num(2k*charge) and every
+step into u' the denominator q of 2k*charge (q = 1 on the lattice space),
+and the lattice leaf sums ints over H!, where H is the part-sum of its
+output; the outer steps only add parts, so a memo value {parts: N} of
+u'_(m) w stands for N / (q^len(u' parts) * H!), H = |u'| + |w| - e0 - m - 1
+(no H! in a charge-0 sector). `vertex_mode` divides once per output term.
+
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
 (e^{a*alpha}, e^{b*alpha}) = delta_{a+b,0}.
@@ -41,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm, perm
 
 from .core import (
     ONE,
@@ -157,24 +164,35 @@ class FockSpace:
 
     # -- vertex-operator modes ------------------------------------------------
 
-    def vertex_mode(self, u: SparseVec, n: int, v) -> SparseVec:
-        """Mode u_n of Y(u, z) applied to v, for any vector u of the lattice
-        space, by the iterate formula of the module docstring.
+    def vertex_mode(self, u, n: int, v) -> SparseVec:
+        """Mode u_n of Y(u, z) applied to v, for any vector or monomial u of
+        the lattice space, by the iterate formula of the module docstring.
 
         Heisenberg modes keep charges, so for one monomial w of v the
         recursion of all terms of u of one charge stays in one charge sector
         and shares one memo of u'_(m) w, keyed by (u' parts, m, w parts).
         The memos are dropped before the next monomial of v: kept for the
         whole call they grow with the length of v.
+
+        The recursion runs in ints. With q the denominator of 2k*charge
+        (1 on every lattice vector) and H = top - m - 1 the part-sum of
+        every output monomial, a memo value {parts: N} stands for
+        N / (q^len(u' parts) * H!), the H! only in a charged sector, where
+        the lattice leaf is an int sum over H!. Each term of u puts its
+        coefficient over that denominator once, and the terms of one output
+        charge are summed as ints over one lcm into one Fraction per output
+        monomial.
         """
         def sector(ucharge, charge):
             e0 = self._exponent(ucharge, charge) if ucharge else 0
+            zero = 2 * self.k * charge  # alpha(0) on the sector, num / q
+            num, q = zero.numerator, zero.denominator
             memo: dict = {}
 
-            def mode(uparts, m, parts) -> dict:
+            def mode(uparts, usum, m, parts, psum) -> dict:
                 # u'_(m) w lies below k*(ucharge + charge)^2, the lowest
                 # weight of its charge sector, hence vanishes, once m >= top
-                top = sum(uparts) + sum(parts) - e0
+                top = usum + psum - e0
                 if m >= top:
                     return {}
                 key = (uparts, m, parts)
@@ -189,30 +207,54 @@ class FockSpace:
                         out = {parts: 1}
                 else:
                     p, rest = uparts[0], uparts[1:]
+                    rsum, height = usum - p, top - m - 1
                     for j in range(top - p - m):
-                        c = comb(p + j - 1, j)
-                        for new, x in mode(rest, m + j, parts).items():
+                        c = comb(p + j - 1, j) * q
+                        if ucharge:
+                            c *= perm(height, p + j)
+                        for new, x in mode(rest, rsum, m + j, parts, psum).items():
                             _add_term(out, _insert(new, (p + j,)), c * x)
                     sign = 1 if p % 2 else -1
-                    for j in (0, *set(parts)):
-                        if low := self._lower(j, parts, charge):
-                            c = sign * comb(p + j - 1, j) * low[0]
-                            for new, x in mode(rest, m - p - j, low[1]).items():
-                                _add_term(out, new, c * x)
+                    if num:
+                        for new, x in mode(rest, rsum, m - p, parts, psum).items():
+                            _add_term(out, new, sign * num * x)
+                    for j in set(parts):
+                        factor, low = self._lower(j, parts, charge)
+                        c = sign * comb(p + j - 1, j) * factor * q
+                        for new, x in mode(rest, rsum, m - p - j, low, psum - j).items():
+                            _add_term(out, new, c * x)
                 memo[key] = out
                 return out
 
-            return mode
+            return mode, e0, q
 
-        out: dict = {}
+        by_charge: dict = {}
+        for (uparts, ucharge), cu in SparseVec.of(u).items():
+            by_charge.setdefault(ucharge, []).append((uparts, sum(uparts), cu))
+        # output charge -> [(numerator, denominator, {parts: int})]
+        pending: dict = {}
         for (parts, charge), cv in SparseVec.of(v).items():
-            sectors: dict = {}
-            for (uparts, ucharge), cu in u.items():
-                if ucharge not in sectors:
-                    sectors[ucharge] = sector(ucharge, charge)
-                c, out_charge = cu * cv, ucharge + charge
-                for new, x in sectors[ucharge](uparts, n, parts).items():
-                    _add_term(out, (new, out_charge), c * x)
+            psum = sum(parts)
+            for ucharge, terms in by_charge.items():
+                mode, e0, q = sector(ucharge, charge)
+                group = pending.setdefault(ucharge + charge, [])
+                for uparts, usum, cu in terms:
+                    height = usum + psum - e0 - n - 1
+                    if height >= 0 and (ints := mode(uparts, usum, n, parts, psum)):
+                        den = cu.denominator * cv.denominator * q ** len(uparts)
+                        if ucharge:
+                            den *= factorial(height)
+                        group.append((cu.numerator * cv.numerator, den, ints))
+        out: dict = {}
+        for out_charge, group in pending.items():
+            den = lcm(*(d for _, d, _ in group))
+            total: dict = {}
+            for num, d, ints in group:
+                c = num * (den // d)
+                for new, x in ints.items():
+                    _add_term(total, new, c * x)
+            for new, x in total.items():
+                out[new, out_charge] = Fraction(x, den)
         return SparseVec._raw(out)
 
     def _exponent(self, b, charge) -> int:
@@ -237,18 +279,20 @@ class FockSpace:
 
     def _lattice(self, b, e0: int, n: int, parts: tuple) -> dict:
         """(e^{b*alpha})_n on (parts, charge) with e0 = 2k*b*charge, as
-        {new parts: coefficient}; the output charge is charge + b.
+        {new parts: N}, N an int: the coefficient is N / top!, where
+        top = -n-1-e0+|parts| is the part-sum of every output monomial. The
+        output charge is charge + b.
 
         E^+(z) removes t of the mult copies of each part value with the
         factor C(mult, t) (-2kb)^t; E^-(z) then adds the partitions lam of
-        d = top - (weight kept), top = -n-1-e0+|parts|, with the
-        coefficients d!*b^len(lam)/z_lam / d! of `_exp_series`. Scaled by
-        top!/d!, every term is an integer over top!, so the sums run in
-        ints and each output term is divided once."""
+        d = top - (weight kept) with the coefficients d!*b^len(lam)/z_lam /
+        d! of `_exp_series`. Scaled by top!/d!, every term is an integer
+        over top!, so the sums run in ints and are returned undivided: the
+        callers in `vertex_mode` carry the top! as the H! of the leaf."""
         top = -n - 1 - e0 + sum(parts)
         if top < 0:
             return {}
-        b, denominator = int(b), factorial(top)
+        b, fact = int(b), factorial(top)
         out: dict = {}
         values = sorted(set(parts))
         mults = [parts.count(val) for val in values]
@@ -260,10 +304,10 @@ class FockSpace:
                 d -= val * (mult - t)
             if d < 0:
                 continue
-            factor *= denominator // factorial(d)
+            factor *= fact // factorial(d)
             for lam, c in _exp_series(b, d):
                 _add_term(out, _insert(kept, lam), factor * c)
-        return {key: Fraction(c, denominator) for key, c in out.items()}
+        return out
 
     def vir_act(self, n: int, v) -> SparseVec:
         """L_n via the conformal vector: L_n = (omega)_{n+1}."""

@@ -287,6 +287,98 @@ def test_heisenberg_commutator_with_charged_modes(k):
                     assert lhs == rhs, (u, m, n, v)
 
 
+def _sector_vectors(charge, max_weight):
+    """The unit vectors of every parts of weight <= max_weight on charge."""
+    return [unit(lam, charge) for w in range(max_weight + 1) for lam in partitions(w, 1)]
+
+
+def test_charged_commutator_where_alpha_zero_is_not_integral():
+    # as above, for u = a(-1)e(2) at k = 1 on charge 1/4: 2kb*charge = 1 is
+    # integral, so u has integral modes there, but alpha(0) acts by 2k/4 = 1/2
+    sp = FockSpace(1)
+    u = unit((1,), 2)
+    lowered = [sp.heis_act(i, u) for i in range(4)]
+    nonzero = 0
+    for v in _sector_vectors(Fraction(1, 4), 4):
+        for m in range(4):
+            for n in range(-3, 2):
+                lhs = (sp.heis_act(m, sp.vertex_mode(u, n, v))
+                       - sp.vertex_mode(u, n, sp.heis_act(m, v)))
+                rhs = SparseVec.zero()
+                for i in range(m + 1):
+                    rhs = rhs + sp.vertex_mode(
+                        lowered[i], m + n - i, v).scaled(Fraction(comb(m, i)))
+                assert lhs == rhs, (m, n, v)
+                nonzero += not lhs.is_zero()
+    assert nonzero >= 120
+
+
+def test_vertex_mode_matches_oracles_where_alpha_zero_is_not_integral():
+    # charges where 2k*charge is not an integer, so alpha(0) carries a
+    # denominator through the integer recursion
+    rng = random.Random(20)
+    nonzero = 0
+    for _ in range(200):
+        sp = FockSpace(rng.choice((1, 2, 3)))
+        osc = rng.randint(1, 4)
+        lams = [lam for lam in partitions(rng.randint(osc, osc + 3), 1) if len(lam) == osc]
+        u = (unit(rng.choice(lams)).scaled(Fraction(rng.randint(1, 4), rng.choice((1, 3))))
+             + unit(rng.choice(lams)).scaled(Fraction(-1, rng.randint(1, 5))))
+        charge = rng.choice((Fraction(1, 3), Fraction(-2, 5)))
+        v = SparseVec.zero()
+        for _ in range(rng.randint(1, 2)):
+            lam = rng.choice(partitions(rng.randint(0, 5), 1))
+            v = v + unit(lam, charge).scaled(Fraction(rng.randint(1, 4), rng.choice((1, 7))))
+        n = rng.randint(-4, 8)
+        want = vertex_mode_by_slots(sp.k, u, n, v)
+        assert dict(sp.vertex_mode(u, n, v).items()) == want, (sp.k, u, n, v)
+        nonzero += bool(want)
+    assert nonzero >= 110
+    # e^{+-2 alpha} at k = 1 on charges +-1/4 and +-3/4: the exponent
+    # 2kb*charge is +-1 or +-3, but 2k*charge is 1/2 or 3/2
+    sp, nonzero = FockSpace(1), 0
+    for b in (2, -2):
+        for charge in (Fraction(1, 4), Fraction(-1, 4), Fraction(3, 4), Fraction(-3, 4)):
+            for v in _sector_vectors(charge, 4):
+                e0 = 2 * b * charge
+                for n in range(int(-e0) - 6, int(-e0) + 4):
+                    want = lattice_vertex_mode_by_commutation(1, b, n, v)
+                    assert dict(sp.lattice_vertex_mode(b, n, v).items()) == want, (b, n, v)
+                    nonzero += bool(want)
+    assert nonzero >= 700
+
+
+def test_vertex_mode_takes_a_monomial_for_u(k2):
+    for mono in (((1,), Fraction(0)), ((2, 1), Fraction(0)), ((1,), Fraction(1)),
+                 ((), Fraction(-1))):
+        for v in _vl_vectors(k2, max_weight=3):
+            for n in range(-3, 3):
+                assert k2.vertex_mode(mono, n, v) == \
+                    k2.vertex_mode(SparseVec.unit(mono), n, v), (mono, n, v)
+
+
+def test_vertex_mode_outputs_fraction_coefficients_and_charges():
+    # every coefficient is a Fraction, and every output charge is the
+    # Fraction charge of the input plus that of u, in charge-0, charged and
+    # fractional sectors
+    sp = FockSpace(1)
+    ops = [(u, partial(sp.vertex_mode, u)) for u in
+           (sp.jvec(), sp.omega(), unit((1,), 2), sp.xvec(-2) + unit((2,), -2))]
+    ops += [(sp.xvec(b), partial(sp.lattice_vertex_mode, b)) for b in (2, -2)]
+    seen = 0
+    for u, op in ops:
+        (ucharge,) = {charge for _, charge in u.keys()}
+        for charge in (0, 1, -1, Fraction(1, 4), Fraction(-3, 4)):
+            for v in _sector_vectors(Fraction(charge), 3):
+                for n in range(-3, 4):
+                    for (parts, out_charge), c in op(n, v).items():
+                        assert type(c) is Fraction, (u, n, v, c)
+                        assert type(out_charge) is Fraction, (u, n, v, out_charge)
+                        assert out_charge == ucharge + charge, (u, n, v)
+                        seen += 1
+    assert seen >= 6000
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_translation_of_charged_modes(k):
     # (L_{-1} u)_n = -n u_{n-1}
@@ -320,10 +412,10 @@ def test_lattice_vertex_mode_matches_commutation_oracle():
 
 
 def test_lattice_kernel_matches_fraction_per_term_oracle():
-    # the integer kernel against the same sum taken one Fraction at a time,
-    # on every parts of weight <= 8; top = -n-1-e0+|parts| is the weight
-    # the exponential series may add, so top < 0 leaves nothing (terms may
-    # also cancel when top >= 0)
+    # the integer kernel, its ints over top!, against the same sum taken one
+    # Fraction at a time, on every parts of weight <= 8; top = -n-1-e0+|parts|
+    # is the weight the exponential series may add, so top < 0 leaves nothing
+    # (terms may also cancel when top >= 0)
     nonzero = 0
     for k in (1, 2, 3):
         sp = FockSpace(k)
@@ -333,7 +425,9 @@ def test_lattice_kernel_matches_fraction_per_term_oracle():
                     e0 = 2 * k * b * charge
                     for top in (-1, 0, 2, 5):
                         n = -1 - e0 + sum(parts) - top
-                        got = sp._lattice(Fraction(b), e0, n, parts)
+                        ints = sp._lattice(Fraction(b), e0, n, parts)
+                        assert all(type(c) is int for c in ints.values())
+                        got = {key: Fraction(c, factorial(top)) for key, c in ints.items()}
                         assert got == lattice_by_terms(k, b, e0, n, parts), \
                             (k, b, e0, n, parts)
                         assert top >= 0 or got == {}, (k, b, e0, n, parts)
