@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -144,9 +144,6 @@ class SparseVec:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator:
-        return iter(self._terms)
-
     def __add__(self, other: "SparseVec") -> "SparseVec":
         d = dict(self._terms)
         _accumulate(d, other._terms, ONE)
@@ -164,9 +161,6 @@ class SparseVec:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseVec) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -241,11 +235,11 @@ def _prime(i: int) -> int:
     return p
 
 
-# how many calls of `_eliminate` each path answered: "mod_p" (full rank mod
-# a prime, nothing left to certify: every column a pivot, or for `rank`
-# every row) or "kernel" (the kernel basis rebuilt from the primes satisfies
-# M.x = 0 exactly); and under "primes" the eliminations mod a prime they
-# ran. A count that nothing in the package reads.
+# how many calls of `_eliminate` each path answered: "mod_p" (a pivot in
+# every column mod a prime, nothing left to certify) or "kernel" (the
+# kernel basis rebuilt from the primes satisfies M.x = 0 exactly); and
+# under "primes" the eliminations mod a prime they ran. A count that
+# nothing in the package reads.
 rank_paths: Counter = Counter()
 
 
@@ -335,8 +329,8 @@ def _misses(vectors: list[list[tuple[int, int]]], rows: list[dict[int, int]]) ->
     return any(sum(row.get(j, 0) * y for j, y in v) for row in rows for v in vectors)
 
 
-def _eliminate(rows: Sequence[dict[int, int]], ncols: int, rank_only: bool = False
-               ) -> tuple[list[int], list[list[tuple[int, int]]] | None]:
+def _eliminate(rows: Sequence[dict[int, int]], ncols: int
+               ) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """The pivot columns (leftmost first) and the `_exact_kernel` vectors of
     the integer matrix with ncols columns and the given rows, each a dict
     {column: nonzero int} (an empty dict is a zero row), from its reduced
@@ -351,16 +345,11 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int, rank_only: bool = Fal
     which a minor nonzero mod p bounds from below: the free columns and
     kernel vectors are those of exact elimination over Q.
 
-    A rank mod p is at most the rank over Q, and at equal rank each pivot
-    column mod p is at or right of the one over Q. So a prime whose pivot
-    columns differ from those kept replaces them, and starts the residues
-    again, if it has a larger rank or the lexicographically smaller columns;
-    otherwise it is passed over. Only the finitely many primes dividing one
-    nonzero minor of M go wrong, so some prime ends the loop.
-
-    Full rank mod a prime needs no certificate: with a pivot in every column
-    the kernel is 0. With `rank_only`, a pivot in every row also ends the
-    work, and the kernel may come back as None.
+    Two rules end or restart the work. A pivot in every column mod a prime
+    stops it: the kernel is 0, with no certificate needed. A prime whose
+    pivot columns differ from those of the one before starts the residues
+    again. Only the finitely many primes dividing one nonzero minor of M
+    give other pivots than Q, so some prime ends the loop.
     """
     # the echelon form does not depend on the order of the rows; taking
     # those that start furthest right first keeps the rows short
@@ -371,16 +360,14 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int, rank_only: bool = Fal
         p = _prime(i)
         ech = _echelon_mod(m, ncols, p)
         got = sorted(ech)
-        if len(got) == ncols or rank_only and len(got) == len(rows):
+        if len(got) == ncols:
             rank_paths["mod_p"] += 1
-            return got, [] if len(got) == ncols else None
-        if pivots is None or (-len(got), got) < (-len(pivots), pivots):
+            return got, []
+        if got != pivots:
             pivots = got
             free = [j for j in range(ncols) if j not in ech]
             residues = [[0] * bisect(pivots, f) for f in free]
             modulus = 1
-        elif got != pivots:
-            continue
         step = pow(modulus, -1, p)
         for f, res in zip(free, residues):
             for k, c in enumerate(pivots[:len(res)]):
@@ -394,13 +381,13 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int, rank_only: bool = Fal
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank of an exact rational matrix, its entries `int` or `Fraction`:
-    the number of pivot columns of `_eliminate`, which stops at a prime when
-    the rank mod p is min(rows, cols), since a rank mod p is a lower bound
-    on the rational rank."""
+    the number of pivot columns of `_eliminate`, which stops at the first
+    prime with a pivot in every column and otherwise certifies the rank by
+    the exact kernel."""
     if not rows or not rows[0]:
         return 0
     m = [_integer_row(enumerate(row)) for row in rows]
-    return len(_eliminate(m, len(rows[0]), rank_only=True)[0])
+    return len(_eliminate(m, len(rows[0]))[0])
 
 
 def _columns(vectors: Sequence[SparseVec]) -> list[dict[int, int]]:

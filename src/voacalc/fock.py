@@ -190,11 +190,9 @@ class FockSpace:
             memo: dict = {}
 
             def mode(uparts, usum, m, parts, psum) -> dict:
-                # u'_(m) w lies below k*(ucharge + charge)^2, the lowest
-                # weight of its charge sector, hence vanishes, once m >= top
+                # every call has m < top: the caller runs only at height
+                # >= 0, and each recursive call keeps m below its own top
                 top = usum + psum - e0
-                if m >= top:
-                    return {}
                 key = (uparts, m, parts)
                 out = memo.get(key)
                 if out is not None:

@@ -471,9 +471,9 @@ def verify_theorem32(c=1) -> dict:
     checks.append(check("u9-in-recorded-span", "DERIVED", "yes",
                         "yes" if word_coords is not None else "no", word_coords is not None))
 
+    recorded_terms = {_word_str(word): str(cf) for cf, word in WEIGHT9_GENERATOR_TERMS}
     u9_info = {
-        "recorded_terms": {_word_str(word): str(cf)
-                           for cf, word in WEIGHT9_GENERATOR_TERMS},
+        "recorded_terms": recorded_terms,
         "recorded_straightened": mod.terms(u9_recorded),
     }
 
@@ -558,8 +558,7 @@ def verify_theorem32(c=1) -> dict:
     u9_entry = {
         "name": "u9-coefficients",
         "source": "PAPER",
-        "recorded": {_word_str(word): str(cf)
-                     for cf, word in WEIGHT9_GENERATOR_TERMS},
+        "recorded": recorded_terms,
         "matches": False,
         "residual_L1": mod.terms(mod.act("L", 1, u9_recorded)) or "0",
         "residual_L2": mod.terms(mod.act("L", 2, u9_recorded)) or "0",

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,19 @@ BAD_INPUT_REPROS = (
     ("primary", "--lam", "1", "--mu", "1", "--weight", "16"),
     ("decompose", "--terms", '{"W(-3)": 0}'),
     ("decompose", "--lam", "1/3", "--mu", "2/7", "--monomial", "W(-3)"),
+    ("verify", "prop21", "--m", "3..1"),
+    ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "1",
+     "--monomial", "a(-1)"),
+    ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "1",
+     "--monomial", "L(-02)"),
+    ("act", "--algebra", "w3", "--gen", "L", "--mode", "1", "--monomial", "L(2)"),
+    ("act", "--algebra", "fock", "--gen", "a", "--mode", "0", "--monomial", "e(1)e(1)"),
+    ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "0", "--terms", "{}"),
+    ("gram", "--algebra", "vir", "--level", "2"),
+    ("dims", "--algebra", "vir", "--h", "1", "--min-weight", "5", "--max-weight", "3"),
+    ("char", "--algebra", "vir", "--cutoff", "5"),
+    ("act", "--algebra", "fock", "--gen", "e", "--mode", "0", "--monomial", "1"),
+    ("act", "--algebra", "fock", "--gen", "L", "--mode", "0", "--monomial", "1"),
 )
 
 
@@ -412,6 +426,27 @@ def test_bad_input_grid_never_tracebacks(capsys, monkeypatch):
     monkeypatch.setenv("VOACALC_CUTOFF", "41")
     code, out, err = run(capsys, "char", "--algebra", "m1", "--k", "1")
     assert code == 2 and out == "" and "VOACALC_CUTOFF" in err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: voacalc.FockSpace(0),
+    lambda: voacalc.FockSpace(1.5),
+    lambda: voacalc.FockSpace(1).evec(0),
+    lambda: voacalc.FockSpace(1).lattice_vertex_mode(
+        1, 0, voacalc.FockSpace(1).xvec(Fraction(1, 3))),
+    lambda: voacalc.FockSpace(1).basis("x", 2),
+    lambda: voacalc.FockSpace(1).theta_basis("*", "m1", 2),
+    lambda: voacalc.FockSpace(1).char_series("m1", -1),
+    lambda: voacalc.VirasoroModule(1, 1).primary_space(0),
+    lambda: voacalc.VirasoroModule(1, 1, vacuum=True),
+    lambda: voacalc.label_str(("bogus",)),
+], ids=["fock-k-0", "fock-k-1.5", "evec-0", "lattice-mode-nonintegral", "basis-space",
+        "theta-sign", "char-cutoff", "primary-weight-0", "vacuum-h-1", "label"])
+def test_library_rejects_bad_arguments_with_input_error(call):
+    """Library calls outside what a function accepts raise InputError, which
+    the CLI reports as a usage error."""
+    with pytest.raises(voacalc.InputError):
+        call()
 
 
 def test_decompose_takes_no_verma_flags(capsys, monkeypatch):

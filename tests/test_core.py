@@ -97,8 +97,9 @@ def _rational_matrix(rng, rows, cols, inner):
 @pytest.mark.parametrize("rows,cols", [(6, 6), (3, 7), (7, 3), (1, 5), (5, 1)])
 def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
     """Full-rank, rank-deficient and zero matrices of every shape: the first
-    prime answers the full ones, the kernel certificate the others, and both
-    agree with plain Fraction elimination."""
+    prime answers those with a pivot in every column, the kernel certificate
+    the others (a wide matrix of full row rank among them), and both agree
+    with plain Fraction elimination."""
     rng = random.Random(rows * 10 + cols)
     before = Counter(rank_paths)
     full = min(rows, cols)
@@ -106,7 +107,7 @@ def test_rank_takes_both_paths_and_matches_fraction_elimination(rows, cols):
         mat = _rational_matrix(rng, rows, cols, inner)
         assert rank(mat) == gauss_rank(mat), (rows, cols, inner)
     taken = rank_paths - before
-    assert taken["mod_p"] >= 1 and taken["kernel"] >= 1, taken
+    assert (taken["mod_p"] >= 1) == (rows >= cols) and taken["kernel"] >= 1, taken
 
 
 @pytest.mark.parametrize("rows,cols", [(6, 6), (4, 7), (7, 4)])
@@ -243,6 +244,18 @@ def test_dropped_row_independent_over_q_restarts_from_all_rows(mat):
         got, taken = _paths_of(fn, *args)
         assert got == want, fn.__name__
         assert taken == Counter(primes=2, kernel=1), (fn.__name__, taken)
+
+
+def test_a_prime_with_other_pivots_starts_the_residues_again():
+    """The row [3*q1, 5, 7], q1 the second prime: mod q1 the pivot moves
+    from column 0 to column 1, and back at the third prime. Each change
+    starts the residues again, so the kernel read-back over column 0's
+    pivot, with denominators 3*q1, needs the third to fifth primes."""
+    row = [3 * _prime(1), 5, 7]
+    mat = [[Fraction(x) for x in row]]
+    got, taken = _paths_of(_matrix_kernel, mat)
+    assert got == [primitive_integer_vector(x) for x in gauss_null_space(mat)]
+    assert taken == Counter(primes=5, kernel=1), taken
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():

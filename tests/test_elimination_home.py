@@ -63,9 +63,9 @@ def test_the_elimination_is_given_sparse_integer_rows(capsys, monkeypatch):
     with each column below ncols."""
     eliminate, seen = core._eliminate, []
 
-    def wrapped(rows, ncols, rank_only=False):
+    def wrapped(rows, ncols):
         seen.append((rows, ncols))
-        return eliminate(rows, ncols, rank_only)
+        return eliminate(rows, ncols)
 
     monkeypatch.setattr(core, "_eliminate", wrapped)
     assert main(["verify", "all"]) == 0 and main(["primary", "--weight", "10"]) == 0
