@@ -9,9 +9,9 @@ it through `rank`, lists of sparse vectors through `independent`,
 `coordinates` and `kernel`; each row is scaled to integers once, by
 `_integer_row`.
 
-Every coefficient in this package is an exact rational (`fractions.Fraction`,
-or int numerators over one denominator in the Gram ladder); no floats enter
-any computation.
+Every coefficient is exact: a `fractions.Fraction`, or ints in the Gram rows
+(each over its own denominator), the vertex-mode recursion (over q^len * H!)
+and the sparse rows of the elimination. No floats enter any computation.
 """
 
 from __future__ import annotations
@@ -235,11 +235,11 @@ def _prime(i: int) -> int:
     return p
 
 
-# how many calls of `_eliminate` each path answered: "mod_p" (a pivot in
-# every column mod a prime, nothing left to certify) or "kernel" (the
-# kernel basis rebuilt from the primes satisfies M.x = 0 exactly); and
-# under "primes" the eliminations mod a prime they ran. A count that
-# nothing in the package reads.
+# how the calls of `_eliminate` ended, all at its one return: "mod_p" (a
+# pivot in every column, so the certificate is empty) or "kernel" (the kernel
+# basis rebuilt from the primes satisfies M.x = 0 exactly); and under
+# "primes" the eliminations mod a prime they ran. A count that nothing in
+# the package reads.
 rank_paths: Counter = Counter()
 
 
@@ -345,11 +345,11 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int
     which a minor nonzero mod p bounds from below: the free columns and
     kernel vectors are those of exact elimination over Q.
 
-    Two rules end or restart the work. A pivot in every column mod a prime
-    stops it: the kernel is 0, with no certificate needed. A prime whose
-    pivot columns differ from those of the one before starts the residues
-    again. Only the finitely many primes dividing one nonzero minor of M
-    give other pivots than Q, so some prime ends the loop.
+    One return ends the loop, once the certificate holds (at once with a
+    pivot in every column: no free column, an empty certificate). A prime
+    whose pivot columns differ from those of the one before starts the
+    residues again. Only the finitely many primes dividing one nonzero
+    minor of M give other pivots than Q, so some prime ends the loop.
     """
     # the echelon form does not depend on the order of the rows; taking
     # those that start furthest right first keeps the rows short
@@ -360,9 +360,6 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int
         p = _prime(i)
         ech = _echelon_mod(m, ncols, p)
         got = sorted(ech)
-        if len(got) == ncols:
-            rank_paths["mod_p"] += 1
-            return got, []
         if got != pivots:
             pivots = got
             free = [j for j in range(ncols) if j not in ech]
@@ -375,13 +372,13 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int
         modulus *= p
         vectors = _exact_kernel(free, pivots, residues, modulus)
         if vectors is not None and not _misses(vectors, m):
-            rank_paths["kernel"] += 1
+            rank_paths["kernel" if free else "mod_p"] += 1
             return pivots, vectors
 
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank of an exact rational matrix, its entries `int` or `Fraction`:
-    the number of pivot columns of `_eliminate`, which stops at the first
+    the number of pivot columns of `_eliminate`, which returns at the first
     prime with a pivot in every column and otherwise certifies the rank by
     the exact kernel."""
     if not rows or not rows[0]:

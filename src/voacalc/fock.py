@@ -189,10 +189,9 @@ class FockSpace:
             num, q = zero.numerator, zero.denominator
             memo: dict = {}
 
-            def mode(uparts, usum, m, parts, psum) -> dict:
-                # every call has m < top: the caller runs only at height
-                # >= 0, and each recursive call keeps m below its own top
-                top = usum + psum - e0
+            def mode(uparts, m, parts, top) -> dict:
+                # top = |u' parts| + |parts| - e0 and m < top: the caller
+                # checks it, and each recursive call keeps m below its own top
                 key = (uparts, m, parts)
                 out = memo.get(key)
                 if out is not None:
@@ -205,21 +204,21 @@ class FockSpace:
                         out = {parts: 1}
                 else:
                     p, rest = uparts[0], uparts[1:]
-                    rsum, height = usum - p, top - m - 1
+                    height = top - m - 1
                     for j in range(top - p - m):
                         c = comb(p + j - 1, j) * q
                         if ucharge:
                             c *= perm(height, p + j)
-                        for new, x in mode(rest, rsum, m + j, parts, psum).items():
+                        for new, x in mode(rest, m + j, parts, top - p).items():
                             _add_term(out, _insert(new, (p + j,)), c * x)
                     sign = 1 if p % 2 else -1
                     if num:
-                        for new, x in mode(rest, rsum, m - p, parts, psum).items():
+                        for new, x in mode(rest, m - p, parts, top - p).items():
                             _add_term(out, new, sign * num * x)
                     for j in set(parts):
                         factor, low = self._lower(j, parts, charge)
                         c = sign * comb(p + j - 1, j) * factor * q
-                        for new, x in mode(rest, rsum, m - p - j, low, psum - j).items():
+                        for new, x in mode(rest, m - p - j, low, top - p - j).items():
                             _add_term(out, new, c * x)
                 memo[key] = out
                 return out
@@ -237,11 +236,11 @@ class FockSpace:
                 mode, e0, q = sector(ucharge, charge)
                 group = pending.setdefault(ucharge + charge, [])
                 for uparts, usum, cu in terms:
-                    height = usum + psum - e0 - n - 1
-                    if height >= 0 and (ints := mode(uparts, usum, n, parts, psum)):
+                    top = usum + psum - e0
+                    if top > n and (ints := mode(uparts, n, parts, top)):
                         den = cu.denominator * cv.denominator * q ** len(uparts)
                         if ucharge:
-                            den *= factorial(height)
+                            den *= factorial(top - n - 1)
                         group.append((cu.numerator * cv.numerator, den, ints))
         out: dict = {}
         for out_charge, group in pending.items():

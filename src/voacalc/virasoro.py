@@ -7,7 +7,7 @@ character series. HighestWeightModule, which the W3 modules share, holds
 what does not depend on the algebra: the one PBW straightening recursion,
 shared instances, the contravariant form, Gram matrices (each built from
 the ones below it, by the adjoint of a monomial's first mode, as int
-numerators over one denominator per weight; Fractions only at the weight
+numerators over one denominator per row; Fractions only at the weight
 asked for, and `gram_rank` reads the numerators) and primary spaces (the
 `core.kernel` of L_1 and L_2 on a graded piece). A module
 supplies its basis, how a monomial splits off its first mode or takes a new
@@ -168,45 +168,44 @@ class HighestWeightModule:
 
     def gram(self, weight: int) -> list[list[Fraction]]:
         """Contravariant Gram matrix at a weight, rows/cols in basis order:
-        the `_int_gram` numerators over its denominator, each entry the same
-        exact value as `pair(a, b)`."""
-        rows, den = self._int_gram(weight)
-        return [[Fraction(n, den) for n in row] for row in rows]
+        each `_int_gram` row of numerators over its own denominator, each
+        entry the same exact value as `pair(a, b)`."""
+        rows, dens = self._int_gram(weight)
+        return [[Fraction(n, d) for n in row] for row, d in zip(rows, dens)]
 
-    def _int_gram(self, weight: int) -> tuple[list[list[int]], int]:
-        """(N, D) with N an int matrix and the Gram matrix at the weight N / D.
+    def _int_gram(self, weight: int) -> tuple[list[list[int]], list[int]]:
+        """(N, d) with N an int matrix and row a of the Gram matrix at the
+        weight N[a] / d[a].
 
         Built up from weight 0: for a = gen_{-m} rest,
         <a, b> = <rest, gen_m b> = sum_c (gen_m b)_c <rest, c> over c in
-        basis(weight - m), the step `pair` takes. With N' / D' the matrix
-        at weight - m, D is the lcm over the first modes gen_{-m} of D'
-        times the denominators of the gen_m b. Each gen_m b is written once
-        as ints n_c = (gen_m b)_c D / D', shared by every row whose first
-        mode is gen_{-m}, and the entry is sum_c n_c N'[rest][c]. The
-        matrices of the lower weights live only for this call."""
+        basis(weight - m), the step `pair` takes. With N' / d' the rows at
+        weight - m and L the lcm of the denominators of the gen_m b, each
+        gen_m b is written once as ints n_c = (gen_m b)_c L, shared by every
+        row whose first mode is gen_{-m}; the entry is sum_c n_c N'[rest][c]
+        and d[a] = L d'[rest]. The rows of the lower weights live only for
+        this call."""
         if weight < 0:
-            return [], 1
-        ladder = {0: ({self.EMPTY: 0}, [[1]], 1)}
+            return [], []
+        ladder = {0: ({self.EMPTY: 0}, [[1]], [1])}
         for w in range(1, weight + 1):
             basis = self.basis(w)
             firsts = [self._first(a) for a in basis]
-            acts = {(gen, m): [self._act(gen, m, b) for b in basis]
-                    for gen, m in dict.fromkeys((gen, m) for gen, m, _ in firsts)}
-            den = math.lcm(*(ladder[w - m][2] * math.lcm(*(x.denominator for act in col
-                                                           for x in act.values()))
-                             for (_, m), col in acts.items()))
-            lowered = {}  # (gen, m) -> per b: [(column of c, n_c)]
-            for (gen, m), col in acts.items():
-                index, _, below_den = ladder[w - m]
-                scale = den // below_den
-                lowered[gen, m] = [[(index[c], x.numerator * (scale // x.denominator))
-                                    for c, x in act.items()] for act in col]
-            rows = []
+            lowered = {}  # (gen, m) -> (L, per b: [(column of c, n_c)])
+            for gen, m in dict.fromkeys((gen, m) for gen, m, _ in firsts):
+                index = ladder[w - m][0]
+                acts = [self._act(gen, m, b) for b in basis]
+                den = math.lcm(*(x.denominator for act in acts for x in act.values()))
+                lowered[gen, m] = den, [[(index[c], x.numerator * (den // x.denominator))
+                                         for c, x in act.items()] for act in acts]
+            rows, dens = [], []
             for gen, m, rest in firsts:
-                index, below, _ = ladder[w - m]
+                index, below, dens_below = ladder[w - m]
+                den, col = lowered[gen, m]
                 row = below[index[rest]]
-                rows.append([sum(n * row[j] for j, n in terms) for terms in lowered[gen, m]])
-            ladder[w] = ({b: i for i, b in enumerate(basis)}, rows, den)
+                rows.append([sum(n * row[j] for j, n in terms) for terms in col])
+                dens.append(den * dens_below[index[rest]])
+            ladder[w] = ({b: i for i, b in enumerate(basis)}, rows, dens)
         return ladder[weight][1:]
 
     def gram_rank(self, weight: int) -> int:

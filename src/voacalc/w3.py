@@ -229,9 +229,6 @@ class W3Module(HighestWeightModule):
         components: dict = {}
         for label, gen_vec in blocks:
             lams, block = self.block_basis(gen_vec, weight)
-            if not block:
-                components[label] = SparseVec.zero()
-                continue
             pairings = []
             for y in (*block, v):
                 seen = {(): y}  # prefix of lambda -> y lowered by its modes

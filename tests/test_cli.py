@@ -492,6 +492,23 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["dims"] == [1, 1, 2, 3, 5, 7]
 
 
+def test_module_entry_point_exit_codes():
+    """`python -m voacalc.cli` passes main's exit code to the process: 0 for
+    --version, 2 for a usage error, with nothing on stdout and no
+    traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(voacalc.__file__).parents[1]))
+
+    def child(*argv):
+        return subprocess.run([sys.executable, "-m", "voacalc.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    proc = child("--version")
+    assert proc.returncode == 0 and proc.stdout.strip() == voacalc.__version__
+    proc = child("gram", "--algebra", "vir", "--level", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--h is required" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0

@@ -70,6 +70,8 @@ def test_sparse_vec_algebra():
     assert a.scaled(Fraction(1, 2)).coeff(("x",)) == 1
     assert SparseVec.unit(("z",)).coeff(("z",)) == 1
     assert a == SparseVec({("y",): Fraction(-1), ("x",): Fraction(2)})
+    assert len(a) == 2 and len(a - a) == 0
+    assert repr(SparseVec.zero()) == "SparseVec(0)"
 
 
 def test_rank_matches_gaussian_elimination_on_random_matrices():
@@ -130,20 +132,22 @@ def test_rank_of_an_int_matrix_equals_its_rank_over_a_common_denominator(rows, c
 def test_rank_falls_back_when_p_divides_the_determinant():
     """p = 2^61 - 1: these matrices have rank 2 or 1 over Q but a smaller
     rank mod p. The kernel read back mod p is not 0 on every row, and the
-    second prime, with full rank, gives the answer."""
+    second prime, with full rank, gives the answer: "mod_p" when it has a
+    pivot in every column, "kernel" when a zero column stays free."""
     p = 2**61 - 1
+    full, free = {"primes": 2, "mod_p": 1}, {"primes": 2, "kernel": 1}
     cases = [
-        [[p]],
-        [[Fraction(p, 3)]],
-        [[p + 1, 1], [1, 1]],
-        [[p + 1, 1, 0], [1, 1, 0]],
-        [[2, 0], [0, Fraction(3 * p, 5)], [0, 0]],
+        ([[p]], full),
+        ([[Fraction(p, 3)]], full),
+        ([[p + 1, 1], [1, 1]], full),
+        ([[p + 1, 1, 0], [1, 1, 0]], free),
+        ([[2, 0], [0, Fraction(3 * p, 5)], [0, 0]], full),
     ]
-    for mat in cases:
+    for mat, paths in cases:
         mat = [[Fraction(x) for x in row] for row in mat]
         got, taken = _paths_of(rank, mat)
         assert got == gauss_rank(mat) == min(len(mat), len(mat[0])), mat
-        assert taken["primes"] == 2 and taken["mod_p"] + taken["kernel"] == 1, (mat, taken)
+        assert taken == paths, (mat, taken)
 
 
 def _paths_of(fn, *args):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
+from voacalc import fusion
 from voacalc.fusion import (
     fusion_dim,
     label_str,
@@ -130,3 +132,19 @@ def test_verify_fusion_symmetry_report():
     grid = next(ch for ch in report["checks"]
                 if ch["name"] == "vir-grid-interval-rule")
     assert grid["triples"] == 6 ** 3
+
+
+def test_verify_fusion_symmetry_reports_violations(monkeypatch):
+    """Each of the six violation counts fails the report when fusion_dim
+    disagrees with itself: here a stub answers every call with a new
+    number."""
+    answers = count()
+    monkeypatch.setattr(fusion, "fusion_dim", lambda *args: next(answers))
+    report = verify_fusion_symmetry()
+    assert report["pass"] is False
+    checks = {ch["name"]: ch for ch in report["checks"]}
+    for name in ("vir-grid-interval-rule", "vir-grid-exchange",
+                 "vir-grid-bottom-target-exchange", "m1-random-exchange",
+                 "m1-random-bottom-target-exchange", "m1-random-charge-negation"):
+        violations = int(checks[name]["computed"].split()[0])
+        assert not checks[name]["pass"] and violations > 0, checks[name]

@@ -384,6 +384,23 @@ def test_verify_theorem32_report(vac):
     assert len(matched) == 10
 
 
+def test_verify_theorem32_without_a_weight9_primary(monkeypatch):
+    """With no weight-9 primary the report fails exactly the checks that
+    need one, and leaves out what only it can give."""
+    primary_space = W3Module.primary_space
+    monkeypatch.setattr(W3Module, "primary_space", lambda self, weight:
+                        [] if weight == 9 else primary_space(self, weight))
+    report = verify_theorem32(1)
+    assert report["pass"] is False
+    assert [ch["name"] for ch in report["checks"] if not ch["pass"]] == [
+        "weight9-primary-dimension", "u9-in-recorded-span", "L1-kills-u9",
+        "L2-kills-u9", "W1-u9-nonzero", "W1-u9-L(-2)^4-coefficient",
+        "u9-outside-form-radical"]
+    comparisons = {c["name"]: c for c in report["recorded_comparisons"]}
+    assert "engine_scaled_to_recorded" not in comparisons["u9-coefficients"]
+    assert "primary_straightened" not in report["u9"]
+
+
 def test_rendering(vac):
     assert w3_monomial_str(((3, 2), (3,))) == "L(-3)L(-2)W(-3)"
     assert w3_monomial_str(EMPTY) == "1"
