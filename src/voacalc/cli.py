@@ -181,12 +181,7 @@ def _vir_module(args) -> VirasoroModule:
 
 def _w3_module(args) -> W3Module:
     _reject_flags(args, "h", "vacuum", "k", "b")
-    c = 1 if args.c is None else args.c
-    if (args.lam is None) != (args.mu is None):
-        raise InputError("--lam and --mu must be given together")
-    if args.lam is None:
-        return W3Module.get(c)
-    return W3Module.get(c, args.lam, args.mu)
+    return W3Module.get(1 if args.c is None else args.c, args.lam, args.mu)
 
 
 def _hw_module(args):

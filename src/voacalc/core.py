@@ -381,7 +381,7 @@ def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     the number of pivot columns of `_eliminate`, which returns at the first
     prime with a pivot in every column and otherwise certifies the rank by
     the exact kernel."""
-    if not rows or not rows[0]:
+    if not rows:
         return 0
     m = [_integer_row(enumerate(row)) for row in rows]
     return len(_eliminate(m, len(rows[0]))[0])
@@ -401,8 +401,7 @@ def _columns(vectors: Sequence[SparseVec]) -> list[dict[int, int]]:
 def independent(vectors: Sequence[SparseVec]) -> list[int]:
     """Indices of the first maximal linearly independent subsequence of the
     vectors: the pivot columns of their matrix. Zero vectors are never kept."""
-    rows = _columns(vectors)
-    return _eliminate(rows, len(vectors))[0] if rows else []
+    return _eliminate(_columns(vectors), len(vectors))[0]
 
 
 def coordinates(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fraction] | None:

@@ -31,12 +31,14 @@ public methods and the recursion call these kernels. `lattice_vertex_mode`
 is `vertex_mode` of e^{b*alpha}, so `vertex_mode` is the one path into
 `_lattice` and its exponent check.
 
-The recursion runs in ints. alpha(0) contributes num(2k*charge) and every
-step into u' the denominator q of 2k*charge (q = 1 on the lattice space),
-and the lattice leaf sums ints over H!, where H is the part-sum of its
-output; the outer steps only add parts, so a memo value {parts: N} of
-u'_(m) w stands for N / (q^len(u' parts) * H!), H = |u'| + |w| - e0 - m - 1
-(no H! in a charge-0 sector). `vertex_mode` divides once per output term.
+The recursion runs in ints, by one rule in every charge sector. alpha(0)
+contributes num(2k*charge) and every step into u' the denominator q of
+2k*charge (q = 1 on the lattice space). Every leaf sums ints over H!, where
+H is the part-sum of its output: the lattice leaf by its exponential
+series, and 1_(-1) w as H!/H!. The outer steps only add parts, so a memo
+value {parts: N} of u'_(m) w stands for N / (q^len(u' parts) * H!), with
+H = |u'| + |w| - e0 - m - 1 and e0 = 2k*b*charge (0 for b = 0).
+`vertex_mode` divides once per output term.
 
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
@@ -174,24 +176,21 @@ class FockSpace:
         The memos are dropped before the next monomial of v: kept for the
         whole call they grow with the length of v.
 
-        The recursion runs in ints. With q the denominator of 2k*charge
-        (1 on every lattice vector) and H = top - m - 1 the part-sum of
-        every output monomial, a memo value {parts: N} stands for
-        N / (q^len(u' parts) * H!), the H! only in a charged sector, where
-        the lattice leaf is an int sum over H!. Each term of u puts its
-        coefficient over that denominator once, and the terms of one output
-        charge are summed as ints over one lcm into one Fraction per output
-        monomial.
+        The recursion runs in ints over the denominators of the module
+        docstring, with top - m - 1 the H of every output monomial. Each
+        term of u puts its coefficient over that denominator once, and the
+        terms of one output charge are summed as ints over one lcm into one
+        Fraction per output monomial.
         """
         def sector(ucharge, charge):
-            e0 = self._exponent(ucharge, charge) if ucharge else 0
+            e0 = self._exponent(ucharge, charge)
             zero = 2 * self.k * charge  # alpha(0) on the sector, num / q
             num, q = zero.numerator, zero.denominator
             memo: dict = {}
 
             def mode(uparts, m, parts, top) -> dict:
-                # top = |u' parts| + |parts| - e0 and m < top: the caller
-                # checks it, and each recursive call keeps m below its own top
+                # top = |u' parts| + |parts| - e0 > m, kept by every call;
+                # the value is over q^len(uparts) * (top - m - 1)!
                 key = (uparts, m, parts)
                 out = memo.get(key)
                 if out is not None:
@@ -201,14 +200,12 @@ class FockSpace:
                     if ucharge:
                         out = self._lattice(ucharge, e0, m, parts)
                     elif m == -1:
-                        out = {parts: 1}
+                        out = {parts: factorial(top)}
                 else:
                     p, rest = uparts[0], uparts[1:]
                     height = top - m - 1
                     for j in range(top - p - m):
-                        c = comb(p + j - 1, j) * q
-                        if ucharge:
-                            c *= perm(height, p + j)
+                        c = comb(p + j - 1, j) * q * perm(height, p + j)
                         for new, x in mode(rest, m + j, parts, top - p).items():
                             _add_term(out, _insert(new, (p + j,)), c * x)
                     sign = 1 if p % 2 else -1
@@ -238,9 +235,8 @@ class FockSpace:
                 for uparts, usum, cu in terms:
                     top = usum + psum - e0
                     if top > n and (ints := mode(uparts, n, parts, top)):
-                        den = cu.denominator * cv.denominator * q ** len(uparts)
-                        if ucharge:
-                            den *= factorial(top - n - 1)
+                        den = (cu.denominator * cv.denominator * q ** len(uparts)
+                               * factorial(top - n - 1))
                         group.append((cu.numerator * cv.numerator, den, ints))
         out: dict = {}
         for out_charge, group in pending.items():
@@ -257,16 +253,16 @@ class FockSpace:
     def _exponent(self, b, charge) -> int:
         """2k*b*charge: e^{b*alpha}(z) carries z^(2k*b*charge) on the
         charge sector, so its modes are integral only when this is."""
-        if Fraction(b).denominator != 1:
+        if (b := Fraction(b)).denominator != 1:
             raise InputError(
                 f"operator charge {b} is not an integer; the operator lies "
                 "outside the lattice and would produce non-integer charges")
-        e0 = 2 * self.k * b * charge
-        if e0.denominator != 1:
+        e0, rest = divmod(2 * self.k * b.numerator * charge.numerator, charge.denominator)
+        if rest:
             raise InputError(
-                f"mode exponent 2k*b*charge = {e0} is not an integer; "
+                f"mode exponent 2k*b*charge = {2 * self.k * b * charge} is not an integer; "
                 "the operator has no integral modes on this charge sector")
-        return int(e0)
+        return e0
 
     def lattice_vertex_mode(self, b, n: int, v) -> SparseVec:
         """Mode (e^{b*alpha})_n of the lattice operator with charge b != 0."""

@@ -256,8 +256,6 @@ class VirasoroModule(HighestWeightModule):
 
     def basis(self, level: int) -> list[VirMonomial]:
         """Canonical monomials at the given level, descending-lex order."""
-        if level < 0:
-            return []
         return list(partitions(level, self.min_part))
 
     def dim(self, level: int) -> int:

@@ -69,7 +69,8 @@ class W3Module(HighestWeightModule):
     """Highest-weight W3 module over exact rationals.
 
     W3Module(c) is the vacuum module; W3Module(c, lam, mu) the Verma module
-    with lowest L_0 / W_0 eigenvalues lam, mu.
+    with lowest L_0 / W_0 eigenvalues lam, mu. One of lam, mu without the
+    other is an InputError.
     """
 
     EMPTY = EMPTY
@@ -87,7 +88,9 @@ class W3Module(HighestWeightModule):
         if 22 + 5 * self.c == 0:
             raise InputError("central charge with 22 + 5c = 0 is not admitted "
                              "(the W,W bracket is undefined there)")
-        self.vacuum = lam is None and mu is None
+        if (lam is None) != (mu is None):
+            raise InputError("lam and mu must be given together")
+        self.vacuum = lam is None
         self.lam = Fraction(lam) if lam is not None else Fraction(0)
         self.mu = Fraction(mu) if mu is not None else Fraction(0)
         self.params = (self.c, self.lam, self.mu, self.vacuum)
@@ -105,8 +108,6 @@ class W3Module(HighestWeightModule):
     def basis(self, weight: int) -> list[W3Monomial]:
         """Canonical monomials at a weight: pure-L monomials first (ascending
         W-weight), descending-lex within each partition family."""
-        if weight < 0:
-            return []
         out = []
         for wb in range(0, weight + 1):
             for wp in partitions(wb, self.min_w):

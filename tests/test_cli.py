@@ -387,6 +387,8 @@ BAD_INPUT_REPROS = (
     ("primary", "--lam", "1", "--mu", "1", "--weight", "16"),
     ("decompose", "--terms", '{"W(-3)": 0}'),
     ("decompose", "--lam", "1/3", "--mu", "2/7", "--monomial", "W(-3)"),
+    ("dims", "--algebra", "w3", "--lam", "1", "--max-weight", "3"),
+    ("primary", "--mu", "1", "--weight", "3"),
     ("verify", "prop21", "--m", "3..1"),
     ("act", "--algebra", "vir", "--h", "1", "--gen", "L", "--mode", "1",
      "--monomial", "a(-1)"),
@@ -439,9 +441,12 @@ def test_bad_input_grid_never_tracebacks(capsys, monkeypatch):
     lambda: voacalc.FockSpace(1).char_series("m1", -1),
     lambda: voacalc.VirasoroModule(1, 1).primary_space(0),
     lambda: voacalc.VirasoroModule(1, 1, vacuum=True),
+    lambda: voacalc.W3Module(1, 1),
+    lambda: voacalc.W3Module(1, None, 1),
     lambda: voacalc.label_str(("bogus",)),
 ], ids=["fock-k-0", "fock-k-1.5", "evec-0", "lattice-mode-nonintegral", "basis-space",
-        "theta-sign", "char-cutoff", "primary-weight-0", "vacuum-h-1", "label"])
+        "theta-sign", "char-cutoff", "primary-weight-0", "vacuum-h-1", "w3-lam-only",
+        "w3-mu-only", "label"])
 def test_library_rejects_bad_arguments_with_input_error(call):
     """Library calls outside what a function accepts raise InputError, which
     the CLI reports as a usage error."""

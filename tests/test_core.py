@@ -371,6 +371,7 @@ def test_series_add():
 
 def test_rank_empty_and_zero_cases():
     assert rank([]) == 0
+    assert rank([[]]) == 0
     assert rank([[Fraction(0), Fraction(0)]]) == 0
     assert _matrix_kernel([[Fraction(0)]]) == [[Fraction(1)]]
     zero = SparseVec.zero()

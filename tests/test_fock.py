@@ -68,6 +68,12 @@ def test_virasoro_action_from_conformal_vector(k2):
         out = k2.vir_act(0, v)
         assert out == v.scaled(k2.weight(mono))
     assert k2.vir_act(-1, SparseVec.unit(k2.VACUUM)).is_zero()
+    # on a charge-0 and a charged monomial at output part-sums 22 and 23,
+    # where H! no longer fits in 64 bits
+    for space in (FockSpace(1), k2):
+        for mono in (((7, 5, 4, 3, 2, 1), Fraction(0)), ((6, 5, 4, 3, 3, 2), Fraction(2))):
+            v = SparseVec.unit(mono)
+            assert space.vir_act(0, v) == v.scaled(space.weight(mono)), (space.k, mono)
 
 
 def test_virasoro_commutator_on_fock_space(k2):

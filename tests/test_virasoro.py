@@ -42,6 +42,7 @@ def test_basis_sizes_match_partition_counts(c, h, vacuum):
         assert set(module.basis(level)) == brute_partitions(level, min_part)
     for level in range(-1, 21):
         assert module.dim(level) == len(module.basis(level))
+    assert module.basis(-1) == [] and module.dim(-1) == 0
 
 
 @pytest.mark.parametrize("c,h,vacuum", MODULE_PARAMS)

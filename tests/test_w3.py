@@ -48,6 +48,7 @@ def test_dim_counts_the_basis(weights):
     module = W3Module.get(1, *weights)
     assert [module.dim(w) for w in range(-1, 13)] == [
         len(module.basis(w)) for w in range(-1, 13)]
+    assert module.basis(-1) == [] and module.dim(-1) == 0
 
 
 @pytest.mark.parametrize("c,weights", [
