@@ -4,10 +4,12 @@ verification-report builders (`check` and `check_values` for one check,
 `report` for a suite) and the error every input check raises.
 
 The linear algebra is one elimination of sparse integer rows mod primes,
-drawn until its answer is certified exactly. A dense rational matrix reaches
-it through `rank`, lists of sparse vectors through `independent`,
-`coordinates` and `kernel`; each row is scaled to integers once, by
-`_integer_row`.
+drawn until its answer is certified exactly. Mod each prime a forward pass
+brings the rows to echelon form, and a back-substitution computes only the
+free columns of the reduced form (there are none at full rank). A dense
+rational matrix reaches it through `rank`, lists of sparse vectors through
+`independent`, `coordinates` and `kernel`; each row is scaled to integers
+once, by `_integer_row`.
 
 Every coefficient is exact: a `fractions.Fraction`, or ints in the Gram rows
 (each over its own denominator), the vertex-mode recursion (over q^len * H!)
@@ -17,7 +19,7 @@ and the sparse rows of the elimination. No floats enter any computation.
 from __future__ import annotations
 
 import math
-from bisect import bisect
+from bisect import bisect, insort
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -247,35 +249,50 @@ def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, di
     """The reduced row echelon form mod the prime p of the integer matrix
     with the given sparse rows, as {pivot column: row}. Each row is a dict
     of its nonzero residues: 1 at its pivot, none left of it or at another
-    pivot column. Rows are inserted one at a time, so the pivot columns are
-    the leftmost independent ones mod p."""
-    ech: dict[int, dict[int, int]] = {}
+    pivot column.
+
+    A forward pass inserts the rows one at a time, so the pivot columns are
+    the leftmost independent ones mod p. Each row is reduced by the stored
+    rows in ascending pivot order, its entries summed as unreduced ints with
+    one % per pivot factor and one pass when it is done. A stored row is 1
+    at its pivot and 0 at every pivot stored before it, and it is never
+    changed again. With a pivot in every column the form is the identity.
+    Otherwise one back-substitution, from the last pivot to the first,
+    computes each row's entries in the free columns, the only ones it has.
+    """
+    tails: dict[int, dict[int, int]] = {}  # pivot -> its stored row right of the 1
+    pivots: list[int] = []
     for row in rows:
         v = {j: x % p for j, x in row.items()}
-        get = v.get
-        for c in [c for c in v if c in ech]:
-            f = v[c]
-            for j, y in ech[c].items():
-                v[j] = get(j, 0) - f * y
+        get, pop = v.get, v.pop
+        for c in pivots:
+            if c in v:
+                f = pop(c) % p
+                if f:
+                    for j, y in tails[c].items():
+                        v[j] = get(j, 0) - f * y
         v = {j: x for j, x in ((j, x % p) for j, x in v.items()) if x}
         if not v:
             continue
         lead = min(v)
-        inv = pow(v[lead], -1, p)
-        v = {j: x * inv % p for j, x in v.items()}
-        for r in ech.values():
-            g = r.get(lead)
-            if g:
-                for j, y in v.items():
-                    x = (r.get(j, 0) - g * y) % p
-                    if x:
-                        r[j] = x
-                    else:
-                        del r[j]
-        ech[lead] = v
-        if len(ech) == ncols:
-            break
-    return ech
+        inv = pow(v.pop(lead), -1, p)
+        tails[lead] = {j: x * inv % p for j, x in v.items()}
+        insort(pivots, lead)
+        if len(pivots) == ncols:
+            return {c: {c: 1} for c in pivots}
+    free: dict[int, dict[int, int]] = {}  # pivot -> its row in the free columns
+    for c in reversed(pivots):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for j, y in tails[c].items():
+            later = free.get(j)
+            if later is None:
+                acc[j] = get(j, 0) + y
+            else:
+                for f, z in later.items():
+                    acc[f] = get(f, 0) - y * z
+        free[c] = {j: x for j, x in ((j, x % p) for j, x in acc.items()) if x}
+    return {c: {c: 1, **free[c]} for c in pivots}
 
 
 def _rationals(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
@@ -380,11 +397,16 @@ def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank of an exact rational matrix, its entries `int` or `Fraction`:
     the number of pivot columns of `_eliminate`, which returns at the first
     prime with a pivot in every column and otherwise certifies the rank by
-    the exact kernel."""
+    the exact kernel. Rows of unequal length and other entries are
+    InputError."""
     if not rows:
         return 0
+    ncols = len(rows[0])
+    if any(len(row) != ncols or not all(isinstance(x, (int, Fraction)) for x in row)
+           for row in rows):
+        raise InputError("rank takes rows of equal length with int or Fraction entries")
     m = [_integer_row(enumerate(row)) for row in rows]
-    return len(_eliminate(m, len(rows[0]))[0])
+    return len(_eliminate(m, ncols)[0])
 
 
 def _columns(vectors: Sequence[SparseVec]) -> list[dict[int, int]]:

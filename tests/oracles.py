@@ -314,6 +314,29 @@ def gauss_echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:len(pivots)], pivots
 
 
+def rref_mod(rows, ncols: int, p: int) -> dict:
+    """The reduced row echelon form mod the prime p of the integer matrix
+    with the given sparse rows ({column: int}), by Gauss-Jordan elimination
+    column by column on dense lists of residues: {pivot column: {column:
+    nonzero residue}}."""
+    mat = [[row.get(j, 0) % p for j in range(ncols)] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return {c: {j: x for j, x in enumerate(row) if x} for c, row in zip(pivots, mat)}
+
+
 def gauss_rank(rows) -> int:
     return len(gauss_echelon(rows)[1])
 

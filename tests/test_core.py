@@ -1,11 +1,15 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from voacalc import core
 from voacalc.core import (
+    InputError,
     SparseVec,
+    _echelon_mod,
     _is_prime,
     _prime,
     check_values,
@@ -30,6 +34,7 @@ from oracles import (
     independent_subsequence,
     primitive_integer_vector,
     product_series,
+    rref_mod,
 )
 
 
@@ -262,6 +267,96 @@ def test_a_prime_with_other_pivots_starts_the_residues_again():
     assert taken == Counter(primes=5, kernel=1), taken
 
 
+def _planned_rows(rng, nrows, kinds, span):
+    """Seeded sparse integer rows whose column j is, by kinds[j], zero ("0"),
+    new ("new": random entries in [-span, span)) or a combination of the
+    columns before it ("free"); rows that come out empty are kept."""
+    cols = []
+    for kind in kinds:
+        if kind == "new":
+            cols.append([rng.randrange(-span, span) for _ in range(nrows)])
+        elif kind == "free" and cols:
+            factors = [rng.randrange(-3, 4) for _ in cols]
+            cols.append([sum(f * col[i] for f, col in zip(factors, cols)) for i in range(nrows)])
+        else:
+            cols.append([0] * nrows)
+    return [{j: col[i] for j, col in enumerate(cols) if col[i]} for i in range(nrows)]
+
+
+def _echelon_cases():
+    rng = random.Random(53)
+    p = _prime(0)
+    big = [[rng.randrange(-3 * p, 3 * p) for _ in range(9)] for _ in range(9)]
+    cases = {"dense-full-rank-9x9": ([dict(enumerate(row)) for row in big], 9)}
+    kinds = ["0", "new", "free", "new", "new", "free", "0", "new", "free"]
+    cases["deficient-free-at-both-ends-and-between"] = (_planned_rows(rng, 7, kinds, 50), 9)
+    cases["deficient-entries-past-p"] = (_planned_rows(rng, 6, kinds[1:], 3 * p), 8)
+    cases["tall-deficient-12x5"] = (_planned_rows(rng, 12, ["new", "free", "new", "new", "free"], 9), 5)
+    sparse = []
+    for _ in range(60):
+        row = {j: rng.choice([-2, -1, 1, 2, 3])
+               for j in rng.sample([j for j in range(40) if j != 20], rng.randrange(1, 5))}
+        row.update({40: row.get(3, 0) + row.get(10, 0), 41: 2 * row.get(25, 0) - row.get(39, 0)})
+        sparse.append({j: x for j, x in row.items() if x})
+    cases["sparse-60x42"] = (sparse, 42)
+    zero = [{}, {0: p, 3: -2 * p}, {1: 5, 3: 2}, {}, {2: 7 * p}, {0: 1, 1: -1}]
+    cases["zero-rows-and-rows-zero-mod-p"] = (zero, 4)
+    cases["sorted-rightmost-first"] = (sorted(sparse, key=lambda row: -min(row)), 42)
+    cases["pivots-leftward"] = ([{4: 1, 5: 2}, {3: 1, 5: 1}, {2: 2, 4: 1}, {1: 3}, {0: 1, 5: 1}, {0: 2}], 6)
+    cases["shuffled-deficient"] = (rng.sample(cases["tall-deficient-12x5"][0], 12), 5)
+    return [pytest.param(rows, ncols, id=name) for name, (rows, ncols) in cases.items()]
+
+
+@pytest.mark.parametrize("rows,ncols", _echelon_cases())
+def test_echelon_mod_equals_gauss_jordan_mod_p(rows, ncols):
+    """The forward pass and back-substitution of `_echelon_mod` give the
+    reduced row echelon form of column-by-column Gauss-Jordan elimination on
+    dense residue lists, mod 2^61 - 1 and mod small primes that drop ranks:
+    dense, deficient (free columns at both ends and between pivots), sparse,
+    with zero rows, negative entries and entries past p, and in row orders
+    where later rows take pivots left of earlier ones."""
+    for p in (2, 3, 7, 101, _prime(0), _prime(1)):
+        assert _echelon_mod(rows, ncols, p) == rref_mod(rows, ncols, p), p
+
+
+def test_echelon_mod_cases_reach_their_shapes():
+    """The planned cases are what their names say mod 2^61 - 1."""
+    p = _prime(0)
+    got = {case.id: sorted(rref_mod(*case.values, p)) for case in _echelon_cases()}
+    assert got["dense-full-rank-9x9"] == list(range(9))
+    assert got["deficient-free-at-both-ends-and-between"] == [1, 3, 4, 7]
+    assert got["deficient-entries-past-p"] == [0, 2, 3, 6]
+    assert got["tall-deficient-12x5"] == got["shuffled-deficient"] == [0, 2, 3]
+    assert got["zero-rows-and-rows-zero-mod-p"] == [0, 1]
+    assert got["pivots-leftward"] == list(range(6))
+    assert got["sparse-60x42"] == got["sorted-rightmost-first"]
+    assert len(got["sparse-60x42"]) >= 30 and not {20, 40, 41} & set(got["sparse-60x42"])
+
+
+def test_the_elimination_leaves_its_rows_untouched(monkeypatch):
+    """Every prime eliminates every row, so a row changed mod one prime
+    would corrupt the next: the rows given to `_eliminate` are unchanged
+    after a rank-deficient `rank`, a `kernel` and a `coordinates` call, and
+    these take more than one prime."""
+    eliminate, unchanged = core._eliminate, []
+
+    def wrapped(rows, ncols):
+        before = copy.deepcopy(rows)
+        out = eliminate(rows, ncols)
+        unchanged.append(rows == before)
+        return out
+
+    monkeypatch.setattr(core, "_eliminate", wrapped)
+    rng = random.Random(61)
+    deficient = _rational_matrix(rng, 6, 6, 4)
+    big = _big_kernel_matrix(rng, 6)
+    calls = [(rank, deficient), (rank, big), (_matrix_kernel, big),
+             (_coordinates_of, big, [sum(row[:2], Fraction(0)) for row in big])]
+    got = [_paths_of(*call) for call in calls]
+    assert got[0][0] == 4 and unchanged == [True] * len(calls)
+    assert all(taken["primes"] >= 2 for _, taken in got[1:]), got
+
+
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
     def trial(n):
         return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
@@ -372,6 +467,9 @@ def test_series_add():
 def test_rank_empty_and_zero_cases():
     assert rank([]) == 0
     assert rank([[]]) == 0
+    for bad in ([[1], [0, 1]], [[1, 2], [3]], [[1, 0.5]], [[Fraction(1)], ["2"]]):
+        with pytest.raises(InputError):
+            rank(bad)
     assert rank([[Fraction(0), Fraction(0)]]) == 0
     assert _matrix_kernel([[Fraction(0)]]) == [[Fraction(1)]]
     zero = SparseVec.zero()
