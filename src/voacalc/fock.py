@@ -21,15 +21,17 @@ the output weight. Every other monomial a(-p)u' reduces to u' by the iterate
 down to 1_(n) = delta_{n,-1} or to a lattice operator (Kac, Vertex Algebras
 for Beginners; Lepowsky-Li 2004).
 
-Each rule has one kernel: `_insert` adds parts to a descending tuple,
-`FockSpace._lower` is alpha(j >= 0) on a monomial, `FockSpace._lattice`
-is a lattice operator on a monomial, which depends on the charge only
-through the exponent 2k*b*charge, and `_exp_series(b, d)` is the bounded
-table of the integers d!*b^len(lam)/z_lam, the weight-d coefficients of
-exp(b sum_p alpha(-p) z^p / p) times d!, that `_lattice` adds from. The
-public methods and the recursion call these kernels. `lattice_vertex_mode`
-is `vertex_mode` of e^{b*alpha}, so `vertex_mode` is the one path into
-`_lattice` and its exponent check.
+Each Heisenberg step is written once, inside the recursion: alpha(-m) is
+`_insert` of the part m into a descending tuple, alpha(0) the scalar
+2k*charge of the charge sector, and alpha(j > 0) removes one of the mult
+parts j with the factor 2k*j*mult. The one kernel beside them,
+`FockSpace._lattice`, is a lattice operator on a monomial; it depends on the
+charge only through the exponent 2k*b*charge and adds from the bounded
+table `_exp_series(b, d)` of the integers d!*b^len(lam)/z_lam, the weight-d
+coefficients of exp(b sum_p alpha(-p) z^p / p) times d!. The operators are
+modes of their states: `heis_act` is `vertex_mode` of alpha(-1).1,
+`vir_act` of omega and `lattice_vertex_mode` of e^{b*alpha}, so
+`vertex_mode` is the one path into the recursion and into `_lattice`.
 
 The recursion runs in ints, by one rule in every charge sector. alpha(0)
 contributes num(2k*charge) and every step into u' the denominator q of
@@ -116,27 +118,8 @@ class FockSpace:
     # -- Heisenberg action ----------------------------------------------------
 
     def heis_act(self, m: int, v) -> SparseVec:
-        """alpha(m) applied to a vector or monomial."""
-        out: dict = {}
-        for (parts, charge), coef in SparseVec.of(v).items():
-            if m < 0:
-                _add_term(out, (_insert(parts, (-m,)), charge), coef)
-            elif low := self._lower(m, parts, charge):
-                _add_term(out, (low[1], charge), coef * low[0])
-        return SparseVec._raw(out)
-
-    def _lower(self, j: int, parts: tuple, charge):
-        """alpha(j), j >= 0, on (parts, charge) as (factor, new parts), or None
-        when it vanishes: alpha(0) scales by 2k*charge, alpha(j > 0) removes
-        one of the mult parts j with the factor 2k*j*mult."""
-        if j == 0:
-            return (2 * self.k * charge, parts) if charge else None
-        mult = parts.count(j)
-        if not mult:
-            return None
-        low = list(parts)
-        low.remove(j)
-        return 2 * self.k * j * mult, tuple(low)
+        """alpha(m) on a vector or monomial: the mode m of alpha(-1).1."""
+        return self.vertex_mode(SparseVec.unit(((1,), ZERO)), m, v)
 
     # -- distinguished vectors ------------------------------------------------
 
@@ -213,8 +196,9 @@ class FockSpace:
                         for new, x in mode(rest, m - p, parts, top - p).items():
                             _add_term(out, new, sign * num * x)
                     for j in set(parts):
-                        factor, low = self._lower(j, parts, charge)
-                        c = sign * comb(p + j - 1, j) * factor * q
+                        i = parts.index(j)
+                        low = parts[:i] + parts[i + 1:]
+                        c = sign * comb(p + j - 1, j) * 2 * self.k * j * parts.count(j) * q
                         for new, x in mode(rest, m - p - j, low, top - p - j).items():
                             _add_term(out, new, c * x)
                 memo[key] = out

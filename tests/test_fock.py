@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -258,6 +259,17 @@ def test_vertex_mode_matches_slot_enumeration_oracle():
         n = rng.randint(-4, 9)
         assert dict(sp.vertex_mode(u, n, v).items()) == \
             vertex_mode_by_slots(sp.k, u, n, v), (sp.k, u, n, v)
+    # alpha(m) is the mode m of u = a(-1).1: repeated parts, alpha(0) on
+    # integral and fractional charges
+    alpha = unit((1,))
+    for k, charge, m in product((1, 2, 3), (0, 1, -1, 2, Fraction(1, 2), Fraction(1, 4)),
+                                range(-4, 5)):
+        v = (unit((2, 2, 1), charge).scaled(Fraction(3)) + unit((1, 1, 1), charge)
+             + unit((3, 1, 1), charge) + unit((), charge).scaled(Fraction(-2)))
+        assert dict(FockSpace(k).heis_act(m, v).items()) == \
+            vertex_mode_by_slots(k, alpha, m, v), (k, charge, m)
+    quarter = unit((), Fraction(1, 4))
+    assert FockSpace(1).heis_act(0, quarter) == quarter.scaled(Fraction(1, 2))
 
 
 def _vl_vectors(sp, max_weight=5):

@@ -4,7 +4,10 @@
 `lattice_vertex_mode` reaches them through `vertex_mode`, so anything put on
 that one path, such as a memo of `_lattice`, sees every lattice mode. The
 table of exponential-series coefficients, `_exp_series`, is read only by
-`FockSpace._lattice`, and its cache has a fixed bound."""
+`FockSpace._lattice`, and its cache has a fixed bound. The Heisenberg modes
+take the same path: `heis_act`, `vir_act` and `lattice_vertex_mode` are
+modes of alpha(-1).1, omega and e^{b*alpha}, and the creation step
+`_insert` is called only in the recursion and in `_lattice`."""
 
 from __future__ import annotations
 
@@ -54,3 +57,15 @@ def test_only_the_lattice_kernel_reads_the_exp_series_table():
 def test_exp_series_table_is_bounded():
     assert isinstance(EXP_SERIES_CACHE, int) and EXP_SERIES_CACHE > 0
     assert _exp_series.cache_info().maxsize == EXP_SERIES_CACHE
+
+
+def test_every_fock_operator_is_a_vertex_mode():
+    fock = PACKAGE / "fock.py"
+    modes = {"heis_act", "vir_act", "lattice_vertex_mode"}
+    callers = {owner for _, owner in calls_of(fock, {"vertex_mode"})}
+    assert {f"fock.FockSpace.{name}" for name in modes} <= callers, callers
+    calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, {"_insert"})]
+    assert {owner for _, owner in calls} == {HOME, "fock.FockSpace._lattice"}, calls
+    defined = {node.name for node in ast.walk(ast.parse(fock.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_lower" not in defined, defined
