@@ -5,8 +5,8 @@ verification-report builders (`check` and `check_values` for one check,
 
 The linear algebra is one elimination of sparse integer rows mod primes,
 drawn until its answer is certified exactly. Mod each prime a forward pass
-brings the rows to echelon form, and a back-substitution computes only the
-free columns of the reduced form (there are none at full rank). A dense
+brings the rows to echelon form, and a back-substitution computes only its
+free-column entries, all the certificate reads (none at full rank). A dense
 rational matrix reaches it through `rank`, lists of sparse vectors through
 `independent`, `coordinates` and `kernel`; each row is scaled to integers
 once, by `_integer_row`.
@@ -245,11 +245,12 @@ def _prime(i: int) -> int:
 rank_paths: Counter = Counter()
 
 
-def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, dict[int, int]]:
+def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int
+                 ) -> tuple[list[int], dict[int, dict[int, int]]]:
     """The reduced row echelon form mod the prime p of the integer matrix
-    with the given sparse rows, as {pivot column: row}. Each row is a dict
-    of its nonzero residues: 1 at its pivot, none left of it or at another
-    pivot column.
+    with the given sparse rows, as (pivots, free): the pivot columns in
+    ascending order, and {pivot: {free column: nonzero residue}}, each
+    row's entries other than the 1 at its pivot (empty at full rank).
 
     A forward pass inserts the rows one at a time, so the pivot columns are
     the leftmost independent ones mod p. Each row is reduced by the stored
@@ -258,7 +259,7 @@ def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, di
     at its pivot and 0 at every pivot stored before it, and it is never
     changed again. With a pivot in every column the form is the identity.
     Otherwise one back-substitution, from the last pivot to the first,
-    computes each row's entries in the free columns, the only ones it has.
+    computes each row's entries in the free columns.
     """
     tails: dict[int, dict[int, int]] = {}  # pivot -> its stored row right of the 1
     pivots: list[int] = []
@@ -279,7 +280,7 @@ def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, di
         tails[lead] = {j: x * inv % p for j, x in v.items()}
         insort(pivots, lead)
         if len(pivots) == ncols:
-            return {c: {c: 1} for c in pivots}
+            return pivots, {}
     free: dict[int, dict[int, int]] = {}  # pivot -> its row in the free columns
     for c in reversed(pivots):
         acc: dict[int, int] = {}
@@ -292,7 +293,7 @@ def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, di
                 for f, z in later.items():
                     acc[f] = get(f, 0) - y * z
         free[c] = {j: x for j, x in ((j, x % p) for j, x in acc.items()) if x}
-    return {c: {c: 1, **free[c]} for c in pivots}
+    return pivots, free
 
 
 def _rationals(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
@@ -350,8 +351,8 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int
                ) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """The pivot columns (leftmost first) and the `_exact_kernel` vectors of
     the integer matrix with ncols columns and the given rows, each a dict
-    {column: nonzero int} (an empty dict is a zero row), from its reduced
-    echelon forms mod the primes `_prime(i)`.
+    {column: nonzero int} (an empty dict is a zero row), from the pivots and
+    free-column entries of its `_echelon_mod` forms mod the primes `_prime(i)`.
 
     Every prime eliminates every row. Each free column f mod p gives the
     kernel vector with x_f = 1, the other free coordinates 0 and the rest on
@@ -375,17 +376,16 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int
     for i in count():
         rank_paths["primes"] += 1
         p = _prime(i)
-        ech = _echelon_mod(m, ncols, p)
-        got = sorted(ech)
+        got, entries = _echelon_mod(m, ncols, p)
         if got != pivots:
             pivots = got
-            free = [j for j in range(ncols) if j not in ech]
+            free = sorted(set(range(ncols)).difference(pivots))
             residues = [[0] * bisect(pivots, f) for f in free]
             modulus = 1
         step = pow(modulus, -1, p)
         for f, res in zip(free, residues):
             for k, c in enumerate(pivots[:len(res)]):
-                res[k] += modulus * ((-ech[c].get(f, 0) - res[k]) * step % p)
+                res[k] += modulus * ((-entries[c].get(f, 0) - res[k]) * step % p)
         modulus *= p
         vectors = _exact_kernel(free, pivots, residues, modulus)
         if vectors is not None and not _misses(vectors, m):

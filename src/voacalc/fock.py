@@ -25,13 +25,14 @@ Each Heisenberg step is written once, inside the recursion: alpha(-m) is
 `_insert` of the part m into a descending tuple, alpha(0) the scalar
 2k*charge of the charge sector, and alpha(j > 0) removes one of the mult
 parts j with the factor 2k*j*mult. The one kernel beside them,
-`FockSpace._lattice`, is a lattice operator on a monomial; it depends on the
-charge only through the exponent 2k*b*charge and adds from the bounded
-table `_exp_series(b, d)` of the integers d!*b^len(lam)/z_lam, the weight-d
-coefficients of exp(b sum_p alpha(-p) z^p / p) times d!. The operators are
-modes of their states: `heis_act` is `vertex_mode` of alpha(-1).1,
-`vir_act` of omega and `lattice_vertex_mode` of e^{b*alpha}, so
-`vertex_mode` is the one path into the recursion and into `_lattice`.
+`FockSpace._lattice`, is a lattice operator on a monomial; it takes the int
+charge b and the height H of its output, which the recursion holds, and
+adds from the bounded table `_exp_series(b, d)` of the integers
+d!*b^len(lam)/z_lam, the weight-d coefficients of exp(b sum_p alpha(-p)
+z^p / p) times d!. The operators are modes of their states: `heis_act` is
+`vertex_mode` of alpha(-1).1, `vir_act` of omega and `lattice_vertex_mode`
+of e^{b*alpha}, so `vertex_mode` is the one path into the recursion and
+into `_lattice`.
 
 The recursion runs in ints, by one rule in every charge sector. alpha(0)
 contributes num(2k*charge) and every step into u' the denominator q of
@@ -166,27 +167,27 @@ class FockSpace:
         Fraction per output monomial.
         """
         def sector(ucharge, charge):
-            e0 = self._exponent(ucharge, charge)
             zero = 2 * self.k * charge  # alpha(0) on the sector, num / q
+            b, e0 = self._exponent(ucharge, zero)
             num, q = zero.numerator, zero.denominator
             memo: dict = {}
 
             def mode(uparts, m, parts, top) -> dict:
                 # top = |u' parts| + |parts| - e0 > m, kept by every call;
-                # the value is over q^len(uparts) * (top - m - 1)!
+                # the value is over q^len(uparts) * height!
                 key = (uparts, m, parts)
                 out = memo.get(key)
                 if out is not None:
                     return out
                 out = {}
+                height = top - m - 1
                 if not uparts:
-                    if ucharge:
-                        out = self._lattice(ucharge, e0, m, parts)
+                    if b:
+                        out = self._lattice(b, height, parts)
                     elif m == -1:
                         out = {parts: factorial(top)}
                 else:
                     p, rest = uparts[0], uparts[1:]
-                    height = top - m - 1
                     for j in range(top - p - m):
                         c = comb(p + j - 1, j) * q * perm(height, p + j)
                         for new, x in mode(rest, m + j, parts, top - p).items():
@@ -234,19 +235,20 @@ class FockSpace:
                 out[new, out_charge] = Fraction(x, den)
         return SparseVec._raw(out)
 
-    def _exponent(self, b, charge) -> int:
-        """2k*b*charge: e^{b*alpha}(z) carries z^(2k*b*charge) on the
-        charge sector, so its modes are integral only when this is."""
+    def _exponent(self, b, zero) -> tuple[int, int]:
+        """(b, e0) as ints, e0 = b*zero with zero = 2k*charge, alpha(0) on
+        the charge sector: e^{b*alpha}(z) carries z^e0 there, so its modes
+        are integral only when e0 is."""
         if (b := Fraction(b)).denominator != 1:
             raise InputError(
                 f"operator charge {b} is not an integer; the operator lies "
                 "outside the lattice and would produce non-integer charges")
-        e0, rest = divmod(2 * self.k * b.numerator * charge.numerator, charge.denominator)
+        e0, rest = divmod(b.numerator * zero.numerator, zero.denominator)
         if rest:
             raise InputError(
-                f"mode exponent 2k*b*charge = {2 * self.k * b * charge} is not an integer; "
+                f"mode exponent 2k*b*charge = {b * zero} is not an integer; "
                 "the operator has no integral modes on this charge sector")
-        return e0
+        return b.numerator, e0
 
     def lattice_vertex_mode(self, b, n: int, v) -> SparseVec:
         """Mode (e^{b*alpha})_n of the lattice operator with charge b != 0."""
@@ -254,27 +256,24 @@ class FockSpace:
             raise InputError("lattice operator needs a nonzero charge")
         return self.vertex_mode(self.xvec(b), n, v)
 
-    def _lattice(self, b, e0: int, n: int, parts: tuple) -> dict:
-        """(e^{b*alpha})_n on (parts, charge) with e0 = 2k*b*charge, as
-        {new parts: N}, N an int: the coefficient is N / top!, where
-        top = -n-1-e0+|parts| is the part-sum of every output monomial. The
-        output charge is charge + b.
+    def _lattice(self, b: int, height: int, parts: tuple) -> dict:
+        """(e^{b*alpha})_n on (parts, charge) for the int charge b, as
+        {new parts: N}, N an int: the coefficient is N / H!, where the
+        height H = |parts| - e0 - n - 1 >= 0 (e0 = 2k*b*charge) is the
+        part-sum of every output monomial. The output charge is charge + b.
 
         E^+(z) removes t of the mult copies of each part value with the
         factor C(mult, t) (-2kb)^t; E^-(z) then adds the partitions lam of
-        d = top - (weight kept) with the coefficients d!*b^len(lam)/z_lam /
-        d! of `_exp_series`. Scaled by top!/d!, every term is an integer
-        over top!, so the sums run in ints and are returned undivided: the
-        callers in `vertex_mode` carry the top! as the H! of the leaf."""
-        top = -n - 1 - e0 + sum(parts)
-        if top < 0:
-            return {}
-        b, fact = int(b), factorial(top)
+        d = H - (weight kept) with the coefficients d!*b^len(lam)/z_lam /
+        d! of `_exp_series`. Scaled by H!/d!, every term is an integer
+        over H!, so the sums run in ints and are returned undivided: the
+        recursion in `vertex_mode` carries the H! of the leaf."""
+        fact = factorial(height)
         out: dict = {}
         values = sorted(set(parts))
         mults = [parts.count(val) for val in values]
         for removed in product(*(range(mult + 1) for mult in mults)):
-            factor, kept, d = 1, [], top
+            factor, kept, d = 1, [], height
             for val, mult, t in zip(values, mults, removed):
                 factor *= comb(mult, t) * (-2 * self.k * b) ** t
                 kept += [val] * (mult - t)

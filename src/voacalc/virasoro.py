@@ -5,14 +5,13 @@ V(c, 0)/U(Vir)L_{-1}v over exact rationals: PBW bases, straightened L_n
 action, the contravariant (Shapovalov) form, singular vectors and c = 1
 character series. HighestWeightModule, which the W3 modules share, holds
 what does not depend on the algebra: the one PBW straightening recursion,
-shared instances, the contravariant form, Gram matrices (each built from
-the ones below it, by the adjoint of a monomial's first mode, as int
-numerators over one denominator per row; Fractions only at the weight
-asked for, and `gram_rank` reads the numerators) and primary spaces (the
-`core.kernel` of L_1 and L_2 on a graded piece). A module
-supplies its basis, how a monomial splits off its first mode or takes a new
-one, its lowest-weight eigenvalues and its brackets; [L_n, L_m] sits in the
-base.
+the contravariant form, Gram matrices (each built from the ones below it,
+by the adjoint of a monomial's first mode, as int numerators over one
+denominator per row; Fractions only at the weight asked for, and
+`gram_rank` reads the numerators) and primary spaces (the `core.kernel` of
+L_1 and L_2 on a graded piece). A module supplies its basis, how a
+monomial splits off its first mode or takes a new one, its lowest-weight
+eigenvalues and its brackets; [L_n, L_m] sits in the base.
 
 Conventions
 -----------
@@ -25,7 +24,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import partial
 
@@ -58,9 +56,9 @@ def monomial_str(mono: VirMonomial) -> str:
 class HighestWeightModule:
     """What a highest-weight module needs beyond the brackets of its algebra.
 
-    A subclass sets `params` (the normalized constructor arguments), `_memos`
-    and `_eigen` (per generator name: the memo dict of its straightened
-    action and its eigenvalue on the lowest-weight vector) and supplies:
+    A subclass sets `_memos` and `_eigen` (per generator name: the memo dict
+    of its straightened action and its eigenvalue on the lowest-weight
+    vector) and supplies:
 
     * `basis(weight)` and its size `dim(weight)`;
     * `level(mono)`, the weight of a monomial above the lowest one;
@@ -74,22 +72,18 @@ class HighestWeightModule:
       [gen_n, other_{-a}] rest to out. This class holds [L_n, L_{-a}].
 
     On that this class builds the one straightening recursion `_act`, the
-    shared instances, the action on vectors and its rendering, the
-    contravariant form with its Gram matrices, and primary spaces (through
-    `core.kernel`).
+    action on vectors and its rendering, the contravariant form with its
+    Gram matrices, and primary spaces (through `core.kernel`).
     """
 
     EMPTY = ()
 
-    _instances: dict = {}
-    _instances_lock = threading.Lock()
-
     @classmethod
     def get(cls, *args, **kwargs):
-        """Shared instance per class and parameters; memo caches are per instance."""
-        fresh = cls(*args, **kwargs)
-        with cls._instances_lock:
-            return cls._instances.setdefault((cls, fresh.params), fresh)
+        """The constructor: a new module with its own memo tables. It keeps
+        this name because `bench/worker.py`, the README and the tests build
+        modules through it."""
+        return cls(*args, **kwargs)
 
     # -- straightening --------------------------------------------------------
 
@@ -248,7 +242,6 @@ class VirasoroModule(HighestWeightModule):
         self.vacuum = bool(vacuum)
         if self.vacuum and self.h:
             raise InputError("vacuum quotient requires h = 0")
-        self.params = (self.c, self.h, self.vacuum)
         self.min_part = 2 if self.vacuum else 1
         self._act_memo: dict = {}
         self._memos = {"L": self._act_memo}

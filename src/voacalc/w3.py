@@ -93,7 +93,6 @@ class W3Module(HighestWeightModule):
         self.vacuum = lam is None
         self.lam = Fraction(lam) if lam is not None else Fraction(0)
         self.mu = Fraction(mu) if mu is not None else Fraction(0)
-        self.params = (self.c, self.lam, self.mu, self.vacuum)
         self.min_l = 2 if self.vacuum else 1
         self.min_w = 3 if self.vacuum else 1
         self._lambda_coef = Fraction(16) / (22 + 5 * self.c)

@@ -314,9 +314,14 @@ def test_echelon_mod_equals_gauss_jordan_mod_p(rows, ncols):
     dense residue lists, mod 2^61 - 1 and mod small primes that drop ranks:
     dense, deficient (free columns at both ends and between pivots), sparse,
     with zero rows, negative entries and entries past p, and in row orders
-    where later rows take pivots left of earlier ones."""
+    where later rows take pivots left of earlier ones. `_echelon_mod`
+    returns the pivots and each pivot row's free-column entries, which with
+    the 1 at the pivot are the whole row."""
     for p in (2, 3, 7, 101, _prime(0), _prime(1)):
-        assert _echelon_mod(rows, ncols, p) == rref_mod(rows, ncols, p), p
+        pivots, free = _echelon_mod(rows, ncols, p)
+        rref = rref_mod(rows, ncols, p)
+        assert pivots == sorted(rref) and set(free) <= set(pivots), p
+        assert {c: {c: 1, **free.get(c, {})} for c in pivots} == rref, p
 
 
 def test_echelon_mod_cases_reach_their_shapes():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from voacalc.virasoro import (
     verify_prop21,
     verma_character,
 )
+from voacalc.w3 import W3Module
 
 from oracles import (
     apply_mode,
@@ -220,3 +223,15 @@ def test_verify_prop21_report():
     assert "nullity-at-threshold-m2" in names
     assert all(ch["source"] in ("PAPER", "TRIVIAL", "DERIVED")
                for ch in report["checks"])
+
+
+def test_a_module_from_get_is_freed_once_dropped():
+    """`get` builds a new module with its own memo tables; nothing else
+    keeps it alive once its caller drops it."""
+    modules = [VirasoroModule.get(1, 4), W3Module.get(1), W3Module.get(2, 1, 1)]
+    for module in modules:
+        module.gram(3)
+    refs = [weakref.ref(module) for module in modules]
+    del module, modules
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
