@@ -327,35 +327,32 @@ def _cmd_fusion(args):
     }, False
 
 
-# suite -> (run, {flag: default}); `verify all` reads every flag. Each run
-# looks its suite function up on the module when called, so a wrapper set
-# there (bench/cli_probe.py times the suites that way) is the one that runs.
+# suite -> (module, function name, {flag: parameter}). A suite is passed only the
+# flags given, so every default is its function's own. Its function is looked up
+# on the module at each call, so a wrapper set there (bench/cli_probe.py) runs.
 _SUITES = {
-    "thm32": (lambda a: w3.verify_theorem32(a.c), {"c": Fraction(1)}),
-    "prop21": (lambda a: virasoro.verify_prop21(a.m, a.max_level),
-               {"m": (0, 1, 2), "max_level": 5}),
-    "lemma57": (lambda a: fock.verify_lemma57(a.k, _cutoff_or_env(a.cutoff)),
-                {"k": 3, "cutoff": None}),
-    "fusion-symmetry": (lambda a: fusion.verify_fusion_symmetry(samples=a.samples,
-                                                                seed=a.seed),
-                        {"samples": 50, "seed": 20240601}),
-    "fock": (lambda a: fock.verify_fock(), {}),
+    "thm32": (w3, "verify_theorem32", {"c": "c"}),
+    "prop21": (virasoro, "verify_prop21", {"m": "ms", "max_level": "max_level"}),
+    "lemma57": (fock, "verify_lemma57", {"k": "k", "cutoff": "cutoff"}),
+    "fusion-symmetry": (fusion, "verify_fusion_symmetry", {"samples": "samples", "seed": "seed"}),
+    "fock": (fock, "verify_fock", {}),
 }
 
 
 def _cmd_verify(args):
-    for suite, (_, flags) in _SUITES.items():
-        if args.suite not in (suite, "all"):
+    runs = [suite for suite in _SUITES if args.suite in (suite, "all")]
+    for suite, (_, _, flags) in _SUITES.items():
+        if suite not in runs:
             _reject_flags(args, *flags, context=f"verify {args.suite}")
-        for name, default in flags.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-    if args.suite != "all":
-        report = _SUITES[args.suite][0](args)
-        return report, not report["pass"]
-    suites = [run(args) for run, _ in _SUITES.values()]
-    ok = all(s["pass"] for s in suites)
-    return {"suites": suites, "pass": ok}, not ok
+    if "lemma57" in runs:
+        args.cutoff = _cutoff_or_env(args.cutoff)
+    reports = []
+    for module, name, flags in map(_SUITES.get, runs):
+        given = {param: getattr(args, flag) for flag, param in flags.items()
+                 if getattr(args, flag) is not None}
+        reports.append(getattr(module, name)(**given))
+    ok = all(report["pass"] for report in reports)
+    return (reports[0] if args.suite != "all" else {"suites": reports, "pass": ok}), not ok
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primary", help="primary vectors at a weight")
     p.add_argument("--algebra", default="w3", choices=("w3",))
-    p.add_argument("--c", type=rational, default="1")
+    p.add_argument("--c", type=rational)
     add_w3_params(p)
     p.add_argument("--weight", type=_int_in(1, MAX_LEVEL), required=True)
     p.set_defaults(func=_cmd_primary)

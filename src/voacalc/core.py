@@ -23,7 +23,6 @@ from bisect import bisect, insort
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from typing import Callable, Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -363,17 +362,22 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int
     which a minor nonzero mod p bounds from below: the free columns and
     kernel vectors are those of exact elimination over Q.
 
-    One return ends the loop, once the certificate holds (at once with a
-    pivot in every column: no free column, an empty certificate). A prime
-    whose pivot columns differ from those of the one before starts the
-    residues again. Only the finitely many primes dividing one nonzero
-    minor of M give other pivots than Q, so some prime ends the loop.
+    One return ends the loop, once the certificate holds (at once with a pivot
+    in every column: an empty certificate). A prime with other pivot columns
+    than the one before starts the residues again. With h the sum over the rows
+    of the bit lengths of the largest |entry| and the length, 2^h bounds every
+    minor of M (Hadamard). Every prime is above 2^60. At most h // 60 give
+    other pivots than Q, as they divide one nonzero minor; they split the rest
+    into at most h // 60 + 1 runs, and a run with Q's pivots reads back the
+    kernel entries, ratios of minors, within (2h+1) // 60 + 1 primes. Only a
+    fault is uncertified after the product of the two counts: ArithmeticError.
     """
     # the echelon form does not depend on the order of the rows; taking
     # those that start furthest right first keeps the rows short
     m = sorted(filter(None, rows), key=lambda row: -min(row))
+    h = sum(max(map(abs, row.values())).bit_length() + len(row).bit_length() for row in m)
     pivots = None
-    for i in count():
+    for i in range((h // 60 + 1) * ((2 * h + 1) // 60 + 1)):
         rank_paths["primes"] += 1
         p = _prime(i)
         got, entries = _echelon_mod(m, ncols, p)
@@ -391,6 +395,7 @@ def _eliminate(rows: Sequence[dict[int, int]], ncols: int
         if vectors is not None and not _misses(vectors, m):
             rank_paths["kernel" if free else "mod_p"] += 1
             return pivots, vectors
+    raise ArithmeticError(f"no certificate within the cap of primes ({i + 1})")
 
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:

@@ -162,22 +162,19 @@ class W3Module(HighestWeightModule):
                 _add_term(out, rest, Fraction(n * (n * n - 1) * (n * n - 4), 360) * self.c)
 
     def _lambda(self, m: int, mono: W3Monomial) -> dict:
-        """Lambda_m applied to a canonical monomial, sums truncated at the
-        annihilation bound (L_p kills levels below p)."""
+        """Lambda_m applied to a canonical monomial. Its two normal-ordered
+        sums, over L_{-k}L_{m+k} for k >= 2 and L_{m-k}L_k for k >= -1, are
+        both sums of L_{m-i}L_i over the mode i that acts first: i >= m+2,
+        then i >= -1, each truncated at the level (L_i kills levels below i)."""
         key = (m, mono)
         hit = self._memo_lambda.get(key)
         if hit is not None:
             return hit
         lvl = self.level(mono)
         out: dict = {}
-        for k in range(2, lvl - m + 1):
-            inner = self._act("L", m + k, mono)
-            for mon2, coef in inner.items():
-                _accumulate(out, self._act("L", -k, mon2), coef)
-        for k in range(-1, lvl + 1):
-            inner = self._act("L", k, mono)
-            for mon2, coef in inner.items():
-                _accumulate(out, self._act("L", m - k, mon2), coef)
+        for i in (*range(m + 2, lvl + 1), *range(-1, lvl + 1)):
+            for mon2, coef in self._act("L", i, mono).items():
+                _accumulate(out, self._act("L", m - i, mon2), coef)
         _accumulate(out, self._act("L", m, mono),
                     Fraction(-3 * (m + 2) * (m + 3), 10))
         self._memo_lambda[key] = out

@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 import voacalc
-from voacalc.cli import main
+from voacalc.cli import _SUITES, main
+from voacalc.fock import verify_fock, verify_lemma57
+from voacalc.fusion import verify_fusion_symmetry
+from voacalc.virasoro import verify_prop21
+from voacalc.w3 import verify_theorem32
 
 
 def run(capsys, *argv):
@@ -164,6 +168,24 @@ def test_verify_suites_exit_zero(capsys):
         for check in report["checks"]:
             assert check["source"] in ("PAPER", "TRIVIAL", "DERIVED")
             assert set(check) >= {"name", "expected", "computed", "pass"}
+
+
+SUITE_FUNCTIONS = {"thm32": verify_theorem32, "prop21": verify_prop21,
+                   "lemma57": verify_lemma57, "fusion-symmetry": verify_fusion_symmetry,
+                   "fock": verify_fock}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_FUNCTIONS))
+def test_a_cli_suite_runs_with_its_function_defaults(capsys, monkeypatch, suite):
+    """`verify <suite>` with no flags prints the report of the suite
+    function called with no arguments, after the three CLI keys; every
+    suite of the CLI is one of the cases."""
+    assert set(SUITE_FUNCTIONS) == set(_SUITES)
+    monkeypatch.delenv("VOACALC_CUTOFF", raising=False)
+    code, out, _ = run(capsys, "verify", suite)
+    expected = {"command": "verify", "invocation": ["verify", suite],
+                "version": voacalc.__version__, **SUITE_FUNCTIONS[suite]()}
+    assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_verify_thm32_w1_check_present(capsys):

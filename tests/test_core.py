@@ -267,6 +267,43 @@ def test_a_prime_with_other_pivots_starts_the_residues_again():
     assert taken == Counter(primes=5, kernel=1), taken
 
 
+def test_a_wrong_echelon_form_stops_the_elimination(monkeypatch):
+    """An echelon form with every free-column entry off by one never reads
+    back as a kernel vector: the elimination draws its capped number of
+    primes (1 for this rank-2 matrix, h = 12) and raises ArithmeticError.
+    Past 50 draws the wrapped prime draw fails the test instead of letting
+    it hang."""
+    echelon, draw, drawn = core._echelon_mod, core._prime, []
+
+    def wrong(rows, ncols, p):
+        pivots, free = echelon(rows, ncols, p)
+        return pivots, {c: {f: (x + 1) % p for f, x in entries.items()}
+                        for c, entries in free.items()}
+
+    def counted(i):
+        drawn.append(i)
+        if len(drawn) > 50:
+            raise AssertionError("the elimination drew more than 50 primes")
+        return draw(i)
+
+    monkeypatch.setattr(core, "_echelon_mod", wrong)
+    monkeypatch.setattr(core, "_prime", counted)
+    with pytest.raises(ArithmeticError, match="no certificate"):
+        rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert drawn == [0]
+
+
+def test_other_pivot_primes_between_runs_stay_under_the_cap():
+    """The row [q2*q5, 5, 7], qi the i-th prime: mod q2 and mod q5 the pivot
+    moves to column 1, so the primes with column 0's pivot come in runs
+    (0-1, 3-4, 6-10), and only a run of five reads back the denominator
+    q2*q5. With h = 124 the cap is (124 // 60 + 1) * (249 // 60 + 1) = 15
+    primes; these 11 stay under it, where 3 + 3h // 60 = 9 would not."""
+    mat = [[Fraction(_prime(2) * _prime(5)), Fraction(5), Fraction(7)]]
+    got, taken = _paths_of(rank, mat)
+    assert got == 1 and taken == Counter(primes=11, kernel=1), taken
+
+
 def _planned_rows(rng, nrows, kinds, span):
     """Seeded sparse integer rows whose column j is, by kinds[j], zero ("0"),
     new ("new": random entries in [-span, span)) or a combination of the

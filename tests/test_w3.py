@@ -133,6 +133,23 @@ def test_gram_rank_of_the_integer_ladder_equals_the_pairwise_rank():
         assert module.gram_nullity(weight) == module.dim(weight) - expected, weight
 
 
+def test_level1_gram_determinant_closed_form():
+    """At 20 seeded rational points (c, lam, mu) with 22 + 5c != 0, the
+    level-1 Gram determinant of the W3 Verma module is
+    2 lam^2 (32 lam + 2 - c) / (22 + 5c) - 9 mu^2: a closed form, not the
+    pairing identity that both the ladder and `gram_by_pairs` use."""
+    rng = random.Random(27)
+    points = []
+    while len(points) < 20:
+        c, lam, mu = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))
+        if 22 + 5 * c:
+            points.append((c, lam, mu))
+    for c, lam, mu in points:
+        (a, b), (d, e) = W3Module(c, lam, mu).gram(1)
+        assert a * e - b * d == 2 * lam**2 * (32 * lam + 2 - c) / (22 + 5 * c) - 9 * mu**2, \
+            (c, lam, mu)
+
+
 def test_annihilation_of_the_vacuum_vector(vac):
     one = SparseVec.unit(EMPTY)
     for n in range(-1, 4):
