@@ -12,17 +12,15 @@ used by `char` and the lemma57 suite.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 
-from . import __version__, fock, fusion, virasoro, w3
+from . import __version__
 from .core import InputError, SparseVec, rank, rational
-from .fock import FockSpace
-from .virasoro import VirasoroModule
-from .w3 import W3Module
 
 
 # Size caps. Each is at least the largest size the tests and the benchmark
@@ -151,7 +149,9 @@ def _vector_from_args(args, parse_monomial) -> SparseVec:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload dict, check_failed bool)
+# command handlers: each returns (payload dict, check_failed bool). Each
+# imports the engine modules it runs where it runs them, so a CLI process
+# compiles only those (`import voacalc` loads none).
 
 
 _FOCK_SPACES = ("m1", "m1+", "m1-", "vl", "vl+", "vl-")
@@ -167,7 +167,8 @@ def _reject_flags(args, *names, context=None) -> None:
                          f"{context or '--algebra ' + args.algebra}")
 
 
-def _vir_module(args) -> VirasoroModule:
+def _vir_module(args):
+    from .virasoro import VirasoroModule
     _reject_flags(args, "lam", "mu", "k", "b")
     c = 1 if args.c is None else args.c
     if args.vacuum:
@@ -179,9 +180,12 @@ def _vir_module(args) -> VirasoroModule:
     return VirasoroModule.get(c, args.h)
 
 
-def _w3_module(args) -> W3Module:
+def _w3_module(args):
+    """`decompose` has no --lam and --mu: it always takes the vacuum module."""
+    from .w3 import W3Module
     _reject_flags(args, "h", "vacuum", "k", "b")
-    return W3Module.get(1 if args.c is None else args.c, args.lam, args.mu)
+    return W3Module.get(1 if args.c is None else args.c,
+                        getattr(args, "lam", None), getattr(args, "mu", None))
 
 
 def _hw_module(args):
@@ -189,7 +193,8 @@ def _hw_module(args):
     return _vir_module(args) if args.algebra == "vir" else _w3_module(args)
 
 
-def _fock_space(args) -> FockSpace:
+def _fock_space(args):
+    from .fock import FockSpace
     _reject_flags(args, "c", "h", "vacuum", "lam", "mu", "kind")
     return FockSpace(1 if args.k is None else args.k)
 
@@ -213,16 +218,15 @@ def _cmd_dims(args):
     return {"weights": weights, "dims": dims}, False
 
 
-_VIR_CHARACTERS = {"verma": virasoro.verma_character, "l1": virasoro.irreducible_character_c1}
-
-
 def _cmd_char(args):
     cutoff = _cutoff_or_env(args.cutoff)
     if args.algebra == "vir":
         _reject_flags(args, "k")
         if args.h is None:
             raise InputError("--h is required for --algebra vir")
-        series = _VIR_CHARACTERS[args.kind or "l1"](args.h, cutoff)
+        from .virasoro import irreducible_character_c1, verma_character
+        character = verma_character if args.kind == "verma" else irreducible_character_c1
+        series = character(args.h, cutoff)
     else:
         series = _fock_space(args).char_series(args.algebra, cutoff)
     return {"cutoff": cutoff, "series": series}, False
@@ -230,8 +234,9 @@ def _cmd_char(args):
 
 def _cmd_basis(args):
     if args.algebra in ("m1", "vl"):
+        from .fock import monomial_str
         space = _fock_space(args)
-        names = [fock.monomial_str(m) for m in space.basis(args.algebra, args.weight)]
+        names = [monomial_str(m) for m in space.basis(args.algebra, args.weight)]
     else:
         module = _hw_module(args)
         _check_dim(module, args.weight, MAX_BASIS_DIM)
@@ -269,8 +274,8 @@ def _cmd_act(args):
         if height > MAX_WEIGHT:
             raise InputError(f"the output would reach {height} above the lowest "
                              f"weight of its charge sector; the cap is {MAX_WEIGHT}")
-        out = space.vertex_mode(u, args.mode, v)
-        terms = fock.vector_str_terms(out)
+        from .fock import vector_str_terms
+        terms = vector_str_terms(space.vertex_mode(u, args.mode, v))
     return {"gen": args.gen, "mode": args.mode, "terms": terms}, False
 
 
@@ -300,7 +305,7 @@ def _cmd_primary(args):
 
 
 def _cmd_decompose(args):
-    module = W3Module.get(args.c)
+    module = _w3_module(args)
     v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
     weight = module.vector_weight(v)
     _check_dim(module, weight, MAX_FORM_DIM)
@@ -317,6 +322,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_fusion(args):
+    from . import fusion
     a, b, t = (fusion.parse_label(x) for x in (args.a, args.b, args.t))
     dim = fusion.fusion_dim(args.algebra, a, b, t)
     return {
@@ -327,15 +333,15 @@ def _cmd_fusion(args):
     }, False
 
 
-# suite -> (module, function name, {flag: parameter}). A suite is passed only the
+# suite -> (module name, function name, {flag: parameter}). A suite is passed only the
 # flags given, so every default is its function's own. Its function is looked up
-# on the module at each call, so a wrapper set there (bench/cli_probe.py) runs.
+# on the module, imported at each call, so a wrapper set there (bench/cli_probe.py) runs.
 _SUITES = {
-    "thm32": (w3, "verify_theorem32", {"c": "c"}),
-    "prop21": (virasoro, "verify_prop21", {"m": "ms", "max_level": "max_level"}),
-    "lemma57": (fock, "verify_lemma57", {"k": "k", "cutoff": "cutoff"}),
-    "fusion-symmetry": (fusion, "verify_fusion_symmetry", {"samples": "samples", "seed": "seed"}),
-    "fock": (fock, "verify_fock", {}),
+    "thm32": ("w3", "verify_theorem32", {"c": "c"}),
+    "prop21": ("virasoro", "verify_prop21", {"m": "ms", "max_level": "max_level"}),
+    "lemma57": ("fock", "verify_lemma57", {"k": "k", "cutoff": "cutoff"}),
+    "fusion-symmetry": ("fusion", "verify_fusion_symmetry", {"samples": "samples", "seed": "seed"}),
+    "fock": ("fock", "verify_fock", {}),
 }
 
 
@@ -347,10 +353,11 @@ def _cmd_verify(args):
     if "lemma57" in runs:
         args.cutoff = _cutoff_or_env(args.cutoff)
     reports = []
-    for module, name, flags in map(_SUITES.get, runs):
+    for home, name, flags in map(_SUITES.get, runs):
         given = {param: getattr(args, flag) for flag, param in flags.items()
                  if getattr(args, flag) is not None}
-        reports.append(getattr(module, name)(**given))
+        verify = getattr(importlib.import_module(f".{home}", __package__), name)
+        reports.append(verify(**given))
     ok = all(report["pass"] for report in reports)
     return (reports[0] if args.suite != "all" else {"suites": reports, "pass": ok}), not ok
 
@@ -439,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="split a vacuum-module vector into Virasoro blocks")
     p.add_argument("--algebra", default="w3", choices=("w3",))
-    p.add_argument("--c", type=rational, default="1")
+    p.add_argument("--c", type=rational)
     p.add_argument("--monomial")
     p.add_argument("--terms")
     p.set_defaults(func=_cmd_decompose)
