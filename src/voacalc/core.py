@@ -11,9 +11,12 @@ rational matrix reaches it through `rank`, lists of sparse vectors through
 `independent`, `coordinates` and `kernel`; each row is scaled to integers
 once, by `_integer_row`.
 
-Every coefficient is exact: a `fractions.Fraction`, or ints in the Gram rows
-(each over its own denominator), the vertex-mode recursion (over q^len * H!)
-and the sparse rows of the elimination. No floats enter any computation.
+Every coefficient is exact: a `fractions.Fraction`, or ints in the
+straightening memo values (each over one denominator), the Gram rows (each
+over its own denominator), the vertex-mode recursion (over q^len * H!) and
+the sparse rows of the elimination. `_int_sum` adds int vectors over one
+lcm, for the straightening and for `vertex_mode`, which then make one
+`Fraction` per output term. No floats enter any computation.
 """
 
 from __future__ import annotations
@@ -188,6 +191,28 @@ def _accumulate(dst: dict, src: Mapping, factor: Fraction) -> None:
         return
     for key, c in src.items():
         _add_term(dst, key, c * factor)
+
+
+def _int_sum(pieces: list[tuple[int, int, Mapping]]) -> tuple[dict, int]:
+    """The sum of the pieces (num, den, {key: int}), each standing for
+    num / den times its ints, as ({key: int}, D): the pieces meet over the
+    lcm of their dens, zero sums are dropped, and D > 0 is divided down
+    until it shares no factor with all the ints ({} is over 1)."""
+    if len(pieces) == 1:
+        (num, den, ints), = pieces
+        total = {key: num * x for key, x in ints.items()}
+    else:
+        den = math.lcm(*(d for _, d, _ in pieces))
+        total = {}
+        get = total.get
+        for num, d, ints in pieces:
+            c = num * (den // d)
+            for key, x in ints.items():
+                total[key] = get(key, 0) + c * x
+    g = math.gcd(den, *total.values())
+    if g > 1:
+        return {key: x // g for key, x in total.items() if x}, den // g
+    return {key: x for key, x in total.items() if x}, den
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, factorial, isqrt, lcm, perm
+from math import comb, factorial, isqrt, perm
 
 from .core import (
     ONE,
@@ -61,6 +61,7 @@ from .core import (
     SparseVec,
     ZERO,
     _add_term,
+    _int_sum,
     check,
     check_values,
     partition_count,
@@ -68,7 +69,6 @@ from .core import (
     report,
     series_add,
 )
-from .virasoro import irreducible_character_c1, verma_character
 
 FockMonomial = tuple  # (parts, charge): descending tuple of ints, Fraction
 
@@ -163,8 +163,8 @@ class FockSpace:
         The recursion runs in ints over the denominators of the module
         docstring, with top - m - 1 the H of every output monomial. Each
         term of u puts its coefficient over that denominator once, and the
-        terms of one output charge are summed as ints over one lcm into one
-        Fraction per output monomial.
+        terms of one output charge are summed as ints over one lcm, by
+        `core._int_sum`, into one Fraction per output monomial.
         """
         def sector(ucharge, charge):
             zero = 2 * self.k * charge  # alpha(0) on the sector, num / q
@@ -225,12 +225,7 @@ class FockSpace:
                         group.append((cu.numerator * cv.numerator, den, ints))
         out: dict = {}
         for out_charge, group in pending.items():
-            den = lcm(*(d for _, d, _ in group))
-            total: dict = {}
-            for num, d, ints in group:
-                c = num * (den // d)
-                for new, x in ints.items():
-                    _add_term(total, new, c * x)
+            total, den = _int_sum(group)
             for new, x in total.items():
                 out[new, out_charge] = Fraction(x, den)
         return SparseVec._raw(out)
@@ -379,12 +374,14 @@ def vector_str_terms(v: SparseVec) -> dict[str, str]:
 
 def even_square_sum_series(cutoff: int) -> list[int]:
     """Sum of the irreducible c=1 characters at weights (2i)^2, i >= 0."""
+    from .virasoro import irreducible_character_c1
     return reduce(series_add, (irreducible_character_c1(m * m, cutoff)
                                for m in range(0, isqrt(max(cutoff, 0)) + 1, 2)))
 
 
 def lattice_charge_tail_series(k: int, cutoff: int) -> list[int]:
     """Sum over m >= 1 of q^{k m^2} / euler-product, truncated."""
+    from .virasoro import verma_character
     return reduce(series_add, (verma_character(k * m * m, cutoff)
                                for m in range(1, isqrt(max(cutoff, 0) // k) + 1)),
                   [0] * (cutoff + 1))

@@ -13,6 +13,12 @@ L_1 and L_2 on a graded piece). A module supplies its basis, how a
 monomial splits off its first mode or takes a new one, its lowest-weight
 eigenvalues and its brackets; [L_n, L_m] sits in the base.
 
+The straightening runs in ints: each memo value is {monomial: int} over
+one int denominator, the bracket constants and the lowest-weight
+eigenvalues enter as int pairs (numerator, denominator), and the pieces of
+a value meet over one lcm. `act` sums its terms the same way and makes one
+Fraction per output term; `_int_gram` reads the ints directly.
+
 Conventions
 -----------
 * [L_m, L_n] = (m - n) L_{m+n} + delta_{m+n,0} (m^3 - m)/12 * c.
@@ -28,12 +34,10 @@ from fractions import Fraction
 from functools import partial
 
 from .core import (
-    ONE,
     InputError,
     SparseVec,
     ZERO,
-    _accumulate,
-    _add_term,
+    _int_sum,
     check,
     check_values,
     kernel,
@@ -45,6 +49,16 @@ from .core import (
 )
 
 VirMonomial = tuple  # descending tuple of positive ints
+
+NOTHING = ({}, 1)  # the straightened zero vector; never written to
+
+
+def _scaled(pieces: list, value: tuple[dict, int], num: int, den: int = 1) -> None:
+    """Add num / den times a straightened value to the pieces of a
+    `core._int_sum`, unless it is zero."""
+    ints, d = value
+    if ints and num:
+        pieces.append((num, den * d, ints))
 
 
 def monomial_str(mono: VirMonomial) -> str:
@@ -58,7 +72,7 @@ class HighestWeightModule:
 
     A subclass sets `_memos` and `_eigen` (per generator name: the memo dict
     of its straightened action and its eigenvalue on the lowest-weight
-    vector) and supplies:
+    vector, as an int pair (numerator, denominator > 0)) and supplies:
 
     * `basis(weight)` and its size `dim(weight)`;
     * `level(mono)`, the weight of a monomial above the lowest one;
@@ -68,8 +82,9 @@ class HighestWeightModule:
       the lowest-weight monomial `EMPTY`;
     * `_prepend(gen, m, mono)`: the canonical monomial gen_{-m} mono, or None
       when gen_{-m} may not stand first;
-    * `_bracket(out, gen, n, other, a, rest)`, which adds
-      [gen_n, other_{-a}] rest to out. This class holds [L_n, L_{-a}].
+    * `_bracket(pieces, gen, n, other, a, rest)`, which adds the pieces of
+      [gen_n, other_{-a}] rest, straightened values times int constants, by
+      `_scaled`. This class holds [L_n, L_{-a}].
 
     On that this class builds the one straightening recursion `_act`, the
     action on vectors and its rendering, the contravariant form with its
@@ -87,47 +102,62 @@ class HighestWeightModule:
 
     # -- straightening --------------------------------------------------------
 
-    def _act(self, gen: str, n: int, mono) -> dict:
+    def _act(self, gen: str, n: int, mono) -> tuple[dict, int]:
         """gen_n on a canonical monomial, straightened: prepend gen_n when it
         may stand first, act by the eigenvalue on the lowest-weight vector,
-        else gen_n X_{-a} rest = X_{-a} gen_n rest + [gen_n, X_{-a}] rest."""
-        if n > self.level(mono):
-            return {}
+        else gen_n X_{-a} rest = X_{-a} gen_n rest + [gen_n, X_{-a}] rest.
+
+        The value is ({monomial: int}, den), the vector of the ints over the
+        int den > 0, which shares no factor with all of them. Its pieces meet
+        over one lcm, by `core._int_sum`."""
         key = (n, mono)
         memo = self._memos[gen]
         hit = memo.get(key)
         if hit is not None:
             return hit
+        if n > self.level(mono):
+            return NOTHING
         if n < 0 and (head := self._prepend(gen, -n, mono)) is not None:
-            out = {head: ONE}
+            out = {head: 1}, 1
         elif (first := self._first(mono)) is None:
-            eigen = self._eigen[gen]
-            out = {mono: eigen} if n == 0 and eigen else {}
+            num, den = self._eigen[gen]
+            out = ({mono: num}, den) if n == 0 and num else NOTHING
         else:
             other, a, rest = first
-            out = {}
-            for inner, coef in self._act(gen, n, rest).items():
-                _accumulate(out, self._act(other, -a, inner), coef)
-            self._bracket(out, gen, n, other, a, rest)
+            inner, den = self._act(gen, n, rest)
+            pieces: list = []
+            for mid, x in inner.items():
+                ints, d = self._act(other, -a, mid)
+                if ints:
+                    pieces.append((x, den * d, ints))
+            self._bracket(pieces, gen, n, other, a, rest)
+            out = _int_sum(pieces)
         memo[key] = out
         return out
 
-    def _bracket(self, out: dict, gen: str, n: int, other: str, a: int, rest) -> None:
+    def _bracket(self, pieces: list, gen: str, n: int, other: str, a: int, rest) -> None:
         """[L_n, L_{-a}] rest = (n + a) L_{n-a} rest + delta_{n,a} (n^3 - n)/12 c rest."""
-        _accumulate(out, self._act("L", n - a, rest), Fraction(n + a))
+        _scaled(pieces, self._act("L", n - a, rest), n + a)
         if n == a:
-            _add_term(out, rest, Fraction(n**3 - n, 12) * self.c)
+            _scaled(pieces, ({rest: 1}, 1), (n**3 - n) * self.c.numerator, 12 * self.c.denominator)
 
     # -- action on vectors -------------------------------------------------
 
     def act(self, gen: str, n: int, v) -> SparseVec:
-        """Apply gen_n to a vector (or a single monomial), fully straightened."""
+        """Apply gen_n to a vector (or a single monomial), fully straightened:
+        the ints of all its terms are summed over one lcm, and each output
+        term is one Fraction."""
         if gen not in self._memos:
             raise InputError(f"unknown generator {gen!r}")
-        out: dict = {}
+        pieces: list = []
         for mono, coef in SparseVec.of(v).items():
-            _accumulate(out, self._act(gen, n, mono), coef)
-        return SparseVec._raw(out)
+            ints, den = self._act(gen, n, mono)
+            if ints:
+                pieces.append((coef.numerator, coef.denominator * den, ints))
+        ints, den = _int_sum(pieces)
+        if den == 1:  # Fraction(x) skips the gcd
+            return SparseVec._raw({mono: Fraction(x) for mono, x in ints.items()})
+        return SparseVec._raw({mono: Fraction(x, den) for mono, x in ints.items()})
 
     def apply_word(self, word, v=None) -> SparseVec:
         """Apply a word of modes, rightmost first: [(g1, n1), ..., (gr, nr)]
@@ -165,7 +195,8 @@ class HighestWeightModule:
         each `_int_gram` row of numerators over its own denominator, each
         entry the same exact value as `pair(a, b)`."""
         rows, dens = self._int_gram(weight)
-        return [[Fraction(n, d) for n in row] for row, d in zip(rows, dens)]
+        return [[Fraction(n, d) for n in row] if d > 1 else list(map(Fraction, row))
+                for row, d in zip(rows, dens)]
 
     def _int_gram(self, weight: int) -> tuple[list[list[int]], list[int]]:
         """(N, d) with N an int matrix and row a of the Gram matrix at the
@@ -174,9 +205,9 @@ class HighestWeightModule:
         Built up from weight 0: for a = gen_{-m} rest,
         <a, b> = <rest, gen_m b> = sum_c (gen_m b)_c <rest, c> over c in
         basis(weight - m), the step `pair` takes. With N' / d' the rows at
-        weight - m and L the lcm of the denominators of the gen_m b, each
-        gen_m b is written once as ints n_c = (gen_m b)_c L, shared by every
-        row whose first mode is gen_{-m}; the entry is sum_c n_c N'[rest][c]
+        weight - m and L the lcm of the `_act` denominators of the gen_m b,
+        each gen_m b is written once as ints n_c = (gen_m b)_c L, shared by
+        every row whose first mode is gen_{-m}; the entry is sum_c n_c N'[rest][c]
         and d[a] = L d'[rest]. The rows of the lower weights live only for
         this call."""
         if weight < 0:
@@ -189,9 +220,9 @@ class HighestWeightModule:
             for gen, m in dict.fromkeys((gen, m) for gen, m, _ in firsts):
                 index = ladder[w - m][0]
                 acts = [self._act(gen, m, b) for b in basis]
-                den = math.lcm(*(x.denominator for act in acts for x in act.values()))
-                lowered[gen, m] = den, [[(index[c], x.numerator * (den // x.denominator))
-                                         for c, x in act.items()] for act in acts]
+                den = math.lcm(*(d for _, d in acts))
+                lowered[gen, m] = den, [[(index[c], x * (den // d)) for c, x in ints.items()]
+                                         for ints, d in acts]
             rows, dens = [], []
             for gen, m, rest in firsts:
                 index, below, dens_below = ladder[w - m]
@@ -245,7 +276,7 @@ class VirasoroModule(HighestWeightModule):
         self.min_part = 2 if self.vacuum else 1
         self._act_memo: dict = {}
         self._memos = {"L": self._act_memo}
-        self._eigen = {"L": self.h}
+        self._eigen = {"L": (self.h.numerator, self.h.denominator)}
 
     def basis(self, level: int) -> list[VirMonomial]:
         """Canonical monomials at the given level, descending-lex order."""

@@ -35,8 +35,8 @@ from fractions import Fraction
 from .core import (
     InputError,
     SparseVec,
-    _accumulate,
     _add_term,
+    _int_sum,
     check,
     check_values,
     coordinates,
@@ -46,7 +46,7 @@ from .core import (
     rank,
     report,
 )
-from .virasoro import HighestWeightModule
+from .virasoro import HighestWeightModule, _scaled
 
 W3Monomial = tuple  # (lparts, wparts), each a descending tuple of ints
 
@@ -95,12 +95,14 @@ class W3Module(HighestWeightModule):
         self.mu = Fraction(mu) if mu is not None else Fraction(0)
         self.min_l = 2 if self.vacuum else 1
         self.min_w = 3 if self.vacuum else 1
-        self._lambda_coef = Fraction(16) / (22 + 5 * self.c)
+        coef = 16 / (22 + 5 * self.c)
+        self._lambda_coef = coef.numerator, coef.denominator
         self._memo_l: dict = {}
         self._memo_w: dict = {}
         self._memo_lambda: dict = {}
         self._memos = {"L": self._memo_l, "W": self._memo_w}
-        self._eigen = {"L": self.lam, "W": self.mu}
+        self._eigen = {"L": (self.lam.numerator, self.lam.denominator),
+                       "W": (self.mu.numerator, self.mu.denominator)}
 
     # -- basis ------------------------------------------------------------
 
@@ -142,41 +144,45 @@ class W3Module(HighestWeightModule):
             return (), (m,) + wparts
         return None
 
-    def _bracket(self, out: dict, gen: str, n: int, other: str, a: int, rest) -> None:
-        """Adds [gen_n, other_{-a}] rest to out: [L_n, W_{-a}] = (2n+a) W_{n-a},
-        [W_n, L_{-a}] = (2a+n) W_{n-a}, and [W_n, W_{-a}] as in the module
-        docstring; [L_n, L_{-a}] is the base class's."""
+    def _bracket(self, pieces: list, gen: str, n: int, other: str, a: int, rest) -> None:
+        """Adds the pieces of [gen_n, other_{-a}] rest: [L_n, W_{-a}] =
+        (2n+a) W_{n-a}, [W_n, L_{-a}] = (2a+n) W_{n-a}, and [W_n, W_{-a}] as
+        in the module docstring, its L coefficient over 30; [L_n, L_{-a}] is
+        the base class's."""
         if gen == "L" and other == "L":
-            super()._bracket(out, gen, n, other, a, rest)
+            super()._bracket(pieces, gen, n, other, a, rest)
         elif gen == "L":
-            _accumulate(out, self._act("W", n - a, rest), Fraction(2 * n + a))
+            _scaled(pieces, self._act("W", n - a, rest), 2 * n + a)
         elif other == "L":
-            _accumulate(out, self._act("W", n - a, rest), Fraction(2 * a + n))
+            _scaled(pieces, self._act("W", n - a, rest), 2 * a + n)
         else:
-            lcoef = Fraction(n + a) * (Fraction((n - a + 2) * (n - a + 3), 15)
-                                       - Fraction((n + 2) * (2 - a), 6))
+            lcoef = (n + a) * (2 * (n - a + 2) * (n - a + 3) - 5 * (n + 2) * (2 - a))
             if lcoef:
-                _accumulate(out, self._act("L", n - a, rest), lcoef)
-            _accumulate(out, self._lambda(n - a, rest), self._lambda_coef * (n + a))
+                _scaled(pieces, self._act("L", n - a, rest), lcoef, 30)
+            num, den = self._lambda_coef
+            _scaled(pieces, self._lambda(n - a, rest), num * (n + a), den)
             if n == a:
-                _add_term(out, rest, Fraction(n * (n * n - 1) * (n * n - 4), 360) * self.c)
+                _scaled(pieces, ({rest: 1}, 1), n * (n * n - 1) * (n * n - 4) * self.c.numerator,
+                        360 * self.c.denominator)
 
-    def _lambda(self, m: int, mono: W3Monomial) -> dict:
-        """Lambda_m applied to a canonical monomial. Its two normal-ordered
-        sums, over L_{-k}L_{m+k} for k >= 2 and L_{m-k}L_k for k >= -1, are
-        both sums of L_{m-i}L_i over the mode i that acts first: i >= m+2,
-        then i >= -1, each truncated at the level (L_i kills levels below i)."""
+    def _lambda(self, m: int, mono: W3Monomial) -> tuple[dict, int]:
+        """Lambda_m applied to a canonical monomial, as ints over one
+        denominator like `_act`. Its two normal-ordered sums, over
+        L_{-k}L_{m+k} for k >= 2 and L_{m-k}L_k for k >= -1, are both sums
+        of L_{m-i}L_i over the mode i that acts first: i >= m+2, then
+        i >= -1, each truncated at the level (L_i kills levels below i)."""
         key = (m, mono)
         hit = self._memo_lambda.get(key)
         if hit is not None:
             return hit
         lvl = self.level(mono)
-        out: dict = {}
+        pieces: list = []
         for i in (*range(m + 2, lvl + 1), *range(-1, lvl + 1)):
-            for mon2, coef in self._act("L", i, mono).items():
-                _accumulate(out, self._act("L", m - i, mon2), coef)
-        _accumulate(out, self._act("L", m, mono),
-                    Fraction(-3 * (m + 2) * (m + 3), 10))
+            inner, den = self._act("L", i, mono)
+            for mid, x in inner.items():
+                _scaled(pieces, self._act("L", m - i, mid), x, den)
+        _scaled(pieces, self._act("L", m, mono), -3 * (m + 2) * (m + 3), 10)
+        out = _int_sum(pieces)
         self._memo_lambda[key] = out
         return out
 

@@ -52,15 +52,17 @@ def _cli(*argv: str) -> str:
 
 @pytest.mark.parametrize("code, loaded", [
     ("import voacalc", set()),
-    ("import voacalc; voacalc.fock", {"core", "virasoro", "fock"}),
+    ("import voacalc; voacalc.fock", {"core", "fock"}),
     ("from voacalc import W3Module", {"core", "virasoro", "w3"}),
     (_cli("--version"), {"cli", "core"}),
     (_cli("fusion", "--algebra", "vir", "--a", "L(1,1)", "--b", "L(1,4)", "--t", "L(1,9)"),
      {"cli", "core", "fusion"}),
     (_cli("verify", "prop21"), {"cli", "core", "virasoro"}),
     (_cli("primary", "--weight", "6"), {"cli", "core", "virasoro", "w3"}),
+    (_cli("char", "--algebra", "vl+", "--k", "2", "--cutoff", "8"), {"cli", "core", "fock"}),
+    (_cli("verify", "lemma57"), {"cli", "core", "fock", "virasoro"}),
 ], ids=["import", "import-attribute", "from-import", "version", "fusion", "verify-prop21",
-        "primary"])
+        "primary", "char-fock", "verify-lemma57"])
 def test_a_process_loads_only_the_modules_it_runs(code, loaded):
     assert _loaded_after(code) == loaded
 

@@ -26,7 +26,8 @@ from oracles import independent_subsequence
 def _apply_lambda(module, m, v):
     out = SparseVec.zero()
     for mono, coeff in v.items():
-        out = out + SparseVec(module._lambda(m, mono)).scaled(coeff)
+        ints, den = module._lambda(m, mono)
+        out = out + SparseVec({k: Fraction(x, den) for k, x in ints.items()}).scaled(coeff)
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +26,7 @@ from oracles import (
     gauss_solve,
     gram_by_pairs,
     straighten_w3_words,
+    straighten_words,
     w3_pair,
     w3_word,
 )
@@ -72,12 +74,68 @@ def test_straightening_matches_rewriting_oracle(c, weights):
 
 
 def test_memo_tables_read_by_the_benchmark_fill_on_gram():
-    # bench/worker.py counts memo entries through these attribute names
-    vir, w3 = VirasoroModule(1, 1), W3Module(1)
-    vir.gram(4)
-    w3.gram(6)
-    for memo in (vir._act_memo, w3._memo_l, w3._memo_w, w3._memo_lambda):
-        assert isinstance(memo, dict) and memo
+    # bench/worker.py counts memo entries through these attribute names, and
+    # its traced counters are these sizes: a change to the straightening
+    # that keeps its outputs keeps them too
+    vir = VirasoroModule(1, Fraction(5, 2))
+    for level in range(1, 10):
+        vir.gram(level)
+    w3 = W3Module(Fraction(1, 3))
+    for weight in range(3, 10):
+        w3.gram(weight)
+    verma = W3Module(1, Fraction(1, 3), Fraction(2, 7))
+    for weight in range(1, 7):
+        verma.gram(weight)
+    memos = (vir._act_memo, w3._memo_l, w3._memo_w, w3._memo_lambda,
+             verma._memo_l, verma._memo_w, verma._memo_lambda)
+    assert [len(memo) for memo in memos] == [817, 477, 292, 24, 818, 814, 66]
+    # each value is ({monomial: int}, den): int coefficients over a positive
+    # int den that shares no factor with all of them
+    for memo in memos:
+        for ints, den in memo.values():
+            assert type(den) is int and den > 0
+            assert all(type(x) is int and x for x in ints.values())
+            assert math.gcd(den, *ints.values()) == 1
+
+
+def _oracle_image(module, gen, n, mono) -> dict:
+    """gen_n on a basis monomial, by the rewriting oracle of the module's
+    algebra."""
+    if isinstance(module, W3Module):
+        weights = () if module.vacuum else (module.lam, module.mu)
+        return straighten_w3_words({((gen, n),) + w3_word(mono): 1}, module.c, *weights)
+    return straighten_words({(n,) + tuple(-p for p in mono): 1}, module.c, module.h)
+
+
+@pytest.mark.parametrize("module, gens", [
+    (VirasoroModule(Fraction(7, 3), Fraction(5, 6)), "L"),
+    (W3Module(Fraction(-3, 7)), "LW"),
+    (W3Module(Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)), "LW"),
+], ids=["virasoro-verma", "w3-vacuum", "w3-verma"])
+def test_act_on_a_vector_is_the_sum_of_its_monomial_images(module, gens):
+    """gen_n of a vector whose coefficients have different denominators is
+    the sum of the oracle's images of its monomials, and a monomial on which
+    those images cancel is not stored."""
+    basis = module.basis(6)
+    for gen in gens:
+        for n in (-1, 1, 2):
+            images = [_oracle_image(module, gen, n, mono) for mono in basis]
+            coefs = [Fraction(j + 1, 2 * j + 3) for j in range(len(basis))]
+            # one coefficient cancels the first monomial that two images share
+            shared = Counter(k for image in images for k in image)
+            target = next(k for k, count in shared.items() if count > 1)
+            last = max(j for j, image in enumerate(images) if target in image)
+            coefs[last] = 0
+            coefs[last] = -sum(x * image.get(target, 0)
+                               for x, image in zip(coefs, images)) / images[last][target]
+            want: dict = {}
+            for x, image in zip(coefs, images):
+                for k, y in image.items():
+                    want[k] = want.get(k, 0) + x * y
+            got = module.act(gen, n, SparseVec(zip(basis, coefs)))
+            assert target not in got.keys() and len(set(x.denominator for x in coefs)) > 2
+            assert dict(got.items()) == {k: y for k, y in want.items() if y}, (gen, n)
+            assert got.items() and all(x for _, x in got.items())
 
 
 def test_dimension_weight_minus_one_formula(vac):
