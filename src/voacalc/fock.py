@@ -19,7 +19,10 @@ the output weight. Every other monomial a(-p)u' reduces to u' by the iterate
     (a(-p)u')_(n) = sum_{j>=0} C(p+j-1, j) [a(-p-j) u'_(n+j)
                                            + (-1)^(p+1) u'_(n-p-j) a(j)],
 down to 1_(n) = delta_{n,-1} or to a lattice operator (Kac, Vertex Algebras
-for Beginners; Lepowsky-Li 2004).
+for Beginners; Lepowsky-Li 2004). Since 1_(n) is zero for n != -1, the
+step that peels the last oscillator p of a charge-0 term keeps one term per
+sum: the creation term j = -1 - n, alpha(0) only at n - p = -1, and the
+annihilation of the part n - p + 1 only.
 
 Each Heisenberg step is written once, inside the recursion: alpha(-m) is
 `_insert` of the part m into a descending tuple, alpha(0) the scalar
@@ -158,7 +161,11 @@ class FockSpace:
         recursion of all terms of u of one charge stays in one charge sector
         and shares one memo of u'_(m) w, keyed by (u' parts, m, w parts).
         The memos are dropped before the next monomial of v: kept for the
-        whole call they grow with the length of v.
+        whole call they grow with the length of v. alpha(0) on the sector
+        and the `_exponent` check are set up once per pair of charges of u
+        and v. Past the last oscillator of a charge-0 term the recursion
+        steps only to the leaf 1_(-1), so its three loops keep at most one
+        term there and no zero leaf is called or stored.
 
         The recursion runs in ints over the denominators of the module
         docstring, with top - m - 1 the H of every output monomial. Each
@@ -166,10 +173,7 @@ class FockSpace:
         terms of one output charge are summed as ints over one lcm, by
         `core._int_sum`, into one Fraction per output monomial.
         """
-        def sector(ucharge, charge):
-            zero = 2 * self.k * charge  # alpha(0) on the sector, num / q
-            b, e0 = self._exponent(ucharge, zero)
-            num, q = zero.numerator, zero.denominator
+        def sector(b, num, q):
             memo: dict = {}
 
             def mode(uparts, m, parts, top) -> dict:
@@ -188,15 +192,19 @@ class FockSpace:
                         out = {parts: factorial(top)}
                 else:
                     p, rest = uparts[0], uparts[1:]
-                    for j in range(top - p - m):
+                    # past the last oscillator of a charge-0 term only
+                    # 1_(-1) is nonzero: each loop keeps the step to m' = -1
+                    last = not rest and not b
+                    stop = top - p - m
+                    for j in range(max(-1 - m, 0), min(-m, stop)) if last else range(stop):
                         c = comb(p + j - 1, j) * q * perm(height, p + j)
                         for new, x in mode(rest, m + j, parts, top - p).items():
                             _add_term(out, _insert(new, (p + j,)), c * x)
                     sign = 1 if p % 2 else -1
-                    if num:
+                    if num and (not last or m - p == -1):
                         for new, x in mode(rest, m - p, parts, top - p).items():
                             _add_term(out, new, sign * num * x)
-                    for j in set(parts):
+                    for j in set(parts) & {m - p + 1} if last else set(parts):
                         i = parts.index(j)
                         low = parts[:i] + parts[i + 1:]
                         c = sign * comb(p + j - 1, j) * 2 * self.k * j * parts.count(j) * q
@@ -205,17 +213,23 @@ class FockSpace:
                 memo[key] = out
                 return out
 
-            return mode, e0, q
+            return mode
 
         by_charge: dict = {}
         for (uparts, ucharge), cu in SparseVec.of(u).items():
             by_charge.setdefault(ucharge, []).append((uparts, sum(uparts), cu))
         # output charge -> [(numerator, denominator, {parts: int})]
         pending: dict = {}
+        setups: dict = {}  # (u charge, v charge) -> (b, e0, num, q)
         for (parts, charge), cv in SparseVec.of(v).items():
             psum = sum(parts)
             for ucharge, terms in by_charge.items():
-                mode, e0, q = sector(ucharge, charge)
+                if (setup := setups.get((ucharge, charge))) is None:
+                    zero = 2 * self.k * charge  # alpha(0) on the sector, num / q
+                    setup = setups[ucharge, charge] = (
+                        *self._exponent(ucharge, zero), zero.numerator, zero.denominator)
+                b, e0, num, q = setup
+                mode = sector(b, num, q)
                 group = pending.setdefault(ucharge + charge, [])
                 for uparts, usum, cu in terms:
                     top = usum + psum - e0

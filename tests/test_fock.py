@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -7,6 +8,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from voacalc import fock
 from voacalc.core import InputError, SparseVec, kernel, partitions
 from voacalc.fock import (
     FockSpace,
@@ -468,6 +470,70 @@ def test_exp_series_table_matches_power_sum_recurrence():
 def _binomial(m, i):
     """C(m, i) for any integer m."""
     return prod(m - t for t in range(i)) // factorial(i)
+
+
+def _alpha_by_hand(k, n, v):
+    """alpha(n) on v: creation of the part -n for n < 0, 2k*charge at n = 0,
+    and for n > 0 the removal of one of the mult parts n with 2k*n*mult."""
+    terms = []
+    for (parts, charge), c in v.items():
+        if n < 0:
+            terms.append(((tuple(sorted((*parts, -n), reverse=True)), charge), c))
+        elif n == 0:
+            terms.append(((parts, charge), c * 2 * k * charge))
+        elif n in parts:
+            i = parts.index(n)
+            terms.append(((parts[:i] + parts[i + 1:], charge),
+                          c * 2 * k * n * parts.count(n)))
+    return SparseVec(terms)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_oscillator_modes_match_the_derivative_closed_form(k):
+    # Y(a(-p).1, z) = d^(p-1)/dz^(p-1) a(z) / (p-1)!, so
+    # (a(-p).1)_(m) = C(p-m-2, p-1) a(m-p+1): creation for m < p - 1,
+    # a(0) at m = p - 1, annihilation above, and 0 where no part matches
+    sp = FockSpace(k)
+    for charge in (0, 1, -1, 2, Fraction(1, 2), Fraction(1, 4)):
+        v = (unit((2, 2, 1), charge).scaled(Fraction(3)) + unit((4, 1, 1, 1), charge)
+             + unit((6, 3), charge).scaled(Fraction(-1, 2)) + unit((), charge))
+        for p, m in product(range(1, 5), range(-5, 7)):
+            want = _alpha_by_hand(k, m - p + 1, v).scaled(Fraction(_binomial(p - m - 2, p - 1)))
+            assert sp.vertex_mode(unit((p,)), m, v) == want, (k, charge, p, m)
+
+
+def _mode_calls(fn, *args) -> int:
+    """The calls of the recursion `mode` inside `FockSpace.vertex_mode` that
+    fn(*args) makes."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "mode" and code.co_filename == fock.__file__:
+            calls += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
+    return calls
+
+
+def test_the_last_oscillator_of_a_charge_zero_term_keeps_one_step(k2):
+    # Past the last oscillator of a charge-0 term the leaf 1_(m) is zero
+    # unless m = -1, so the recursion steps only to m = -1: a(m) on one
+    # monomial is at most the call of a(-1).1 and the one leaf under it
+    # (16, 15, ..., 9 calls when every step reached a leaf)
+    height8 = unit((4, 2, 1, 1), 1)
+    assert [_mode_calls(k2.heis_act, m, height8) for m in range(-3, 5)] == \
+        [2, 2, 2, 2, 2, 2, 1, 2]
+    weight8 = SparseVec({(lam, Fraction(0)): Fraction(1) for lam in partitions(8, 1)})
+    assert [_mode_calls(k2.vir_act, n, weight8) for n in (-2, 0, 2)] == [399, 333, 248]
+    charged = unit((2, 1), 1) + unit((), 1).scaled(Fraction(3))
+    assert _mode_calls(k2.vertex_mode, k2.jvec(), 3, charged) == 123
 
 
 @pytest.mark.parametrize("k", [1, 2])
