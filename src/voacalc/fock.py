@@ -11,40 +11,30 @@ single-charge modules). The weight of (parts, charge) is |parts| +
 k*charge^2.
 
 Vertex-operator modes Y(u, z) are computed exactly for every vector u of
-the lattice space. The lattice operators are the base case: e^{b*alpha}
-acts as E^-(z) E^+(z) e_{b*alpha} z^{2kb*alpha(0)-pairing} with trivial
-two-cocycle (all pairings are even), and its exponential series truncate by
-the output weight. Every other monomial a(-p)u' reduces to u' by the iterate
-(normal-ordering) formula
-    (a(-p)u')_(n) = sum_{j>=0} C(p+j-1, j) [a(-p-j) u'_(n+j)
-                                           + (-1)^(p+1) u'_(n-p-j) a(j)],
-down to 1_(n) = delta_{n,-1} or to a lattice operator (Kac, Vertex Algebras
-for Beginners; Lepowsky-Li 2004). Since 1_(n) is zero for n != -1, the
-step that peels the last oscillator p of a charge-0 term keeps one term per
-sum: the creation term j = -1 - n, alpha(0) only at n - p = -1, and the
-annihilation of the part n - p + 1 only.
+the lattice space. For u = alpha(-p_1)...alpha(-p_r) e^{b*alpha}, Y(u, z)
+is the normally ordered product of the fields d^(p-1)alpha(z)/(p-1)! with
+Y(e^{b*alpha}, z) (Frenkel-Lepowsky-Meurman 1988). The factor of p has the
+modes C(q-1, p-1) alpha(-q) z^(q-p) for q >= p, (-1)^(p-1) alpha(0) z^-p
+and (-1)^(p-1) C(p+j-1, j) alpha(j) z^(-p-j) for j >= 1; e^{b*alpha} acts
+as E^-(z) E^+(z) e_{b*alpha} z^{b*alpha(0)} with trivial two-cocycle
+(all pairings are even). Every output monomial of u_n w has the part-sum
+H = |u parts| + |w parts| - e0 - n - 1, e0 = 2kb*charge of w, and u_n w
+is three steps in normal order:
+  1. annihilation: each oscillator p of u, largest first, creates (joins
+     the tuple T of creating oscillators), acts as alpha(0), or removes
+     one part j of w, on states (kept parts of w, T);
+  2. creation: C_T(Q) sums prod C(q_i-1, p_i-1) over the q_i >= p_i with
+     sum Q, by the multiset of the q_i: one table serves a whole call;
+  3. merge: C_T(H - |kept|) with the kept parts for b = 0, and for b != 0
+     C_T(H - h) with each output of part-sum h of e^{b*alpha} on them.
+`FockSpace._lattice` is e^{b*alpha} on a monomial. `heis_act`, `vir_act`
+and `lattice_vertex_mode` are the modes of alpha(-1).1, omega and
+e^{b*alpha}, so `vertex_mode` is the one path into `_lattice`.
 
-Each Heisenberg step is written once, inside the recursion: alpha(-m) is
-`_insert` of the part m into a descending tuple, alpha(0) the scalar
-2k*charge of the charge sector, and alpha(j > 0) removes one of the mult
-parts j with the factor 2k*j*mult. The one kernel beside them,
-`FockSpace._lattice`, is a lattice operator on a monomial; it takes the int
-charge b and the height H of its output, which the recursion holds, and
-adds from the bounded table `_exp_series(b, d)` of the integers
-d!*b^len(lam)/z_lam, the weight-d coefficients of exp(b sum_p alpha(-p)
-z^p / p) times d!. The operators are modes of their states: `heis_act` is
-`vertex_mode` of alpha(-1).1, `vir_act` of omega and `lattice_vertex_mode`
-of e^{b*alpha}, so `vertex_mode` is the one path into the recursion and
-into `_lattice`.
-
-The recursion runs in ints, by one rule in every charge sector. alpha(0)
-contributes num(2k*charge) and every step into u' the denominator q of
-2k*charge (q = 1 on the lattice space). Every leaf sums ints over H!, where
-H is the part-sum of its output: the lattice leaf by its exponential
-series, and 1_(-1) w as H!/H!. The outer steps only add parts, so a memo
-value {parts: N} of u'_(m) w stands for N / (q^len(u' parts) * H!), with
-H = |u'| + |w| - e0 - m - 1 and e0 = 2k*b*charge (0 for b = 0).
-`vertex_mode` divides once per output term.
+The steps run in ints. alpha(0) on the charge sector is num/q = 2k*charge
+(q = 1 on the lattice space) and every oscillator of u contributes the
+denominator q, so a value of u_n w is an int over q^len(u parts), times
+H! when b != 0 (`_lattice` returns ints over h!, scaled by H!/h!).
 
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
@@ -56,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, factorial, isqrt, perm
+from math import comb, factorial, isqrt, lcm, perm
 
 from .core import (
     ONE,
@@ -155,88 +145,99 @@ class FockSpace:
 
     def vertex_mode(self, u, n: int, v) -> SparseVec:
         """Mode u_n of Y(u, z) applied to v, for any vector or monomial u of
-        the lattice space, by the iterate formula of the module docstring.
+        the lattice space, in the normal order of the module docstring.
 
-        Heisenberg modes keep charges, so for one monomial w of v the
-        recursion of all terms of u of one charge stays in one charge sector
-        and shares one memo of u'_(m) w, keyed by (u' parts, m, w parts).
-        The memos are dropped before the next monomial of v: kept for the
-        whole call they grow with the length of v. alpha(0) on the sector
-        and the `_exponent` check are set up once per pair of charges of u
-        and v. Past the last oscillator of a charge-0 term the recursion
-        steps only to the leaf 1_(-1), so its three loops keep at most one
-        term there and no zero leaf is called or stored.
-
-        The recursion runs in ints over the denominators of the module
-        docstring, with top - m - 1 the H of every output monomial. Each
-        term of u puts its coefficient over that denominator once, and the
-        terms of one output charge are summed as ints over one lcm, by
-        `core._int_sum`, into one Fraction per output monomial.
+        On one monomial w of v, the terms of u of one charge and part-sum
+        share H and one denominator, so their annihilation states add up
+        before one merge; for b != 0 `_lattice` runs once per kept parts
+        and h, and with T empty its output joins the sum as it is.
         """
-        def sector(b, num, q):
-            memo: dict = {}
+        created: dict = {}  # (T, Q) -> C_T(Q) for Q >= sum(T), for this call
 
-            def mode(uparts, m, parts, top) -> dict:
-                # top = |u' parts| + |parts| - e0 > m, kept by every call;
-                # the value is over q^len(uparts) * height!
-                key = (uparts, m, parts)
-                out = memo.get(key)
-                if out is not None:
-                    return out
-                out = {}
-                height = top - m - 1
-                if not uparts:
-                    if b:
-                        out = self._lattice(b, height, parts)
-                    elif m == -1:
-                        out = {parts: factorial(top)}
-                else:
-                    p, rest = uparts[0], uparts[1:]
-                    # past the last oscillator of a charge-0 term only
-                    # 1_(-1) is nonzero: each loop keeps the step to m' = -1
-                    last = not rest and not b
-                    stop = top - p - m
-                    for j in range(max(-1 - m, 0), min(-m, stop)) if last else range(stop):
-                        c = comb(p + j - 1, j) * q * perm(height, p + j)
-                        for new, x in mode(rest, m + j, parts, top - p).items():
-                            _add_term(out, _insert(new, (p + j,)), c * x)
-                    sign = 1 if p % 2 else -1
-                    if num and (not last or m - p == -1):
-                        for new, x in mode(rest, m - p, parts, top - p).items():
-                            _add_term(out, new, sign * num * x)
-                    for j in set(parts) & {m - p + 1} if last else set(parts):
-                        i = parts.index(j)
-                        low = parts[:i] + parts[i + 1:]
-                        c = sign * comb(p + j - 1, j) * 2 * self.k * j * parts.count(j) * q
-                        for new, x in mode(rest, m - p - j, low, top - p - j).items():
-                            _add_term(out, new, c * x)
-                memo[key] = out
-                return out
+        def creations(osc, total) -> dict:
+            if not osc:
+                return {} if total else {(): 1}
+            if (out := created.get((osc, total))) is None:
+                out = created[osc, total] = {}
+                p, rest = osc[0], osc[1:]
+                for q in range(p, total - sum(rest) + 1) if rest else (total,):
+                    c = comb(q - 1, p - 1)
+                    for extra, x in creations(rest, total - q).items():
+                        _add_term(out, _insert(extra, (q,)), c * x)
+            return out
 
-            return mode
-
-        by_charge: dict = {}
+        by_sum: dict = {}  # (u charge, u part-sum) -> [(u parts, coefficient)]
         for (uparts, ucharge), cu in SparseVec.of(u).items():
-            by_charge.setdefault(ucharge, []).append((uparts, sum(uparts), cu))
-        # output charge -> [(numerator, denominator, {parts: int})]
-        pending: dict = {}
-        setups: dict = {}  # (u charge, v charge) -> (b, e0, num, q)
+            by_sum.setdefault((ucharge, sum(uparts)), []).append((uparts, cu))
+        pending: dict = {}  # output charge -> [(numerator, denominator, {parts: int})]
+        setups: dict = {}  # (u charge, u part-sum, v charge) -> (b, e0, num, q, uden, terms)
+        two_k = 2 * self.k
         for (parts, charge), cv in SparseVec.of(v).items():
-            psum = sum(parts)
-            for ucharge, terms in by_charge.items():
-                if (setup := setups.get((ucharge, charge))) is None:
-                    zero = 2 * self.k * charge  # alpha(0) on the sector, num / q
-                    setup = setups[ucharge, charge] = (
-                        *self._exponent(ucharge, zero), zero.numerator, zero.denominator)
-                b, e0, num, q = setup
-                mode = sector(b, num, q)
+            for (ucharge, usum), uterms in by_sum.items():
+                if (setup := setups.get((ucharge, usum, charge))) is None:
+                    zero = two_k * charge  # alpha(0) on the sector, num / q
+                    b, e0 = self._exponent(ucharge, zero)
+                    q = zero.denominator
+                    dens = [cu.denominator * q ** len(uparts) for uparts, cu in uterms]
+                    uden = lcm(*dens)
+                    setup = setups[ucharge, usum, charge] = (
+                        b, e0, zero.numerator, q, uden, [(uparts, cu.numerator * (uden // d))
+                                                         for (uparts, cu), d in zip(uterms, dens)])
+                b, e0, num, q, uden, terms = setup
+                height = usum + sum(parts) - e0 - n - 1
+                if height < 0:
+                    continue
                 group = pending.setdefault(ucharge + charge, [])
-                for uparts, usum, cu in terms:
-                    top = usum + psum - e0
-                    if top > n and (ints := mode(uparts, n, parts, top)):
-                        den = (cu.denominator * cv.denominator * q ** len(uparts)
-                               * factorial(top - n - 1))
-                        group.append((cu.numerator * cv.numerator, den, ints))
+                den = cv.denominator * uden * (factorial(height) if b else 1)
+                # annihilation: kept parts of w -> {creating oscillators T: int}
+                final: dict = {}
+                for uparts, start in terms:
+                    states = {(parts, ()): start}
+                    for p in uparts:
+                        sign = 1 if p % 2 else -1
+                        step: dict = {}
+                        for (kept, osc), x in states.items():
+                            if sum(osc) + p <= height:
+                                _add_term(step, (kept, (*osc, p)), q * x)
+                            if num:
+                                _add_term(step, (kept, osc), sign * num * x)
+                            for j in set(kept):
+                                i = kept.index(j)
+                                c = sign * comb(p + j - 1, j) * two_k * j * kept.count(j) * q
+                                _add_term(step, (kept[:i] + kept[i + 1:], osc), c * x)
+                        states = step
+                    for (kept, osc), x in states.items():
+                        xs = final.setdefault(kept, {})
+                        xs[osc] = xs.get(osc, 0) + x
+                # creation: C_T(Q) after kept, or after a lattice output of part-sum h
+                ints: dict = {}
+                if not b:
+                    for kept, xs in final.items():
+                        total = height - sum(kept)
+                        for osc, x in xs.items():
+                            if total >= sum(osc):
+                                for extra, c in creations(osc, total).items():
+                                    _add_term(ints, _insert(kept, extra) if extra else kept, c * x)
+                else:
+                    for kept, xs in final.items():
+                        for total in range(min(map(sum, xs)), height + 1 if any(xs) else 1):
+                            made: dict = {}
+                            for osc, x in xs.items():
+                                if sum(osc) <= total:
+                                    for extra, c in creations(osc, total).items():
+                                        _add_term(made, extra, c * x)
+                            if not made:
+                                continue
+                            lattice = self._lattice(b, height - total, kept)
+                            if not total:  # T empty: the lattice output as it is
+                                group.append((cv.numerator * made[()], den, lattice))
+                                continue
+                            scale = perm(height, total)
+                            for new, y in lattice.items():
+                                for extra, c in made.items():
+                                    _add_term(ints, _insert(new, extra), scale * c * y)
+                if ints:
+                    group.append((cv.numerator, den, ints))
         out: dict = {}
         for out_charge, group in pending.items():
             total, den = _int_sum(group)
@@ -275,8 +276,7 @@ class FockSpace:
         factor C(mult, t) (-2kb)^t; E^-(z) then adds the partitions lam of
         d = H - (weight kept) with the coefficients d!*b^len(lam)/z_lam /
         d! of `_exp_series`. Scaled by H!/d!, every term is an integer
-        over H!, so the sums run in ints and are returned undivided: the
-        recursion in `vertex_mode` carries the H! of the leaf."""
+        over H!: the sums run in ints, and `vertex_mode` divides."""
         fact = factorial(height)
         out: dict = {}
         values = sorted(set(parts))

@@ -630,3 +630,69 @@ def exp_series_by_recurrence(b, d: int) -> dict:
                 s[key] = s.get(key, 0) + Fraction(b) * c / w
         series.append(s)
     return series[d]
+
+
+# -- vertex modes by the iterate formula, one oscillator of u at a time --------
+
+
+def vertex_mode_by_iterate(k: int, u, n: int, v) -> dict:
+    """Mode u_n of Y(u, z) applied to v in the rank-one lattice space with
+    (alpha, alpha) = 2k, for any u; u and v map monomials (parts, charge)
+    to coefficients (a dict or anything with .items()).
+
+    Peels one oscillator of u at a time by the iterate (normal-ordering)
+    formula (Kac, Vertex Algebras for Beginners; Lepowsky-Li 2004)
+        (a(-p)u')_(m) = sum_{j>=0} C(p+j-1, j) [a(-p-j) u'_(m+j)
+                                               + (-1)^(p+1) u'_(m-p-j) a(j)],
+    down to 1_(m) = delta_{m,-1} or to the lattice operator
+    (e^{b alpha})_(m), taken from `lattice_by_terms`; a(0) acts on the
+    charge c sector by 2kc. The creation sum stops where u'_(m+j) w has no
+    room left: its part-sum |u'| + |w| - 2kbc - m - j - 1 must be >= 0.
+    Fractions throughout, one term at a time."""
+    out: dict = {}
+    memo: dict = {}
+
+    def add(d, key, val):
+        val = d.get(key, 0) + val
+        if val:
+            d[key] = val
+        else:
+            d.pop(key, None)
+
+    def mode(uparts, b, m, parts, charge) -> dict:
+        """(a(-uparts) e^{b alpha})_(m) a(-parts) e^{charge alpha}, keyed by
+        the output parts."""
+        key = (uparts, b, m, parts, charge)
+        if key in memo:
+            return memo[key]
+        res: dict = {}
+        e0 = 2 * k * b * charge
+        if not uparts:
+            if b:
+                res = lattice_by_terms(k, b, int(e0), m, parts)
+            elif m == -1:
+                res = {parts: Fraction(1)}
+        else:
+            p, rest = uparts[0], uparts[1:]
+            for j in range(sum(rest) + sum(parts) - int(e0) - m):
+                for lam, x in mode(rest, b, m + j, parts, charge).items():
+                    add(res, tuple(sorted(lam + (p + j,), reverse=True)), comb(p + j - 1, j) * x)
+            sign = (-1) ** (p + 1)
+            for lam, x in mode(rest, b, m - p, parts, charge).items():
+                add(res, lam, sign * 2 * k * charge * x)
+            for j in set(parts):
+                i = parts.index(j)
+                factor = sign * comb(p + j - 1, j) * 2 * k * j * parts.count(j)
+                for lam, x in mode(rest, b, m - p - j, parts[:i] + parts[i + 1:], charge).items():
+                    add(res, lam, factor * x)
+        memo[key] = res
+        return res
+
+    for (uparts, ucharge), cu in u.items():
+        b = Fraction(ucharge)
+        for (parts, charge), cv in v.items():
+            if (2 * k * b * charge).denominator != 1:
+                raise ValueError("2kb*charge must be an integer")
+            for lam, x in mode(tuple(uparts), b, n, tuple(parts), Fraction(charge)).items():
+                add(out, (lam, Fraction(charge) + b), Fraction(cu) * Fraction(cv) * x)
+    return out

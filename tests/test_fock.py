@@ -25,6 +25,7 @@ from oracles import (
     exp_series_by_recurrence,
     lattice_by_terms,
     lattice_vertex_mode_by_commutation,
+    vertex_mode_by_iterate,
     vertex_mode_by_slots,
 )
 
@@ -274,6 +275,39 @@ def test_vertex_mode_matches_slot_enumeration_oracle():
     assert FockSpace(1).heis_act(0, quarter) == quarter.scaled(Fraction(1, 2))
 
 
+def test_charged_vertex_modes_match_the_iterate_oracle():
+    # u = a(-p_1)...a(-p_r) e^{b alpha}, which `vertex_mode_by_slots` does
+    # not take, against the iterate formula: on integral charges, and on
+    # fractional ones where 2kb*charge is integral and 2k*charge may not be
+    rng = random.Random(31)
+    nonzero = fractional = 0
+    for _ in range(240):
+        k, b = rng.choice((1, 2, 3)), rng.choice((1, -1, 2, -2))
+        u = SparseVec.zero()
+        for _ in range(rng.randint(1, 2)):
+            osc = rng.randint(1, 3)
+            lam = rng.choice([lam for lam in partitions(rng.randint(osc, osc + 3), 1)
+                              if len(lam) == osc])
+            u = u + unit(lam, b).scaled(Fraction(rng.randint(-4, 4), rng.choice((1, 3))))
+        if rng.random() < 0.5:
+            charge = Fraction(rng.choice((0, 1, -1, 2)))
+        else:
+            charge = Fraction(rng.choice((1, -1, 3)), 2 * k * abs(b))
+        v = SparseVec.zero()
+        for _ in range(rng.randint(1, 2)):
+            lam = rng.choice(partitions(rng.randint(0, 4), 1))
+            v = v + unit(lam, charge).scaled(Fraction(rng.randint(1, 4), rng.choice((1, 5))))
+        # small heights: for the heaviest term of u and a monomial w of v,
+        # H = |u parts| + |w parts| - 2kb*charge - n - 1 is |w parts| - 3 + (0..5)
+        usum = max(sum(parts) for parts, _ in u.keys()) if not u.is_zero() else 0
+        n = usum + 2 - int(2 * k * b * charge) - rng.randint(0, 5)
+        want = vertex_mode_by_iterate(k, u, n, v)
+        assert dict(FockSpace(k).vertex_mode(u, n, v).items()) == want, (k, u, n, v)
+        nonzero += bool(want)
+        fractional += bool(want) and charge.denominator > 1
+    assert nonzero >= 170 and fractional >= 90
+
+
 def _vl_vectors(sp, max_weight=5):
     return [SparseVec.unit(mono) for w in range(max_weight + 1)
             for mono in sp.basis("vl", w)]
@@ -335,7 +369,7 @@ def test_charged_commutator_where_alpha_zero_is_not_integral():
 
 def test_vertex_mode_matches_oracles_where_alpha_zero_is_not_integral():
     # charges where 2k*charge is not an integer, so alpha(0) carries a
-    # denominator through the integer recursion
+    # denominator through the integer kernel
     rng = random.Random(20)
     nonzero = 0
     for _ in range(200):
@@ -502,38 +536,58 @@ def test_one_oscillator_modes_match_the_derivative_closed_form(k):
             assert sp.vertex_mode(unit((p,)), m, v) == want, (k, charge, p, m)
 
 
-def _mode_calls(fn, *args) -> int:
-    """The calls of the recursion `mode` inside `FockSpace.vertex_mode` that
-    fn(*args) makes."""
-    calls = 0
+def _vertex_mode_work(fn, *args) -> tuple[int, set]:
+    """The work of the one `FockSpace.vertex_mode` call that fn(*args)
+    makes: the states of all its annihilation steps (the entries of every
+    `step` table) and the keys (T, Q) of its creation table `created`."""
+    steps, tables = {}, []
 
-    def profile(frame, event, arg):
-        nonlocal calls
+    def local(frame, event, arg):
+        if event == "line" and isinstance(step := frame.f_locals.get("step"), dict):
+            steps[id(step)] = step  # kept alive, so every id stays one table
+        elif event == "return":
+            tables.append(frame.f_locals["created"])
+        return local
+
+    def tracer(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_name == "mode" and code.co_filename == fock.__file__:
-            calls += 1
+        if code.co_name == "vertex_mode" and code.co_filename == fock.__file__:
+            return local
+        return None
 
-    old = sys.getprofile()
-    sys.setprofile(profile)
+    old = sys.gettrace()
+    sys.settrace(tracer)
     try:
         fn(*args)
     finally:
-        sys.setprofile(old)
-    return calls
+        sys.settrace(old)
+    (table,) = tables
+    return sum(map(len, steps.values())), set(table)
 
 
-def test_the_last_oscillator_of_a_charge_zero_term_keeps_one_step(k2):
-    # Past the last oscillator of a charge-0 term the leaf 1_(m) is zero
-    # unless m = -1, so the recursion steps only to m = -1: a(m) on one
-    # monomial is at most the call of a(-1).1 and the one leaf under it
-    # (16, 15, ..., 9 calls when every step reached a leaf)
+def test_annihilation_states_and_one_creation_table_per_call(k2):
+    # a(m) = (a(-1).1)_m on a(-4)a(-2)a(-1)^2 e(1): its one oscillator
+    # creates, acts as alpha(0) or removes a 4, a 2 or a 1, so 5 states;
+    # the creation table C_(1)(-m) has one entry for m < 0 and none above
     height8 = unit((4, 2, 1, 1), 1)
-    assert [_mode_calls(k2.heis_act, m, height8) for m in range(-3, 5)] == \
-        [2, 2, 2, 2, 2, 2, 1, 2]
+    work = [_vertex_mode_work(k2.heis_act, m, height8) for m in range(-3, 5)]
+    assert [states for states, _ in work] == [5] * 8
+    assert [len(table) for _, table in work] == [1, 1, 1, 0, 0, 0, 0, 0]
+    # L_n = omega_(n+1) on the whole charge-0 weight-8 space, and J_3 on a
+    # charged vector
     weight8 = SparseVec({(lam, Fraction(0)): Fraction(1) for lam in partitions(8, 1)})
-    assert [_mode_calls(k2.vir_act, n, weight8) for n in (-2, 0, 2)] == [399, 333, 248]
+    work = [_vertex_mode_work(k2.vir_act, n, weight8) for n in (-2, 0, 2)]
+    assert [(states, len(table)) for states, table in work] == [(181, 10), (181, 8), (181, 6)]
     charged = unit((2, 1), 1) + unit((), 1).scaled(Fraction(3))
-    assert _mode_calls(k2.vertex_mode, k2.jvec(), 3, charged) == 123
+    states, table = _vertex_mode_work(k2.vertex_mode, k2.jvec(), 3, charged)
+    assert (states, len(table)) == (72, 6)
+    # one creation table serves every monomial of v: the whole space enters
+    # each (T, Q) of its monomials once (89, 45 and 19 entries when each
+    # monomial builds its own)
+    for n, (_, table), apart in zip((-2, 0, 2), work, (89, 45, 19)):
+        alone = [_vertex_mode_work(k2.vir_act, n, unit(lam))[1] for lam in partitions(8, 1)]
+        assert table == set().union(*alone), n
+        assert sum(map(len, alone)) == apart, n
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -1,13 +1,14 @@
 """The lattice-operator kernel has one way in: in src/voacalc, `_lattice` and
 `_exponent` are each called exactly once, and only from
-`FockSpace.vertex_mode` (its nested recursion included).
+`FockSpace.vertex_mode` (its nested creation table included).
 `lattice_vertex_mode` reaches them through `vertex_mode`, so anything put on
 that one path, such as a memo of `_lattice`, sees every lattice mode. The
 table of exponential-series coefficients, `_exp_series`, is read only by
 `FockSpace._lattice`, and its cache has a fixed bound. The Heisenberg modes
 take the same path: `heis_act`, `vir_act` and `lattice_vertex_mode` are
 modes of alpha(-1).1, omega and e^{b*alpha}, and the creation step
-`_insert` is called only in the recursion and in `_lattice`."""
+`_insert` is called only in `vertex_mode` (its creation table and its
+merge) and in `_lattice`."""
 
 from __future__ import annotations
 
