@@ -18,23 +18,26 @@ modes C(q-1, p-1) alpha(-q) z^(q-p) for q >= p, (-1)^(p-1) alpha(0) z^-p
 and (-1)^(p-1) C(p+j-1, j) alpha(j) z^(-p-j) for j >= 1; e^{b*alpha} acts
 as E^-(z) E^+(z) e_{b*alpha} z^{b*alpha(0)} with trivial two-cocycle
 (all pairings are even). Every output monomial of u_n w has the part-sum
-H = |u parts| + |w parts| - e0 - n - 1, e0 = 2kb*charge of w, and u_n w
-is three steps in normal order:
-  1. annihilation: each oscillator p of u, largest first, creates (joins
-     the tuple T of creating oscillators), acts as alpha(0), or removes
-     one part j of w, on states (kept parts of w, T);
+H = |u parts| + |w parts| - e0 - n - 1, e0 = 2kb*charge of w. u_n acts on
+v one sector (charge, part-sum of its monomials) at a time, in normal order:
+  1. annihilation: starting from every monomial of the sector, each
+     oscillator p of u, largest first, creates (joins the tuple T of
+     creating oscillators), acts as alpha(0), or removes one part j, on
+     states (kept parts, T) that add up as they form; for b != 0, E^+(z)
+     then removes t of the mult copies of each kept value (`_e_plus`);
   2. creation: C_T(Q) sums prod C(q_i-1, p_i-1) over the q_i >= p_i with
-     sum Q, by the multiset of the q_i: one table serves a whole call;
-  3. merge: C_T(H - |kept|) with the kept parts for b = 0, and for b != 0
-     C_T(H - h) with each output of part-sum h of e^{b*alpha} on them.
-`FockSpace._lattice` is e^{b*alpha} on a monomial. `heis_act`, `vir_act`
-and `lattice_vertex_mode` are the modes of alpha(-1).1, omega and
-e^{b*alpha}, so `vertex_mode` is the one path into `_lattice`.
+     sum Q, by the multiset of the q_i (one table serves a whole call); the
+     kept parts meet C_T(H - |kept|) for b = 0, and for b != 0 C_T(Q) and
+     the part-sum d = H - |kept| - Q terms of E^-(z) (`_exp_series`), once
+     per kept parts, T and Q of the sector.
+`heis_act`, `vir_act` and `lattice_vertex_mode` are the modes of
+alpha(-1).1, omega and e^{b*alpha}, so `vertex_mode` is the one path into
+the lattice kernel.
 
 The steps run in ints. alpha(0) on the charge sector is num/q = 2k*charge
 (q = 1 on the lattice space) and every oscillator of u contributes the
 denominator q, so a value of u_n w is an int over q^len(u parts), times
-H! when b != 0 (`_lattice` returns ints over h!, scaled by H!/h!).
+H! when b != 0 (E^- of part-sum d is scaled by H!/d!).
 
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
@@ -75,11 +78,14 @@ def _insert(parts, extra) -> tuple:
 
 
 def _z(parts) -> int:
-    """z_lambda = prod_i i^(m_i) m_i! for the multiplicities m_i of the parts."""
-    z = 1
-    for val in set(parts):
-        mult = parts.count(val)
-        z *= val ** mult * factorial(mult)
+    """z_lambda = prod_i i^(m_i) m_i! for the multiplicities m_i of the parts,
+    in one pass over the runs of equal parts of the descending tuple: the
+    r-th copy of i in its run contributes i*r."""
+    z, prev, run = 1, None, 0
+    for val in parts:
+        run = run + 1 if val == prev else 1
+        z *= val * run
+        prev = val
     return z
 
 
@@ -145,13 +151,9 @@ class FockSpace:
 
     def vertex_mode(self, u, n: int, v) -> SparseVec:
         """Mode u_n of Y(u, z) applied to v, for any vector or monomial u of
-        the lattice space, in the normal order of the module docstring.
-
-        On one monomial w of v, the terms of u of one charge and part-sum
-        share H and one denominator, so their annihilation states add up
-        before one merge; for b != 0 `_lattice` runs once per kept parts
-        and h, and with T empty its output joins the sum as it is.
-        """
+        the lattice space, in the normal order of the module docstring: one
+        annihilation pass and one creation step per sector of v and (charge,
+        part-sum) of u, which share H and, over one lcm, one denominator."""
         created: dict = {}  # (T, Q) -> C_T(Q) for Q >= sum(T), for this call
 
         def creations(osc, total) -> dict:
@@ -169,10 +171,15 @@ class FockSpace:
         by_sum: dict = {}  # (u charge, u part-sum) -> [(u parts, coefficient)]
         for (uparts, ucharge), cu in SparseVec.of(u).items():
             by_sum.setdefault((ucharge, sum(uparts)), []).append((uparts, cu))
-        pending: dict = {}  # output charge -> [(numerator, denominator, {parts: int})]
+        sectors: dict = {}  # (v charge, v part-sum) -> [(parts, coefficient)]
+        for (parts, charge), cv in SparseVec.of(v).items():
+            sectors.setdefault((charge, sum(parts)), []).append((parts, cv))
+        pending: dict = {}  # output charge -> [(1, denominator, {parts: int})]
         setups: dict = {}  # (u charge, u part-sum, v charge) -> (b, e0, num, q, uden, terms)
         two_k = 2 * self.k
-        for (parts, charge), cv in SparseVec.of(v).items():
+        for (charge, vsum), monos in sectors.items():
+            vden = lcm(*(cv.denominator for _, cv in monos))
+            starts = [(parts, cv.numerator * (vden // cv.denominator)) for parts, cv in monos]
             for (ucharge, usum), uterms in by_sum.items():
                 if (setup := setups.get((ucharge, usum, charge))) is None:
                     zero = two_k * charge  # alpha(0) on the sector, num / q
@@ -184,15 +191,13 @@ class FockSpace:
                         b, e0, zero.numerator, q, uden, [(uparts, cu.numerator * (uden // d))
                                                          for (uparts, cu), d in zip(uterms, dens)])
                 b, e0, num, q, uden, terms = setup
-                height = usum + sum(parts) - e0 - n - 1
+                height = usum + vsum - e0 - n - 1
                 if height < 0:
                     continue
-                group = pending.setdefault(ucharge + charge, [])
-                den = cv.denominator * uden * (factorial(height) if b else 1)
-                # annihilation: kept parts of w -> {creating oscillators T: int}
+                # annihilation: kept parts of v -> {creating oscillators T: int}
                 final: dict = {}
-                for uparts, start in terms:
-                    states = {(parts, ()): start}
+                for uparts, cu in terms:
+                    states = {(parts, ()): cu * x for parts, x in starts}
                     for p in uparts:
                         sign = 1 if p % 2 else -1
                         step: dict = {}
@@ -209,35 +214,34 @@ class FockSpace:
                     for (kept, osc), x in states.items():
                         xs = final.setdefault(kept, {})
                         xs[osc] = xs.get(osc, 0) + x
-                # creation: C_T(Q) after kept, or after a lattice output of part-sum h
+                # creation: C_T(Q) after the kept parts, and for b != 0 after
+                # E^-(z) of part-sum d = H - |kept| - Q, scaled by H!/d!
                 ints: dict = {}
-                if not b:
-                    for kept, xs in final.items():
-                        total = height - sum(kept)
+                for kept, xs in (self._e_plus(b, final) if b else final).items():
+                    room = height - sum(kept)
+                    if room < 0:
+                        continue
+                    if not b:
                         for osc, x in xs.items():
-                            if total >= sum(osc):
-                                for extra, c in creations(osc, total).items():
+                            if room >= sum(osc):
+                                for extra, c in creations(osc, room).items():
                                     _add_term(ints, _insert(kept, extra) if extra else kept, c * x)
-                else:
-                    for kept, xs in final.items():
-                        for total in range(min(map(sum, xs)), height + 1 if any(xs) else 1):
-                            made: dict = {}
-                            for osc, x in xs.items():
-                                if sum(osc) <= total:
-                                    for extra, c in creations(osc, total).items():
-                                        _add_term(made, extra, c * x)
-                            if not made:
-                                continue
-                            lattice = self._lattice(b, height - total, kept)
-                            if not total:  # T empty: the lattice output as it is
-                                group.append((cv.numerator * made[()], den, lattice))
-                                continue
-                            scale = perm(height, total)
-                            for new, y in lattice.items():
-                                for extra, c in made.items():
-                                    _add_term(ints, _insert(new, extra), scale * c * y)
+                        continue
+                    for total in range(min(map(sum, xs)), room + 1 if any(xs) else 1):
+                        made: dict = {}
+                        for osc, x in xs.items():
+                            if sum(osc) <= total:
+                                for extra, c in creations(osc, total).items():
+                                    _add_term(made, extra, c * x)
+                        series = _exp_series(b, room - total) if made else ()
+                        scale = perm(height, total + sum(kept))
+                        for extra, y in made.items():
+                            base, y = (*kept, *extra), scale * y
+                            for lam, c in series:
+                                _add_term(ints, _insert(base, lam), y * c)
                 if ints:
-                    group.append((cv.numerator, den, ints))
+                    pending.setdefault(ucharge + charge, []).append(
+                        (1, vden * uden * (factorial(height) if b else 1), ints))
         out: dict = {}
         for out_charge, group in pending.items():
             total, den = _int_sum(group)
@@ -266,32 +270,22 @@ class FockSpace:
             raise InputError("lattice operator needs a nonzero charge")
         return self.vertex_mode(self.xvec(b), n, v)
 
-    def _lattice(self, b: int, height: int, parts: tuple) -> dict:
-        """(e^{b*alpha})_n on (parts, charge) for the int charge b, as
-        {new parts: N}, N an int: the coefficient is N / H!, where the
-        height H = |parts| - e0 - n - 1 >= 0 (e0 = 2k*b*charge) is the
-        part-sum of every output monomial. The output charge is charge + b.
-
-        E^+(z) removes t of the mult copies of each part value with the
-        factor C(mult, t) (-2kb)^t; E^-(z) then adds the partitions lam of
-        d = H - (weight kept) with the coefficients d!*b^len(lam)/z_lam /
-        d! of `_exp_series`. Scaled by H!/d!, every term is an integer
-        over H!: the sums run in ints, and `vertex_mode` divides."""
-        fact = factorial(height)
+    def _e_plus(self, b: int, states: dict) -> dict:
+        """E^+(z) of e^{b*alpha} on {kept parts: {T: int}}: it removes t of
+        the mult copies of each part value with the factor C(mult, t)
+        (-2kb)^t, and the states that reach the same parts add up."""
         out: dict = {}
-        values = sorted(set(parts))
-        mults = [parts.count(val) for val in values]
-        for removed in product(*(range(mult + 1) for mult in mults)):
-            factor, kept, d = 1, [], height
-            for val, mult, t in zip(values, mults, removed):
-                factor *= comb(mult, t) * (-2 * self.k * b) ** t
-                kept += [val] * (mult - t)
-                d -= val * (mult - t)
-            if d < 0:
-                continue
-            factor *= fact // factorial(d)
-            for lam, c in _exp_series(b, d):
-                _add_term(out, _insert(kept, lam), factor * c)
+        for parts, xs in states.items():
+            values = sorted(set(parts), reverse=True)
+            mults = [parts.count(val) for val in values]
+            for removed in product(*(range(mult + 1) for mult in mults)):
+                factor, kept = 1, ()
+                for val, mult, t in zip(values, mults, removed):
+                    factor *= comb(mult, t) * (-2 * self.k * b) ** t
+                    kept += (val,) * (mult - t)
+                acc = out.setdefault(kept, {})
+                for osc, x in xs.items():
+                    acc[osc] = acc.get(osc, 0) + factor * x
         return out
 
     def vir_act(self, n: int, v) -> SparseVec:

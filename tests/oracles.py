@@ -435,7 +435,10 @@ def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
     of derivative fields and enumerates the modes of its factors: for
     u = alpha(-p_1)...alpha(-p_r) 1 it sums over assignments (m_1..m_r) with
     m_1 + ... + m_r = n + 1 - sum(p_i), slot i carrying
-    (-1)^(p_i - 1) * binom(m_i + p_i - 1, p_i - 1).
+    (-1)^(p_i - 1) * binom(m_i + p_i - 1, p_i - 1). The slots multiply ints:
+    with 2k*charge = num / q, every slot carries q except alpha(0), which
+    carries num, and the sum over the assignments is divided by q^r and
+    multiplied by the two coefficients once per pair of terms of u and v.
     """
     out: dict = {}
 
@@ -448,10 +451,12 @@ def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
 
     def _mode_terms(uparts, target, parts, charge, coef, out):
         k2 = 2 * k
-        charge_factor = k2 * charge
+        zero = Fraction(k2 * charge)  # alpha(0) on the sector, num / q
+        num, q = zero.numerator, zero.denominator
         counts0 = {}
         for p in parts:
             counts0[p] = counts0.get(p, 0) + 1
+        ints: dict = {}  # new parts -> int over q^len(uparts)
 
         def rec(i, rem, counts, capacity, factor, creators):
             if i == len(uparts):
@@ -461,7 +466,7 @@ def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
                 for val, cnt in counts.items():
                     remaining.extend([val] * cnt)
                 new_parts = tuple(sorted(remaining + creators, reverse=True))
-                _add_term(out, (new_parts, charge), factor)
+                _add_term(ints, new_parts, factor)
                 return
             p = uparts[i]
             exp = p - 1
@@ -476,11 +481,10 @@ def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
                 counts2 = dict(counts)
                 counts2[val] = cnt - 1
                 rec(i + 1, rem - val, counts2, capacity - val,
-                    factor * sign * b * (k2 * val * cnt), creators)
-            # zero slot: alpha(0) scales by 2k*charge
-            if charge_factor:
-                rec(i + 1, rem, counts, capacity,
-                    factor * sign * charge_factor, creators)
+                    factor * sign * b * k2 * val * cnt * q, creators)
+            # zero slot: alpha(0) scales by 2k*charge = num / q
+            if num:
+                rec(i + 1, rem, counts, capacity, factor * sign * num, creators)
             # creator slot: m <= -1; the rest can still reach rem - m only
             # if rem - m <= remaining annihilator capacity
             for m in range(rem - capacity, 0):
@@ -488,9 +492,12 @@ def vertex_mode_by_slots(k: int, u, n: int, v) -> dict:
                 if not b:
                     continue
                 rec(i + 1, rem - m, counts, capacity,
-                    factor * sign * b, creators + [-m])
+                    factor * sign * b * q, creators + [-m])
 
-        rec(0, target, counts0, sum(parts), coef, [])
+        rec(0, target, counts0, sum(parts), 1, [])
+        scale = coef / q ** len(uparts)
+        for new_parts, x in ints.items():
+            _add_term(out, (new_parts, charge), scale * x)
 
     for (uparts, ucharge), cu in u.items():
         if ucharge != 0:

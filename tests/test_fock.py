@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -308,6 +308,48 @@ def test_charged_vertex_modes_match_the_iterate_oracle():
     assert nonzero >= 170 and fractional >= 90
 
 
+def test_vertex_mode_is_linear_in_v():
+    # u_n v against the sum over the monomials w of v of c_w u_n w, where v
+    # has two part-sums on each of several charges, integral and fractional,
+    # with mixed denominators, and one coefficient is chosen so that two
+    # monomials of one sector cancel an output term once the sector merges
+    rng = random.Random(32)
+    nonzero = cancelled = 0
+    for k in (1, 2):
+        sp = FockSpace(k)
+        half = Fraction(1, 2 * k)  # 2kb*charge is integral for b = +-1
+        for u, charges in (
+                (sp.jvec(), (0, 2, Fraction(1, 3))),
+                (unit((2, 1, 1)) + unit((3, 1)).scaled(Fraction(-2, 3)), (1, -1, Fraction(2, 5))),
+                (sp.xvec(1), (0, -1, half)),
+                (sp.xvec(-2), (1, 2, -half)),
+                (unit((2, 1), -1) + unit((4,), -1).scaled(Fraction(3, 7)), (-1, 1, half)),
+                (unit((1, 1), 1) + unit((3,), -1).scaled(Fraction(1, 2)), (0, 1, -half))):
+            terms = [((lam, Fraction(charge)), Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                                        rng.choice((1, 2, 3, 7))))
+                     for charge in charges for w in (3, 4) for lam in partitions(w, 1)[::2]]
+            for n in range(-2, 5):  # the first two monomials share a sector
+                a1, a2, *rest = (sp.vertex_mode(u, n, SparseVec.unit(w)).scaled(c)
+                                 for w, c in terms)
+                key = next((key for key in a1.keys() if a2.coeff(key)
+                            and sum(a.coeff(key) for a in (a1, *rest))), None)
+                if key is not None:
+                    others = sum(a.coeff(key) for a in (a1, *rest))
+                    terms[1] = (terms[1][0], -others / a2.coeff(key) * terms[1][1])
+                    break
+            v = SparseVec(terms)
+            assert len(v) == len(terms)
+            for m in range(-2, 5):
+                whole = sp.vertex_mode(u, m, v)
+                parts = [sp.vertex_mode(u, m, SparseVec.unit(w)).scaled(c) for w, c in terms]
+                assert whole == sum(parts, SparseVec.zero()), (k, u, m)
+                nonzero += not whole.is_zero()
+                if key is not None and m == n:
+                    assert not whole.coeff(key) and any(p.coeff(key) for p in parts)
+                    cancelled += 1
+    assert nonzero >= 70 and cancelled == 12
+
+
 def _vl_vectors(sp, max_weight=5):
     return [SparseVec.unit(mono) for w in range(max_weight + 1)
             for mono in sp.basis("vl", w)]
@@ -466,23 +508,32 @@ def test_lattice_vertex_mode_matches_commutation_oracle():
 
 
 def test_lattice_kernel_matches_fraction_per_term_oracle():
-    # the integer kernel, its ints over top!, against the same sum taken one
-    # Fraction at a time, on every parts of weight <= 8; the height
-    # top = -n-1-e0+|parts| >= 0 is the weight the exponential series may add
-    # (terms may cancel). Modes with top < 0 are zero by the `top > n` test
-    # of `vertex_mode` and never reach the kernel.
+    # the integer kernel, its two halves E^+ (`_e_plus`, on one state with T
+    # empty) and E^- (`_exp_series`) composed as `vertex_mode` composes them,
+    # in ints over top!, against the same sum taken one Fraction at a time,
+    # on every parts of weight <= 8; the height top = -n-1-e0+|parts| >= 0
+    # is the weight the exponential series may add (terms may cancel). Modes
+    # with top < 0 are zero by the `height < 0` test of `vertex_mode` and
+    # never reach the kernel.
     nonzero = 0
     for k in (1, 2, 3):
         sp = FockSpace(k)
         for b in (1, -1, 2, -2):
             for parts in (lam for w in range(9) for lam in partitions(w, 1)):
+                removals = sp._e_plus(b, {parts: {(): 1}})
+                assert all(list(xs) == [()] and type(xs[()]) is int for xs in removals.values())
                 for charge in (0, 1, -1):
                     e0 = 2 * k * b * charge
                     for top in (0, 2, 5):
                         n = -1 - e0 + sum(parts) - top
-                        ints = sp._lattice(b, top, parts)
-                        assert all(type(c) is int for c in ints.values())
-                        got = {key: Fraction(c, factorial(top)) for key, c in ints.items()}
+                        ints: dict = {}
+                        for kept, xs in removals.items():
+                            d = top - sum(kept)
+                            for lam, c in _exp_series(b, d) if d >= 0 else ():
+                                assert type(c) is int
+                                key = tuple(sorted(kept + lam, reverse=True))
+                                ints[key] = ints.get(key, 0) + xs[()] * c * perm(top, top - d)
+                        got = {key: Fraction(c, factorial(top)) for key, c in ints.items() if c}
                         assert got == lattice_by_terms(k, b, e0, n, parts), \
                             (k, b, e0, n, parts)
                         nonzero += bool(got)
@@ -573,11 +624,16 @@ def test_annihilation_states_and_one_creation_table_per_call(k2):
     work = [_vertex_mode_work(k2.heis_act, m, height8) for m in range(-3, 5)]
     assert [states for states, _ in work] == [5] * 8
     assert [len(table) for _, table in work] == [1, 1, 1, 0, 0, 0, 0, 0]
-    # L_n = omega_(n+1) on the whole charge-0 weight-8 space, and J_3 on a
-    # charged vector
+    # L_n = omega_(n+1) on the whole charge-0 weight-8 space, one sector:
+    # the annihilation pass starts from all 22 monomials, and the states
+    # they reach in common are made once (181 when each monomial runs alone)
     weight8 = SparseVec({(lam, Fraction(0)): Fraction(1) for lam in partitions(8, 1)})
     work = [_vertex_mode_work(k2.vir_act, n, weight8) for n in (-2, 0, 2)]
-    assert [(states, len(table)) for states, table in work] == [(181, 10), (181, 8), (181, 6)]
+    assert [(states, len(table)) for states, table in work] == [(164, 10), (164, 8), (164, 6)]
+    for n in (-2, 0, 2):
+        alone = [_vertex_mode_work(k2.vir_act, n, unit(lam))[0] for lam in partitions(8, 1)]
+        assert sum(alone) == 181, n
+    # J_3 on a charged vector whose two monomials lie in two sectors
     charged = unit((2, 1), 1) + unit((), 1).scaled(Fraction(3))
     states, table = _vertex_mode_work(k2.vertex_mode, k2.jvec(), 3, charged)
     assert (states, len(table)) == (72, 6)
@@ -588,6 +644,27 @@ def test_annihilation_states_and_one_creation_table_per_call(k2):
         alone = [_vertex_mode_work(k2.vir_act, n, unit(lam))[1] for lam in partitions(8, 1)]
         assert table == set().union(*alone), n
         assert sum(map(len, alone)) == apart, n
+
+
+def test_exp_series_expands_once_per_kept_parts_of_a_sector(k2, monkeypatch):
+    # e^{alpha}_0 on the full charge -1 vector of weight 10 at k = 2 (the 22
+    # monomials of part-sum 8, one sector): E^+ merges the kept parts of all
+    # of them, so E^- reads 66 tables of 587 terms in all, where the
+    # monomials one at a time read 185 tables of 3,885 terms
+    reads = []
+
+    def counted(b, d):
+        reads.append(len(table := _exp_series(b, d)))
+        return table
+
+    monkeypatch.setattr(fock, "_exp_series", counted)
+    full = SparseVec({(lam, Fraction(-1)): Fraction(1) for lam in partitions(8, 1)})
+    whole = k2.lattice_vertex_mode(1, 0, full)
+    assert (len(reads), sum(reads)) == (66, 587)
+    del reads[:]
+    apart = [k2.lattice_vertex_mode(1, 0, SparseVec.unit(mono)) for mono in full.keys()]
+    assert (len(reads), sum(reads)) == (185, 3885)
+    assert whole == sum(apart, SparseVec.zero()) and len(whole) == 56
 
 
 @pytest.mark.parametrize("k", [1, 2])

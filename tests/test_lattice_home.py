@@ -1,14 +1,14 @@
-"""The lattice-operator kernel has one way in: in src/voacalc, `_lattice` and
-`_exponent` are each called exactly once, and only from
+"""The lattice-operator kernel has one way in: in src/voacalc, its halves
+`_e_plus` (E^+, the removals) and `_exp_series` (E^-, the exponential
+series) and `_exponent` are each called exactly once, and only from
 `FockSpace.vertex_mode` (its nested creation table included).
 `lattice_vertex_mode` reaches them through `vertex_mode`, so anything put on
-that one path, such as a memo of `_lattice`, sees every lattice mode. The
-table of exponential-series coefficients, `_exp_series`, is read only by
-`FockSpace._lattice`, and its cache has a fixed bound. The Heisenberg modes
-take the same path: `heis_act`, `vir_act` and `lattice_vertex_mode` are
-modes of alpha(-1).1, omega and e^{b*alpha}, and the creation step
-`_insert` is called only in `vertex_mode` (its creation table and its
-merge) and in `_lattice`."""
+that one path sees every lattice mode. The table of exponential-series
+coefficients, `_exp_series`, is read in that one place, and its cache has a
+fixed bound. The Heisenberg modes take the same path: `heis_act`, `vir_act`
+and `lattice_vertex_mode` are modes of alpha(-1).1, omega and e^{b*alpha},
+and the creation step `_insert` is called only in `vertex_mode` (its
+creation table and its merge)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from pathlib import Path
 from voacalc.fock import EXP_SERIES_CACHE, _exp_series
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "voacalc"
-KERNELS = {"_lattice", "_exponent"}
+KERNELS = {"_e_plus", "_exp_series", "_exponent"}
 HOME = "fock.FockSpace.vertex_mode"
 
 
@@ -46,13 +46,13 @@ def calls_of(path: Path, names) -> list[tuple[str, str]]:
 
 def test_only_vertex_mode_calls_the_lattice_kernels():
     calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, KERNELS)]
-    assert sorted(calls) == [("_exponent", HOME), ("_lattice", HOME)], calls
+    assert sorted(calls) == [("_e_plus", HOME), ("_exp_series", HOME), ("_exponent", HOME)], calls
 
 
 def test_only_the_lattice_kernel_reads_the_exp_series_table():
     calls = [call for path in sorted(PACKAGE.glob("*.py"))
              for call in calls_of(path, {"_exp_series"})]
-    assert calls == [("_exp_series", "fock.FockSpace._lattice")], calls
+    assert calls == [("_exp_series", HOME)], calls
 
 
 def test_exp_series_table_is_bounded():
@@ -66,7 +66,7 @@ def test_every_fock_operator_is_a_vertex_mode():
     callers = {owner for _, owner in calls_of(fock, {"vertex_mode"})}
     assert {f"fock.FockSpace.{name}" for name in modes} <= callers, callers
     calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in calls_of(path, {"_insert"})]
-    assert {owner for _, owner in calls} == {HOME, "fock.FockSpace._lattice"}, calls
+    assert {owner for _, owner in calls} == {HOME}, calls
     defined = {node.name for node in ast.walk(ast.parse(fock.read_text()))
                if isinstance(node, ast.FunctionDef)}
-    assert "_lower" not in defined, defined
+    assert not {"_lower", "_lattice"} & defined, defined
