@@ -5,13 +5,14 @@ V(c, 0)/U(Vir)L_{-1}v over exact rationals: PBW bases, straightened L_n
 action, the contravariant (Shapovalov) form, singular vectors and c = 1
 character series. HighestWeightModule, which the W3 modules share, holds
 what does not depend on the algebra: the one PBW straightening recursion,
-the contravariant form, Gram matrices (each built from the ones below it,
-by the adjoint of a monomial's first mode, as int numerators over one
-denominator per row; Fractions only at the weight asked for, and
-`gram_rank` reads the numerators) and primary spaces (the `core.kernel` of
-L_1 and L_2 on a graded piece). A module supplies its basis, how a
-monomial splits off its first mode or takes a new one, its lowest-weight
-eigenvalues and its brackets; [L_n, L_m] sits in the base.
+the contravariant form, Gram matrices (int numerators over one
+denominator per row, on a ladder the module keeps: each weight is built
+once, from the ones below it by the adjoint of a monomial's first mode, and
+summed only on and above the diagonal; `gram` makes Fractions at the weight
+asked for, and `gram_rank` reads the numerators) and primary spaces (the
+`core.kernel` of L_1 and L_2 on a graded piece). A module supplies its
+basis, how a monomial splits off its first mode or takes a new one, its
+lowest-weight eigenvalues and its brackets; [L_n, L_m] sits in the base.
 
 The straightening runs in ints: each memo value is {monomial: int} over
 one int denominator, the bracket constants and the lowest-weight
@@ -70,9 +71,10 @@ def monomial_str(mono: VirMonomial) -> str:
 class HighestWeightModule:
     """What a highest-weight module needs beyond the brackets of its algebra.
 
-    A subclass sets `_memos` and `_eigen` (per generator name: the memo dict
-    of its straightened action and its eigenvalue on the lowest-weight
-    vector, as an int pair (numerator, denominator > 0)) and supplies:
+    A subclass calls this `__init__`, sets `_memos` and `_eigen` (per
+    generator name: the memo dict of its straightened action and its
+    eigenvalue on the lowest-weight vector, as an int pair (numerator,
+    denominator > 0)) and supplies:
 
     * `basis(weight)` and its size `dim(weight)`;
     * `level(mono)`, the weight of a monomial above the lowest one;
@@ -92,6 +94,10 @@ class HighestWeightModule:
     """
 
     EMPTY = ()
+
+    def __init__(self):
+        # the `_int_gram` ladder, per weight from 0: (basis index, N, d)
+        self._ladder = [({self.EMPTY: 0}, [[1]], [1])]
 
     @classmethod
     def get(cls, *args, **kwargs):
@@ -193,27 +199,34 @@ class HighestWeightModule:
     def gram(self, weight: int) -> list[list[Fraction]]:
         """Contravariant Gram matrix at a weight, rows/cols in basis order:
         each `_int_gram` row of numerators over its own denominator, each
-        entry the same exact value as `pair(a, b)`."""
-        rows, dens = self._int_gram(weight)
-        return [[Fraction(n, d) for n in row] if d > 1 else list(map(Fraction, row))
-                for row, d in zip(rows, dens)]
+        entry the same exact value as `pair(a, b)`. The matrix is symmetric,
+        so a Fraction is made only on and above the diagonal and the entry
+        below it is the same object. Every call returns new lists."""
+        g: list = []
+        for a, (row, d) in enumerate(zip(*self._int_gram(weight))):
+            upper = [Fraction(n, d) for n in row[a:]] if d > 1 else list(map(Fraction, row[a:]))
+            g.append([above[a] for above in g] + upper)
+        return g
 
     def _int_gram(self, weight: int) -> tuple[list[list[int]], list[int]]:
         """(N, d) with N an int matrix and row a of the Gram matrix at the
-        weight N[a] / d[a].
+        weight N[a] / d[a]: the module's own lists, never to be changed.
 
-        Built up from weight 0: for a = gen_{-m} rest,
+        The module keeps the ladder of these pairs, one per weight from 0
+        up, and a call builds only the weights above its highest, each from
+        those below it: for a = gen_{-m} rest,
         <a, b> = <rest, gen_m b> = sum_c (gen_m b)_c <rest, c> over c in
         basis(weight - m), the step `pair` takes. With N' / d' the rows at
         weight - m and L the lcm of the `_act` denominators of the gen_m b,
         each gen_m b is written once as ints n_c = (gen_m b)_c L, shared by
         every row whose first mode is gen_{-m}; the entry is sum_c n_c N'[rest][c]
-        and d[a] = L d'[rest]. The rows of the lower weights live only for
-        this call."""
-        if weight < 0:
-            return [], []
-        ladder = {0: ({self.EMPTY: 0}, [[1]], [1])}
-        for w in range(1, weight + 1):
+        and d[a] = L d'[rest]. Only the entries with b >= a are summed: the
+        form is symmetric, N[a][b] / d[a] = N[b][a] / d[b], so the one below
+        the diagonal is N[b][a] d[a] // d[b], an exact division. The ladder
+        lives as long as the module, as its `_act` memo does: about 1 MB for
+        a Virasoro Verma module to level 13."""
+        ladder = self._ladder
+        for w in range(len(ladder), weight + 1):
             basis = self.basis(w)
             firsts = [self._first(a) for a in basis]
             lowered = {}  # (gen, m) -> (L, per b: [(column of c, n_c)])
@@ -224,14 +237,16 @@ class HighestWeightModule:
                 lowered[gen, m] = den, [[(index[c], x * (den // d)) for c, x in ints.items()]
                                          for ints, d in acts]
             rows, dens = [], []
-            for gen, m, rest in firsts:
+            for a, (gen, m, rest) in enumerate(firsts):
                 index, below, dens_below = ladder[w - m]
                 den, col = lowered[gen, m]
                 row = below[index[rest]]
-                rows.append([sum(n * row[j] for j, n in terms) for terms in col])
-                dens.append(den * dens_below[index[rest]])
-            ladder[w] = ({b: i for i, b in enumerate(basis)}, rows, dens)
-        return ladder[weight][1:]
+                d = den * dens_below[index[rest]]
+                rows.append([r[a] * d // e for r, e in zip(rows, dens)]
+                            + [sum(n * row[j] for j, n in terms) for terms in col[a:]])
+                dens.append(d)
+            ladder.append(({b: i for i, b in enumerate(basis)}, rows, dens))
+        return ladder[weight][1:] if weight >= 0 else ([], [])
 
     def gram_rank(self, weight: int) -> int:
         return rank(self._int_gram(weight)[0])
@@ -268,6 +283,7 @@ class VirasoroModule(HighestWeightModule):
         return tuple(-p for p in mono) + (0,)
 
     def __init__(self, c, h=0, vacuum: bool = False):
+        super().__init__()
         self.c = Fraction(c)
         self.h = Fraction(h)
         self.vacuum = bool(vacuum)

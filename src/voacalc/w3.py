@@ -84,6 +84,7 @@ class W3Module(HighestWeightModule):
                 tuple(-p for p in wparts), tuple(-p for p in lparts))
 
     def __init__(self, c, lam=None, mu=None):
+        super().__init__()
         self.c = Fraction(c)
         if 22 + 5 * self.c == 0:
             raise InputError("central charge with 22 + 5c = 0 is not admitted "

@@ -260,6 +260,33 @@ def gram_by_pairs(mod, w) -> list:
     return [[mod.pair(a, b) for b in units] for a in units]
 
 
+def check_gram_ladder(make, top: int) -> None:
+    """Asks fresh modules from `make()` for `gram` and `gram_rank` at the
+    weights -1 .. top in ascending, descending and repeated order, and
+    checks every answer against `gram_by_pairs` on a module of its own, that
+    each module builds the basis of each weight once (counted through its
+    `basis`), and that changing a returned matrix or one of its rows leaves
+    the next answer as it was."""
+    oracle = make()
+    want = {w: gram_by_pairs(oracle, w) for w in range(-1, top + 1)}
+    ranks = {w: gauss_rank(g) for w, g in want.items()}
+    weights = list(range(-1, top + 1))
+    for order in (weights, weights[::-1], [2, 2, top, 1, top, -1, 2]):
+        module = make()
+        built: dict = {}
+        basis = module.basis
+        module.basis = lambda w: built.update({w: built.get(w, 0) + 1}) or basis(w)
+        for w in order:
+            g = module.gram(w)
+            assert g == want[w] and module.gram_rank(w) == ranks[w], (order, w)
+            if g:
+                g[0][-1] += 1
+                g[-1].append(g[-1][0])
+                g.pop(0)
+        assert all(module.gram(w) == want[w] for w in order), order
+        assert built == {w: 1 for w in range(1, top + 1)}, (order, built)
+
+
 def decompose_by_pairs(mod, v, primaries) -> tuple[dict, SparseVec]:
     """W3Module.decompose with one `pair` per entry of each block's Gram
     matrix and of its right-hand side, each straightening a whole mode word,
@@ -598,30 +625,34 @@ def lattice_vertex_mode_by_commutation(k: int, b, m: int, v) -> dict:
 
 def lattice_by_terms(k: int, b, e0: int, n: int, parts: tuple) -> dict:
     """(e^{b alpha})_n on (parts, charge) with e0 = 2k*b*charge, as {new
-    parts: coefficient}, with one Fraction b^len(lam)/z_lam per term.
+    parts: coefficient}, one term per removal and partition.
 
     E^+(z) removes t of the mult copies of each part value with the factor
     C(mult, t) (-2kb)^t; E^-(z) then adds each partition lam of
-    -n-1-e0+(weight removed)."""
+    d = -n-1-e0+(weight removed) with the factor b^len(lam)/z_lam. With
+    b = p/q and top the largest d, each term is an int over
+    q^(len(parts)+top) top! (z_lam divides d!, which divides top!): the
+    terms of a key are summed as ints and divided once."""
     b = Fraction(b)
-    out: dict = {}
+    p, q = b.numerator, b.denominator
+    top = -n - 1 - e0 + sum(parts)
+    scale = len(parts) + top
+    sums: dict = {}
     values = sorted(set(parts))
     for removed in product(*(range(parts.count(val) + 1) for val in values)):
-        factor, kept, dplus = Fraction(1), [], 0
+        factor, kept, dplus = 1, [], 0
         for val, t in zip(values, removed):
             mult = parts.count(val)
-            factor *= comb(mult, t) * (-2 * k * b) ** t
+            factor *= comb(mult, t) * (-2 * k * p) ** t
             kept += [val] * (mult - t)
             dplus += val * t
         d = -n - 1 - e0 + dplus
         for lam in (brute_partitions(d) if d >= 0 else ()):
             key = tuple(sorted(kept + list(lam), reverse=True))
-            val = out.get(key, 0) + factor * b ** len(lam) / _z(lam)
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
+            x = factor * p ** len(lam) * q ** (scale - sum(removed) - len(lam)) * factorial(top) // _z(lam)
+            sums[key] = sums.get(key, 0) + x
+    den = q ** scale * factorial(top) if top >= 0 else 1
+    return {key: Fraction(x, den) for key, x in sums.items() if x}
 
 
 def exp_series_by_recurrence(b, d: int) -> dict:

@@ -17,6 +17,7 @@ from voacalc.w3 import W3Module
 
 from oracles import (
     apply_mode,
+    check_gram_ladder,
     fraction_det,
     gauss_rank,
     gram_by_pairs,
@@ -179,6 +180,16 @@ def test_gram_rank_of_the_integer_ladder_equals_the_pairwise_rank(c, h):
         expected = gauss_rank(gram_by_pairs(module, level))
         assert module.gram_rank(level) == expected, level
         assert module.gram_nullity(level) == module.dim(level) - expected, level
+
+
+@pytest.mark.parametrize("c,h,vacuum,top", [
+    (Fraction(-22, 5), Fraction(-1, 5), False, 8),
+    (Fraction(1, 2), Fraction(0), True, 10),
+], ids=["verma", "vacuum"])
+def test_the_module_keeps_its_gram_ladder(c, h, vacuum, top):
+    """Each weight of the Gram ladder is built once per module, whatever
+    order the weights are asked in, and a returned matrix is the caller's."""
+    check_gram_ladder(lambda: VirasoroModule(c, h, vacuum=vacuum), top)
 
 
 def test_gram_determinant_is_the_kac_product_up_to_a_level_constant():

@@ -21,6 +21,7 @@ from voacalc.w3 import (
 )
 
 from oracles import (
+    check_gram_ladder,
     decompose_by_pairs,
     gauss_rank,
     gauss_solve,
@@ -189,6 +190,16 @@ def test_gram_rank_of_the_integer_ladder_equals_the_pairwise_rank():
         expected = gauss_rank(gram_by_pairs(module, weight))
         assert module.gram_rank(weight) == expected, weight
         assert module.gram_nullity(weight) == module.dim(weight) - expected, weight
+
+
+@pytest.mark.parametrize("c,weights,top", [
+    (Fraction(4, 5), (), 9),
+    (Fraction(1, 3), (Fraction(2, 7), Fraction(1, 5)), 5),
+], ids=["vacuum", "verma"])
+def test_the_module_keeps_its_gram_ladder(c, weights, top):
+    """Each weight of the Gram ladder is built once per module, whatever
+    order the weights are asked in, and a returned matrix is the caller's."""
+    check_gram_ladder(lambda: W3Module(c, *weights), top)
 
 
 def test_level1_gram_determinant_closed_form():
