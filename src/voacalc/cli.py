@@ -142,10 +142,7 @@ def _vector_from_args(args, parse_monomial) -> SparseVec:
         raise InputError(f"--terms is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not data:
         raise InputError("--terms must be a non-empty JSON object")
-    total = SparseVec.zero()
-    for mono_text, coeff in data.items():
-        total = total + SparseVec.unit(parse_monomial(mono_text)).scaled(rational(str(coeff)))
-    return total
+    return SparseVec((parse_monomial(text), rational(str(coeff))) for text, coeff in data.items())
 
 
 # ---------------------------------------------------------------------------

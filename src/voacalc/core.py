@@ -9,14 +9,14 @@ brings the rows to echelon form, and a back-substitution computes only its
 free-column entries, all the certificate reads (none at full rank). A dense
 rational matrix reaches it through `rank`, lists of sparse vectors through
 `independent`, `coordinates` and `kernel`; each row is scaled to integers
-once, by `_integer_row`.
+once, by `_integer_row`, from (column, num, den) triples.
 
-Every coefficient is exact: a `fractions.Fraction`, or ints in the
-straightening memo values (each over one denominator), the Gram rows (each
-over its own denominator), the vertex-mode recursion (over q^len * H!) and
-the sparse rows of the elimination. `_int_sum` adds int vectors over one
-lcm, for the straightening and for `vertex_mode`, which then make one
-`Fraction` per output term. No floats enter any computation.
+Every coefficient is exact, and a vector is ints over one denominator: a
+`SparseVec` stores the pair ({key: int}, den) that `_int_sum` returns when
+it adds int vectors over one lcm, as do the straightening memo values and
+`vertex_mode`; the Gram rows are ints each over its own denominator.
+`SparseVec.items` and `coeff` give `fractions.Fraction`s, as do `coordinates`
+and the forms. No floats enter any computation.
 """
 
 from __future__ import annotations
@@ -98,31 +98,38 @@ def square_root(x) -> int | None:
 
 
 class SparseVec:
-    """Finite linear combination of hashable keys with exact coefficients.
-
-    Zero coefficients are never stored. Instances behave as immutable values;
-    arithmetic returns new vectors.
+    """Finite linear combination of hashable keys with exact rational
+    coefficients, stored as the pair ({key: nonzero int}, den): the
+    coefficient of a key is its int over den > 0, and den shares no factor
+    with all the ints ({} is over 1), so equal vectors store equal pairs.
+    The pair is what `_int_sum` returns; `items` and `coeff` give Fractions.
+    Instances behave as immutable values; arithmetic returns new vectors.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
-        d: dict = {}
+        """The vector of (key, coefficient) pairs, or of a {key: coefficient}
+        map: coefficients are anything `Fraction` takes, and the
+        coefficients of a repeated key add up."""
+        pieces = []
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, c in items:
-                _add_term(d, key, c if isinstance(c, Fraction) else Fraction(c))
-        self._terms = d
+            for key, c in terms.items() if isinstance(terms, Mapping) else terms:
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
+                pieces.append((c.numerator, c.denominator, {key: 1}))
+        self._ints, self._den = _int_sum(pieces)
 
     @staticmethod
-    def _raw(d: dict) -> "SparseVec":
+    def _raw(ints: dict, den: int) -> "SparseVec":
+        """The vector of an `_int_sum` pair, taken as it is."""
         v = SparseVec.__new__(SparseVec)
-        v._terms = d
+        v._ints, v._den = ints, den
         return v
 
     @staticmethod
     def unit(key) -> "SparseVec":
-        return SparseVec._raw({key: ONE})
+        return SparseVec._raw({key: 1}, 1)
 
     @staticmethod
     def of(x) -> "SparseVec":
@@ -131,66 +138,46 @@ class SparseVec:
 
     @staticmethod
     def zero() -> "SparseVec":
-        return SparseVec._raw({})
+        return SparseVec._raw({}, 1)
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple]:
+        """(key, Fraction coefficient) pairs."""
+        den = self._den
+        return [(key, Fraction(x, den)) for key, x in self._ints.items()]
 
     def keys(self):
-        return self._terms.keys()
+        return self._ints.keys()
 
     def coeff(self, key) -> Fraction:
-        return self._terms.get(key, ZERO)
+        return Fraction(self._ints.get(key, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._ints
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._ints)
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
-        d = dict(self._terms)
-        _accumulate(d, other._terms, ONE)
-        return SparseVec._raw(d)
+        return SparseVec._raw(*_int_sum([(1, self._den, self._ints),
+                                         (1, other._den, other._ints)]))
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
-        d = dict(self._terms)
-        _accumulate(d, other._terms, -ONE)
-        return SparseVec._raw(d)
+        return SparseVec._raw(*_int_sum([(1, self._den, self._ints),
+                                         (-1, other._den, other._ints)]))
 
-    def scaled(self, factor: Fraction) -> "SparseVec":
-        if not factor:
-            return SparseVec._raw({})
-        return SparseVec._raw({k: c * factor for k, c in self._terms.items()})
+    def scaled(self, factor: int | Fraction) -> "SparseVec":
+        return SparseVec._raw(*_int_sum([(factor.numerator, factor.denominator * self._den,
+                                          self._ints)]))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SparseVec) and self._terms == other._terms
+        return (isinstance(other, SparseVec) and self._den == other._den
+                and self._ints == other._ints)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._ints:
             return "SparseVec(0)"
-        parts = [f"{c}*{k}" for k, c in sorted(self._terms.items(), key=lambda kv: repr(kv[0]))]
+        parts = [f"{c}*{k}" for k, c in sorted(self.items(), key=lambda kv: repr(kv[0]))]
         return "SparseVec(" + " + ".join(parts) + ")"
-
-
-def _add_term(d: dict, key, c: Fraction) -> None:
-    acc = d.get(key)
-    if acc is None:
-        if c:
-            d[key] = c
-    else:
-        acc = acc + c
-        if acc:
-            d[key] = acc
-        else:
-            del d[key]
-
-
-def _accumulate(dst: dict, src: Mapping, factor: Fraction) -> None:
-    if not factor:
-        return
-    for key, c in src.items():
-        _add_term(dst, key, c * factor)
 
 
 def _int_sum(pieces: list[tuple[int, int, Mapping]]) -> tuple[dict, int]:
@@ -218,13 +205,14 @@ def _int_sum(pieces: list[tuple[int, int, Mapping]]) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # exact linear algebra (elimination mod primes, certified exactly)
 
-def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
-    """A rational row given by (column, entry) pairs as {column: int} over
-    its nonzero entries, scaled by the lcm of their denominators (row space,
-    null space and rank are unchanged by nonzero row scaling)."""
-    row = [(j, x) for j, x in entries if x]
-    scale = math.lcm(*(x.denominator for _, x in row))
-    return {j: x.numerator * (scale // x.denominator) for j, x in row}
+def _integer_row(entries: Iterable[tuple[int, int, int]]) -> dict[int, int]:
+    """A rational row given by (column, num, den) triples, each entry
+    num / den, as {column: int} over its nonzero entries, scaled by the lcm
+    of their dens (row space, null space and rank are unchanged by nonzero
+    row scaling)."""
+    row = [entry for entry in entries if entry[1]]
+    scale = math.lcm(*(d for _, _, d in row))
+    return {j: n * (scale // d) for j, n, d in row}
 
 
 def _is_prime(n: int) -> bool:
@@ -435,18 +423,21 @@ def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     if any(len(row) != ncols or not all(isinstance(x, (int, Fraction)) for x in row)
            for row in rows):
         raise InputError("rank takes rows of equal length with int or Fraction entries")
-    m = [_integer_row(enumerate(row)) for row in rows]
+    m = [_integer_row((j, x.numerator, x.denominator) for j, x in enumerate(row))
+         for row in rows]
     return len(_eliminate(m, ncols)[0])
 
 
 def _columns(vectors: Sequence[SparseVec]) -> list[dict[int, int]]:
     """The `_integer_row`s of the matrix whose columns are the vectors: one
-    row per key of their supports, in first-appearance order. Pivot columns
-    and kernels do not depend on the row order."""
+    row per key of their supports, in first-appearance order, each entry an
+    int of a vector over its den. Pivot columns and kernels do not depend
+    on the row order."""
     rows: dict = {}
     for j, v in enumerate(vectors):
-        for key, c in v.items():
-            rows.setdefault(key, []).append((j, c))
+        den = v._den
+        for key, x in v._ints.items():
+            rows.setdefault(key, []).append((j, x, den))
     return [_integer_row(entries) for entries in rows.values()]
 
 
@@ -462,7 +453,7 @@ def coordinates(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fractio
     [vectors | -target]. None if target is not in their span, that is, if
     the last column is a pivot."""
     n = len(vectors)
-    basis = _eliminate(_columns([*vectors, target.scaled(-ONE)]), n + 1)[1]
+    basis = _eliminate(_columns([*vectors, target.scaled(-1)]), n + 1)[1]
     if not basis or basis[-1][-1][0] != n:
         return None
     *pairs, (_, den) = basis[-1]
@@ -482,7 +473,7 @@ def kernel(basis: Sequence, maps: Sequence[Callable[..., SparseVec]]) -> list[Sp
     out = []
     for v in _eliminate(rows, len(basis))[1]:
         g = math.gcd(*(n for _, n in v)) * (1 if v[0][1] > 0 else -1)
-        out.append(SparseVec._raw({basis[c]: Fraction(n // g) for c, n in v}))
+        out.append(SparseVec._raw({basis[c]: n // g for c, n in v}, 1))
     return out
 
 

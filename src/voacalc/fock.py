@@ -37,7 +37,9 @@ the lattice kernel.
 The steps run in ints. alpha(0) on the charge sector is num/q = 2k*charge
 (q = 1 on the lattice space) and every oscillator of u contributes the
 denominator q, so a value of u_n w is an int over q^len(u parts), times
-H! when b != 0 (E^- of part-sum d is scaled by H!/d!).
+H! when b != 0 (E^- of part-sum d is scaled by H!/d!). The ints of u and v
+enter over their dens, and the values of all sectors meet in one
+`core._int_sum`, whose pair is the returned vector.
 
 theta is the involution alpha(n) -> -alpha(n), e^{x*alpha} -> e^{-x*alpha}.
 The bilinear form has adjoints alpha(n) -> alpha(-n) and pairing
@@ -49,14 +51,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, factorial, isqrt, lcm, perm
+from math import comb, factorial, isqrt, perm
 
 from .core import (
     ONE,
     InputError,
     SparseVec,
     ZERO,
-    _add_term,
     _int_sum,
     check,
     check_values,
@@ -70,6 +71,20 @@ FockMonomial = tuple  # (parts, charge): descending tuple of ints, Fraction
 
 FOCK_SUITE_KS = (2, 3, 5)  # lattice parameters of `verify_fock`
 FOCK_SUITE_NS = (2, 3)  # lattice parameters of its charged-doublet checks
+
+
+def _add_term(d: dict, key, x: int) -> None:
+    """Add x to the int of key in d, dropping it if the sum is 0."""
+    acc = d.get(key)
+    if acc is None:
+        if x:
+            d[key] = x
+    else:
+        acc += x
+        if acc:
+            d[key] = acc
+        else:
+            del d[key]
 
 
 def _insert(parts, extra) -> tuple:
@@ -153,7 +168,7 @@ class FockSpace:
         """Mode u_n of Y(u, z) applied to v, for any vector or monomial u of
         the lattice space, in the normal order of the module docstring: one
         annihilation pass and one creation step per sector of v and (charge,
-        part-sum) of u, which share H and, over one lcm, one denominator."""
+        part-sum) of u, which share H and one denominator."""
         created: dict = {}  # (T, Q) -> C_T(Q) for Q >= sum(T), for this call
 
         def creations(osc, total) -> dict:
@@ -168,29 +183,27 @@ class FockSpace:
                         _add_term(out, _insert(extra, (q,)), c * x)
             return out
 
-        by_sum: dict = {}  # (u charge, u part-sum) -> [(u parts, coefficient)]
-        for (uparts, ucharge), cu in SparseVec.of(u).items():
-            by_sum.setdefault((ucharge, sum(uparts)), []).append((uparts, cu))
-        sectors: dict = {}  # (v charge, v part-sum) -> [(parts, coefficient)]
-        for (parts, charge), cv in SparseVec.of(v).items():
-            sectors.setdefault((charge, sum(parts)), []).append((parts, cv))
-        pending: dict = {}  # output charge -> [(1, denominator, {parts: int})]
-        setups: dict = {}  # (u charge, u part-sum, v charge) -> (b, e0, num, q, uden, terms)
+        u, v = SparseVec.of(u), SparseVec.of(v)
+        by_sum: dict = {}  # (u charge, u part-sum) -> [(u parts, int)]
+        for (uparts, ucharge), x in u._ints.items():
+            by_sum.setdefault((ucharge, sum(uparts)), []).append((uparts, x))
+        sectors: dict = {}  # (v charge, v part-sum) -> [(parts, int)]
+        for (parts, charge), x in v._ints.items():
+            sectors.setdefault((charge, sum(parts)), []).append((parts, x))
+        pieces: list = []  # (1, denominator, {(parts, output charge): int})
+        setups: dict = {}  # (u charge, u part-sum, v charge) -> (b, e0, num, q, den, terms)
         two_k = 2 * self.k
-        for (charge, vsum), monos in sectors.items():
-            vden = lcm(*(cv.denominator for _, cv in monos))
-            starts = [(parts, cv.numerator * (vden // cv.denominator)) for parts, cv in monos]
+        for (charge, vsum), starts in sectors.items():
             for (ucharge, usum), uterms in by_sum.items():
                 if (setup := setups.get((ucharge, usum, charge))) is None:
                     zero = two_k * charge  # alpha(0) on the sector, num / q
                     b, e0 = self._exponent(ucharge, zero)
                     q = zero.denominator
-                    dens = [cu.denominator * q ** len(uparts) for uparts, cu in uterms]
-                    uden = lcm(*dens)
+                    top = max(len(uparts) for uparts, _ in uterms)
                     setup = setups[ucharge, usum, charge] = (
-                        b, e0, zero.numerator, q, uden, [(uparts, cu.numerator * (uden // d))
-                                                         for (uparts, cu), d in zip(uterms, dens)])
-                b, e0, num, q, uden, terms = setup
+                        b, e0, zero.numerator, q, u._den * v._den * q ** top,
+                        [(uparts, x * q ** (top - len(uparts))) for uparts, x in uterms])
+                b, e0, num, q, den, terms = setup
                 height = usum + vsum - e0 - n - 1
                 if height < 0:
                     continue
@@ -240,14 +253,10 @@ class FockSpace:
                             for lam, c in series:
                                 _add_term(ints, _insert(base, lam), y * c)
                 if ints:
-                    pending.setdefault(ucharge + charge, []).append(
-                        (1, vden * uden * (factorial(height) if b else 1), ints))
-        out: dict = {}
-        for out_charge, group in pending.items():
-            total, den = _int_sum(group)
-            for new, x in total.items():
-                out[new, out_charge] = Fraction(x, den)
-        return SparseVec._raw(out)
+                    out_charge = ucharge + charge
+                    pieces.append((1, den * (factorial(height) if b else 1),
+                                   {(new, out_charge): x for new, x in ints.items()}))
+        return SparseVec._raw(*_int_sum(pieces))
 
     def _exponent(self, b, zero) -> tuple[int, int]:
         """(b, e0) as ints, e0 = b*zero with zero = 2k*charge, alpha(0) on
@@ -295,11 +304,9 @@ class FockSpace:
     # -- involution and bilinear form ----------------------------------------
 
     def theta(self, v) -> SparseVec:
-        out: dict = {}
-        for (parts, charge), coef in SparseVec.of(v).items():
-            sign = -ONE if len(parts) % 2 else ONE
-            _add_term(out, (parts, -charge), coef * sign)
-        return SparseVec._raw(out)
+        v = SparseVec.of(v)
+        return SparseVec._raw({(parts, -charge): -x if len(parts) % 2 else x
+                               for (parts, charge), x in v._ints.items()}, v._den)
 
     def bilinear(self, u, v) -> Fraction:
         """Contravariant form: alpha(n) adjoint alpha(-n),

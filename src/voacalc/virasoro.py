@@ -17,8 +17,9 @@ lowest-weight eigenvalues and its brackets; [L_n, L_m] sits in the base.
 The straightening runs in ints: each memo value is {monomial: int} over
 one int denominator, the bracket constants and the lowest-weight
 eigenvalues enter as int pairs (numerator, denominator), and the pieces of
-a value meet over one lcm. `act` sums its terms the same way and makes one
-Fraction per output term; `_int_gram` reads the ints directly.
+a value meet over one lcm. `act` sums its terms the same way, with the
+ints of its input vector over its den, and returns the pair as a
+`SparseVec`; `_int_gram` reads the ints directly.
 
 Conventions
 -----------
@@ -37,7 +38,6 @@ from functools import partial
 from .core import (
     InputError,
     SparseVec,
-    ZERO,
     _int_sum,
     check,
     check_values,
@@ -151,19 +151,17 @@ class HighestWeightModule:
 
     def act(self, gen: str, n: int, v) -> SparseVec:
         """Apply gen_n to a vector (or a single monomial), fully straightened:
-        the ints of all its terms are summed over one lcm, and each output
-        term is one Fraction."""
+        the straightened values of its monomials, times its ints, are summed
+        over one lcm."""
         if gen not in self._memos:
             raise InputError(f"unknown generator {gen!r}")
+        v = SparseVec.of(v)
         pieces: list = []
-        for mono, coef in SparseVec.of(v).items():
+        for mono, x in v._ints.items():
             ints, den = self._act(gen, n, mono)
             if ints:
-                pieces.append((coef.numerator, coef.denominator * den, ints))
-        ints, den = _int_sum(pieces)
-        if den == 1:  # Fraction(x) skips the gcd
-            return SparseVec._raw({mono: Fraction(x) for mono, x in ints.items()})
-        return SparseVec._raw({mono: Fraction(x, den) for mono, x in ints.items()})
+                pieces.append((x, v._den * den, ints))
+        return SparseVec._raw(*_int_sum(pieces))
 
     def apply_word(self, word, v=None) -> SparseVec:
         """Apply a word of modes, rightmost first: [(g1, n1), ..., (gr, nr)]
@@ -183,18 +181,20 @@ class HighestWeightModule:
 
     def pair(self, u, v) -> Fraction:
         """Contravariant form <u, v>: each mode is adjoint to its negative,
-        and <v, v> = 1 on the lowest-weight vector."""
-        v = SparseVec.of(v)
-        total = ZERO
-        for mono, coef in SparseVec.of(u).items():
+        and <v, v> = 1 on the lowest-weight vector. Each monomial of u lowers
+        v, and the lowered vectors, times the ints of u, meet over one lcm."""
+        u, v = SparseVec.of(u), SparseVec.of(v)
+        pieces: list = []
+        for mono, x in u._ints.items():
             w = v
             # the creation modes gen_{-m} of mono, left to right: their
             # adjoints gen_m act in this order in the form
             while not w.is_zero() and (first := self._first(mono)) is not None:
                 gen, part, mono = first
                 w = self.act(gen, part, w)
-            total += coef * w.coeff(self.EMPTY)
-        return total
+            pieces.append((x, u._den * w._den, w._ints))
+        ints, den = _int_sum(pieces)
+        return Fraction(ints.get(self.EMPTY, 0), den)
 
     def gram(self, weight: int) -> list[list[Fraction]]:
         """Contravariant Gram matrix at a weight, rows/cols in basis order:

@@ -35,7 +35,6 @@ from fractions import Fraction
 from .core import (
     InputError,
     SparseVec,
-    _add_term,
     _int_sum,
     check,
     check_values,
@@ -544,10 +543,8 @@ def verify_theorem32(c=1) -> dict:
         if computed != expected:
             entry["diff"] = _vec_diff(mod, expected, computed)
         if INCONSISTENT_MONOMIAL in printed:
-            moved = dict(printed)
-            weight5_coeff = moved.pop(INCONSISTENT_MONOMIAL)
-            _add_term(moved, CONSISTENT_READING, weight5_coeff)
-            reread = SparseVec(moved)
+            reread = SparseVec((CONSISTENT_READING if key == INCONSISTENT_MONOMIAL else key, c)
+                               for key, c in printed.items())
             entry["weight_consistent_reading"] = {
                 "moved": w3_monomial_str(INCONSISTENT_MONOMIAL),
                 "read_as": w3_monomial_str(CONSISTENT_READING),

@@ -440,6 +440,30 @@ def independent_subsequence(vectors) -> list[int]:
     return indices
 
 
+# -- sparse vectors as plain {key: Fraction} dicts -----------------------------
+
+
+def fraction_vector(pairs) -> dict:
+    """The {key: nonzero Fraction} map of (key, coefficient) pairs, the
+    coefficients of a repeated key added one Fraction at a time (the package
+    stores a vector as ints over one denominator)."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + Fraction(c)
+    return {key: c for key, c in out.items() if c}
+
+
+def fraction_combination(*terms) -> dict:
+    """sum of factor * vector over the (factor, {key: Fraction}) terms."""
+    return fraction_vector((key, factor * c) for factor, vec in terms for key, c in vec.items())
+
+
+def fraction_vector_repr(vec: dict) -> str:
+    """How SparseVec writes the vector: its terms c*key ordered by repr(key)."""
+    terms = [f"{c}*{key}" for key, c in sorted(vec.items(), key=lambda kc: repr(kc[0]))]
+    return "SparseVec(" + (" + ".join(terms) or "0") + ")"
+
+
 # -- charge-0 vertex modes by enumerating slot assignments ----------------------
 
 

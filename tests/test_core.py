@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,9 @@ from voacalc.core import (
 
 from oracles import (
     brute_partitions,
+    fraction_combination,
+    fraction_vector,
+    fraction_vector_repr,
     gauss_echelon,
     gauss_null_space,
     gauss_rank,
@@ -77,6 +81,62 @@ def test_sparse_vec_algebra():
     assert a == SparseVec({("y",): Fraction(-1), ("x",): Fraction(2)})
     assert len(a) == 2 and len(a - a) == 0
     assert repr(SparseVec.zero()) == "SparseVec(0)"
+
+
+def _random_pairs(rng, keys):
+    """(key, coefficient) pairs over few keys, so keys repeat: ints and
+    Fractions, zeros among them, some pairs cancelling."""
+    pairs = []
+    for _ in range(rng.randrange(0, 9)):
+        num = rng.choice([0, *range(-9, 10)])
+        c = num if rng.random() < 0.4 else Fraction(num, rng.choice([1, 2, 3, 4, 6, 9, 12]))
+        pairs.append((rng.choice(keys), c))
+        if rng.random() < 0.15:
+            pairs.append((pairs[-1][0], -c))
+    return pairs
+
+
+def _assert_matches(v, oracle):
+    """v is the oracle's vector, read through every reader, and stores the
+    canonical pair: den > 0, no zero int, gcd(den, *ints) == 1."""
+    ints, den = v._ints, v._den
+    assert type(den) is int and den > 0
+    assert all(type(x) is int and x for x in ints.values())
+    assert math.gcd(den, *ints.values()) == 1
+    assert dict(v.items()) == oracle and all(type(c) is Fraction for _, c in v.items())
+    assert set(v.keys()) == set(oracle) and len(v) == len(oracle)
+    assert v.is_zero() == (not oracle)
+    for key in (*oracle, ("absent",)):
+        assert v.coeff(key) == oracle.get(key, 0) and type(v.coeff(key)) is Fraction
+    assert repr(v) == fraction_vector_repr(oracle)
+
+
+def test_sparse_vec_matches_fraction_dict_oracle():
+    """Seeded vectors built from repeated keys, zero coefficients and int or
+    Fraction input, and their sums, differences and scalings by 0, a
+    negative int and fractions, against {key: Fraction} dicts."""
+    rng = random.Random(5)
+    keys = [("x", i) for i in range(5)] + [((3, 1), Fraction(-1, 2))]
+    factors = [0, -3, Fraction(-2, 7), Fraction(5, 3), 1]
+    for _ in range(300):
+        pa, pb = _random_pairs(rng, keys), _random_pairs(rng, keys)
+        oa, ob = fraction_vector(pa), fraction_vector(pb)
+        a, b = SparseVec(pa), SparseVec(pb)
+        _assert_matches(a, oa)
+        _assert_matches(SparseVec(iter(pa)), oa)
+        for f in factors:
+            _assert_matches(a.scaled(f), fraction_combination((f, oa)))
+        _assert_matches(a + b, fraction_combination((1, oa), (1, ob)))
+        _assert_matches(a - b, fraction_combination((1, oa), (-1, ob)))
+        # equal vectors store equal pairs, whatever the route
+        routes = [SparseVec(oa), SparseVec(reversed(pa)),
+                  sum((SparseVec.unit(k).scaled(c) for k, c in pa), SparseVec.zero()),
+                  a + b - b,
+                  (a.scaled(Fraction(-3, 5)) + b).scaled(Fraction(-5, 3)) + b.scaled(Fraction(5, 3))]
+        for v in routes:
+            assert v == a and (v._ints, v._den) == (a._ints, a._den)
+        other = a + SparseVec.unit(("x", 9))
+        assert other != a and a != dict(a.items())
 
 
 def test_rank_matches_gaussian_elimination_on_random_matrices():

@@ -12,6 +12,10 @@ like a method does not keep the method alive. In a code span or code block
 of README.md a word counts only as `name(`, `name=` or `.name`, so flag
 text such as `--monomial` is no reference. Defining or assigning a name
 does not count.
+
+A module-level import that its own module never uses is dead too: every
+name a src/voacalc module imports at its top level must be read in that
+module.
 """
 
 from __future__ import annotations
@@ -80,3 +84,20 @@ def test_no_unreferenced_definitions_in_package():
             if not dunder and not used:
                 dead.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not dead, "defined but never referenced:\n" + "\n".join(dead)
+
+
+def test_no_unused_module_level_imports_in_package():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, "imported but never used:\n" + "\n".join(unused)
