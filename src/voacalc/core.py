@@ -4,12 +4,14 @@ verification-report builders (`check` and `check_values` for one check,
 `report` for a suite) and the error every input check raises.
 
 The linear algebra is one elimination of sparse integer rows mod primes,
-drawn until its answer is certified exactly. Mod each prime a forward pass
-brings the rows to echelon form, and a back-substitution computes only its
-free-column entries, all the certificate reads (none at full rank). A dense
+drawn until its answer is certified exactly. Mod each prime the rows are
+packed into ints, one slot per column, a forward pass brings them to
+echelon form, and a back-substitution computes only its free-column
+entries, all the certificate reads (none at full rank). A dense
 rational matrix reaches it through `rank`, lists of sparse vectors through
-`independent`, `coordinates` and `kernel`; each row is scaled to integers
-once, by `_integer_row`, from (column, num, den) triples.
+`independent`, `solve` (and `coordinates`, its second half) and `kernel`;
+each row is scaled to integers once, by `_integer_row`, from (column, num,
+den) triples.
 
 Every coefficient is exact, and a vector is ints over one denominator: a
 `SparseVec` stores the pair ({key: int}, den) that `_int_sum` returns when
@@ -22,7 +24,7 @@ and the forms. No floats enter any computation.
 from __future__ import annotations
 
 import math
-from bisect import bisect, insort
+from bisect import bisect
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -257,6 +259,40 @@ def _prime(i: int) -> int:
 rank_paths: Counter = Counter()
 
 
+def _reduced(v: int, col: int, rows: dict[int, int], p: int, width: int
+             ) -> list[tuple[int, int]]:
+    """The (column, nonzero residue mod p) pairs, in ascending columns, of
+    the packed row v (slot k, the bits k·width up, holds column col + k)
+    after each slot in a column of rows is cleared by that row: rows maps a
+    column c to the row that is 1 at c, packed from c + 1.
+
+    Each step reads the low slot or, if it is 0, finds the next nonzero one
+    by the lowest set bit, and shifts v past it. A slot at a column of rows
+    with residue x adds p - x times the row, one multiply-add of ints. If every slot of v and of the rows is
+    below p, a slot stays a nonnegative sum of one residue and one product
+    below (p - 1)^2 per row met, so it is below 2^width (see `_echelon_mod`)
+    and no carry crosses a slot."""
+    mask = (1 << width) - 1
+    out = []
+    while v:
+        x = v & mask
+        if not x:
+            k = ((v & -v).bit_length() - 1) // width
+            col += k
+            v >>= k * width
+            x = v & mask
+        v >>= width
+        x %= p
+        if x:
+            row = rows.get(col)
+            if row is None:
+                out.append((col, x))
+            else:
+                v += (p - x) * row
+        col += 1
+    return out
+
+
 def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int
                  ) -> tuple[list[int], dict[int, dict[int, int]]]:
     """The reduced row echelon form mod the prime p of the integer matrix
@@ -264,47 +300,36 @@ def _echelon_mod(rows: list[dict[int, int]], ncols: int, p: int
     ascending order, and {pivot: {free column: nonzero residue}}, each
     row's entries other than the 1 at its pivot (empty at full rank).
 
-    A forward pass inserts the rows one at a time, so the pivot columns are
-    the leftmost independent ones mod p. Each row is reduced by the stored
-    rows in ascending pivot order, its entries summed as unreduced ints with
-    one % per pivot factor and one pass when it is done. A stored row is 1
-    at its pivot and 0 at every pivot stored before it, and it is never
-    changed again. With a pivot in every column the form is the identity.
-    Otherwise one back-substitution, from the last pivot to the first,
-    computes each row's entries in the free columns.
+    Each row is one int with a slot of width = 2·bitlen(p) + bitlen(ncols
+    + 1) bits per column, its residues summed unreduced in the slots (see
+    `_reduced`): fewer than ncols rows are met, so a slot stays below
+    (ncols + 1)·p^2 <= 2^width. A forward pass inserts the rows one at a
+    time, so the pivot columns are the leftmost independent ones mod p:
+    each row is reduced by the stored rows at its pivots from left to
+    right, and the first residue it keeps is its pivot. Its later residues,
+    divided by that one, are stored packed from the pivot + 1: 0 at every
+    pivot stored before it, and never changed again. With a pivot in every
+    column the form is the identity. Otherwise one back-substitution, from
+    the last pivot to the first, reduces each stored row by the finished
+    rows right of its pivot to its entries in the free columns.
     """
-    tails: dict[int, dict[int, int]] = {}  # pivot -> its stored row right of the 1
-    pivots: list[int] = []
+    width = 2 * p.bit_length() + (ncols + 1).bit_length()
+    tails: dict[int, int] = {}  # pivot -> its stored row right of the 1
     for row in rows:
-        v = {j: x % p for j, x in row.items()}
-        get, pop = v.get, v.pop
-        for c in pivots:
-            if c in v:
-                f = pop(c) % p
-                if f:
-                    for j, y in tails[c].items():
-                        v[j] = get(j, 0) - f * y
-        v = {j: x for j, x in ((j, x % p) for j, x in v.items()) if x}
-        if not v:
-            continue
-        lead = min(v)
-        inv = pow(v.pop(lead), -1, p)
-        tails[lead] = {j: x * inv % p for j, x in v.items()}
-        insort(pivots, lead)
-        if len(pivots) == ncols:
-            return pivots, {}
+        rest = _reduced(sum(x % p << j * width for j, x in row.items()), 0, tails, p, width)
+        if rest:
+            (lead, x), *rest = rest
+            inv = pow(x, -1, p)
+            tails[lead] = sum(y * inv % p << (j - lead - 1) * width for j, y in rest)
+            if len(tails) == ncols:
+                return list(range(ncols)), {}
+    pivots = sorted(tails)
     free: dict[int, dict[int, int]] = {}  # pivot -> its row in the free columns
+    done: dict[int, int] = {}  # the same rows, packed as in tails
     for c in reversed(pivots):
-        acc: dict[int, int] = {}
-        get = acc.get
-        for j, y in tails[c].items():
-            later = free.get(j)
-            if later is None:
-                acc[j] = get(j, 0) + y
-            else:
-                for f, z in later.items():
-                    acc[f] = get(f, 0) - y * z
-        free[c] = {j: x for j, x in ((j, x % p) for j, x in acc.items()) if x}
+        rest = _reduced(tails[c], c + 1, done, p, width)
+        free[c] = dict(rest)
+        done[c] = sum(y << (j - c - 1) * width for j, y in rest)
     return pivots, free
 
 
@@ -447,20 +472,29 @@ def independent(vectors: Sequence[SparseVec]) -> list[int]:
     return _eliminate(_columns(vectors), len(vectors))[0]
 
 
+def solve(vectors: Sequence[SparseVec], target: SparseVec
+          ) -> tuple[list[int], list[Fraction] | None]:
+    """`independent(vectors)` and `coordinates(vectors, target)` from one
+    elimination of [vectors | -target]: its pivot columns left of the last,
+    and the kernel vector of the last column, or None if that is a pivot."""
+    n = len(vectors)
+    pivots, basis = _eliminate(_columns([*vectors, target.scaled(-1)]), n + 1)
+    kept = [c for c in pivots if c < n]
+    if not basis or basis[-1][-1][0] != n:
+        return kept, None
+    *pairs, (_, den) = basis[-1]
+    x = [ZERO] * n
+    for c, num in pairs:
+        x[c] = Fraction(num, den)
+    return kept, x
+
+
 def coordinates(vectors: Sequence[SparseVec], target: SparseVec) -> list[Fraction] | None:
     """The x with sum_i x_i vectors[i] = target, 0 off the independent
     subsequence: the kernel vector of the free last column of
     [vectors | -target]. None if target is not in their span, that is, if
     the last column is a pivot."""
-    n = len(vectors)
-    basis = _eliminate(_columns([*vectors, target.scaled(-1)]), n + 1)[1]
-    if not basis or basis[-1][-1][0] != n:
-        return None
-    *pairs, (_, den) = basis[-1]
-    x = [ZERO] * n
-    for c, num in pairs:
-        x[c] = Fraction(num, den)
-    return x
+    return solve(vectors, target)[1]
 
 
 def kernel(basis: Sequence, maps: Sequence[Callable[..., SparseVec]]) -> list[SparseVec]:

@@ -23,9 +23,9 @@ it is l_i, w_j >= 1.
 
 The contravariant form takes L_n to L_{-n}, W_n to W_{-n}, with <1, 1> = 1.
 Virasoro block bases come from `core.independent`. `decompose` pairs each
-block vector through the adjoints of its Virasoro modes, and solves for the
-projection with `core.coordinates`, as `verify thm32` does for the
-recorded-word coordinates.
+block vector through the adjoints of its Virasoro modes, and one
+`core.solve` gives the projection and the block's nondegeneracy; `verify
+thm32` finds the recorded-word coordinates with `core.coordinates`.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .core import (
     independent,
     partition_count,
     partitions,
-    rank,
     report,
+    solve,
 )
 from .virasoro import HighestWeightModule, _scaled
 
@@ -241,12 +241,12 @@ class W3Module(HighestWeightModule):
                             seen[lam[:k]] = self.act("L", part, seen[lam[:k - 1]])
                 pairings.append([self.pair(gen_vec, seen[lam]) for lam in lams])
             *columns, rhs = pairings
-            if rank(columns) < len(block):
+            kept, coeffs = solve([SparseVec(enumerate(col)) for col in columns],
+                                 SparseVec(enumerate(rhs)))
+            if len(kept) < len(block):
                 raise DegenerateBlockError(
                     f"block {label!r} has singular Gram form at weight {weight}; "
                     "orthogonal projection is undefined")
-            coeffs = coordinates([SparseVec(enumerate(col)) for col in columns],
-                                 SparseVec(enumerate(rhs)))
             components[label] = sum((b.scaled(x) for x, b in zip(coeffs, block) if x),
                                     SparseVec.zero())
         return components, v - sum(components.values(), SparseVec.zero())

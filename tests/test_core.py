@@ -380,6 +380,22 @@ def _planned_rows(rng, nrows, kinds, span):
     return [{j: col[i] for j, col in enumerate(cols) if col[i]} for i in range(nrows)]
 
 
+def _max_carry_rows(n: int, back: bool) -> list[dict[int, int]]:
+    """n - 1 rows with pivots 0 .. n - 2 and the free column n - 1, where
+    every multiply-add that clears a slot of a packed row adds (p - 1)^2 to
+    the slots right of it, mod every p, and the last slot takes n - 2 of
+    them. Forward (back=False): row i is e_i minus the later columns, each
+    stored as p - 1, and the last row, with residue 1 at every pivot it
+    meets, takes the pivot n - 2 and is 0 at n - 1. Back-substitution
+    (back=True): row i is e_i plus the later pivot columns, stored as they
+    are since no pivot is left of them, with the last entry that makes
+    every reduced row -1 there."""
+    if back:
+        return [{**{j: 1 for j in range(i, n - 1)}, n - 1: i + 1 - n} for i in range(n - 1)]
+    rows = [{i: 1, **{j: -1 for j in range(i + 1, n)}} for i in range(n - 2)]
+    return rows + [{k: 1 - k for k in range(n) if k != 1}]
+
+
 def _echelon_cases():
     rng = random.Random(53)
     p = _prime(0)
@@ -401,6 +417,13 @@ def _echelon_cases():
     cases["sorted-rightmost-first"] = (sorted(sparse, key=lambda row: -min(row)), 42)
     cases["pivots-leftward"] = ([{4: 1, 5: 2}, {3: 1, 5: 1}, {2: 2, 4: 1}, {1: 3}, {0: 1, 5: 1}, {0: 2}], 6)
     cases["shuffled-deficient"] = (rng.sample(cases["tall-deficient-12x5"][0], 12), 5)
+    # the slot width 2·bitlen(p) + bitlen(ncols + 1) steps up at ncols = 31,
+    # so at ncols = 30 the sums in a slot come closest to 2^width
+    for n in (30, 31, 32):
+        cases[f"max-carry-forward-{n}"] = (_max_carry_rows(n, back=False), n)
+        cases[f"max-carry-back-{n}"] = (_max_carry_rows(n, back=True), n)
+    kinds = ["free" if j % 4 == 3 else "0" if j == 50 else "new" for j in range(70)]
+    cases["dense-deficient-80x70"] = (_planned_rows(rng, 80, kinds, 3 * p), 70)
     return [pytest.param(rows, ncols, id=name) for name, (rows, ncols) in cases.items()]
 
 
@@ -410,8 +433,10 @@ def test_echelon_mod_equals_gauss_jordan_mod_p(rows, ncols):
     reduced row echelon form of column-by-column Gauss-Jordan elimination on
     dense residue lists, mod 2^61 - 1 and mod small primes that drop ranks:
     dense, deficient (free columns at both ends and between pivots), sparse,
-    with zero rows, negative entries and entries past p, and in row orders
-    where later rows take pivots left of earlier ones. `_echelon_mod`
+    with zero rows, negative entries and entries past p, in row orders
+    where later rows take pivots left of earlier ones, and where each
+    multiply-add on a packed row adds the most a slot can take, at widths
+    on both sides of a step. `_echelon_mod`
     returns the pivots and each pivot row's free-column entries, which with
     the 1 at the pivot are the whole row."""
     for p in (2, 3, 7, 101, _prime(0), _prime(1)):
@@ -433,6 +458,11 @@ def test_echelon_mod_cases_reach_their_shapes():
     assert got["pivots-leftward"] == list(range(6))
     assert got["sparse-60x42"] == got["sorted-rightmost-first"]
     assert len(got["sparse-60x42"]) >= 30 and not {20, 40, 41} & set(got["sparse-60x42"])
+    assert got["dense-deficient-80x70"] == [j for j in range(70) if j % 4 != 3 and j != 50]
+    for n in (30, 31, 32):
+        assert got[f"max-carry-forward-{n}"] == list(range(n - 1))
+        rref = rref_mod(_max_carry_rows(n, back=True), n, p)
+        assert rref == {c: {c: 1, n - 1: p - 1} for c in range(n - 1)}, n
 
 
 def test_the_elimination_leaves_its_rows_untouched(monkeypatch):
