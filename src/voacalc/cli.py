@@ -17,10 +17,9 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .core import InputError, SparseVec, rank, rational
+from .core import InputError, SparseVec, rational
 
 
 # Size caps. Each is at least the largest size the tests and the benchmark
@@ -128,7 +127,7 @@ def _parse_fock_monomial(text: str) -> tuple:
     if len(charges) > 1:
         raise InputError("at most one e(m) factor is allowed")
     parts = sorted((-mode for gen, mode in tokens if gen == "a"), reverse=True)
-    return (tuple(parts), Fraction(charges[0] if charges else 0))
+    return (tuple(parts), charges[0] if charges else 0)
 
 
 def _vector_from_args(args, parse_monomial) -> SparseVec:
@@ -258,7 +257,7 @@ def _cmd_act(args):
         elif args.b is not None:
             raise InputError("--b is only used with --gen e")
         elif args.gen == "a":
-            u = space.heis_act(-1, space.VACUUM)
+            u = SparseVec.unit(_parse_fock_monomial("a(-1)"))
         elif args.gen == "omega":
             u = space.omega()
         elif args.gen == "J":
@@ -280,7 +279,7 @@ def _cmd_gram(args):
     module = _hw_module(args)
     _check_dim(module, args.level, MAX_FORM_DIM)
     matrix = module.gram(args.level)
-    r = rank(matrix)
+    r = module.gram_rank(args.level)
     return {
         "level": args.level,
         "basis": [module.monomial_str(m) for m in module.basis(args.level)],

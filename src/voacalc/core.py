@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InputError(ValueError):

@@ -5,10 +5,11 @@ The Heisenberg algebra has modes alpha(m) with [alpha(m), alpha(n)] =
 2km*delta_{m,-n} and alpha(0) acting on the charge-x sector by 2kx, where the
 lattice is Z*alpha with (alpha, alpha) = 2k. A monomial is (parts, charge):
 a descending tuple of positive integers standing for
-alpha(-p_1)...alpha(-p_r) applied to 1 tensor e^{charge*alpha}; charges are
-exact rationals (integral on the lattice space, arbitrary for the
-single-charge modules). The weight of (parts, charge) is |parts| +
-k*charge^2.
+alpha(-p_1)...alpha(-p_r) applied to 1 tensor e^{charge*alpha}. A charge is
+an int on the lattice space and a `Fraction` off it (the single-charge
+modules M(1, lambda)); the two types hash and compare alike, so a key does
+not depend on which one a caller passes. The weight of (parts, charge) is
+|parts| + k*charge^2.
 
 Vertex-operator modes Y(u, z) are computed exactly for every vector u of
 the lattice space. For u = alpha(-p_1)...alpha(-p_r) e^{b*alpha}, Y(u, z)
@@ -54,10 +55,8 @@ from itertools import product
 from math import comb, factorial, isqrt, perm
 
 from .core import (
-    ONE,
     InputError,
     SparseVec,
-    ZERO,
     _int_sum,
     check,
     check_values,
@@ -67,7 +66,7 @@ from .core import (
     series_add,
 )
 
-FockMonomial = tuple  # (parts, charge): descending tuple of ints, Fraction
+FockMonomial = tuple  # (parts, charge): descending ints; an int charge, a Fraction off the lattice
 
 FOCK_SUITE_KS = (2, 3, 5)  # lattice parameters of `verify_fock`
 FOCK_SUITE_NS = (2, 3)  # lattice parameters of its charged-doublet checks
@@ -124,7 +123,7 @@ class FockSpace:
             raise InputError("the lattice parameter k must be a positive integer")
         self.k = k
 
-    VACUUM: FockMonomial = ((), Fraction(0))
+    VACUUM: FockMonomial = ((), 0)
 
     def weight(self, mono: FockMonomial) -> Fraction:
         parts, charge = mono
@@ -134,27 +133,29 @@ class FockSpace:
 
     def heis_act(self, m: int, v) -> SparseVec:
         """alpha(m) on a vector or monomial: the mode m of alpha(-1).1."""
-        return self.vertex_mode(SparseVec.unit(((1,), ZERO)), m, v)
+        return self.vertex_mode(SparseVec.unit(((1,), 0)), m, v)
 
     # -- distinguished vectors ------------------------------------------------
 
     def omega(self) -> SparseVec:
         """Conformal vector alpha(-1)^2/(4k) . 1."""
-        return SparseVec({((1, 1), Fraction(0)): Fraction(1, 4 * self.k)})
+        return SparseVec({((1, 1), 0): Fraction(1, 4 * self.k)})
 
     def jvec(self) -> SparseVec:
         """Weight-4 theta-invariant vector
         alpha(-1)^4/(4k^2) - alpha(-3)alpha(-1)/k + 3 alpha(-2)^2/(4k) . 1."""
         k = self.k
         return SparseVec({
-            ((1, 1, 1, 1), Fraction(0)): Fraction(1, 4 * k * k),
-            ((3, 1), Fraction(0)): Fraction(-1, k),
-            ((2, 2), Fraction(0)): Fraction(3, 4 * k),
+            ((1, 1, 1, 1), 0): Fraction(1, 4 * k * k),
+            ((3, 1), 0): Fraction(-1, k),
+            ((2, 2), 0): Fraction(3, 4 * k),
         })
 
     def xvec(self, charge) -> SparseVec:
-        """Pure exponential e^{charge*alpha}."""
-        return SparseVec.unit(((), Fraction(charge)))
+        """Pure exponential e^{charge*alpha}, for a charge `Fraction` takes;
+        an integral charge is stored as its int."""
+        charge = Fraction(charge)
+        return SparseVec.unit(((), charge.numerator if charge.denominator == 1 else charge))
 
     def evec(self, m) -> SparseVec:
         """theta-invariant combination e^{m*alpha} + e^{-m*alpha}."""
@@ -191,25 +192,20 @@ class FockSpace:
         for (parts, charge), x in v._ints.items():
             sectors.setdefault((charge, sum(parts)), []).append((parts, x))
         pieces: list = []  # (1, denominator, {(parts, output charge): int})
-        setups: dict = {}  # (u charge, u part-sum, v charge) -> (b, e0, num, q, den, terms)
         two_k = 2 * self.k
         for (charge, vsum), starts in sectors.items():
+            zero = two_k * charge  # alpha(0) on the sector, num / q
+            num, q = zero.numerator, zero.denominator
             for (ucharge, usum), uterms in by_sum.items():
-                if (setup := setups.get((ucharge, usum, charge))) is None:
-                    zero = two_k * charge  # alpha(0) on the sector, num / q
-                    b, e0 = self._exponent(ucharge, zero)
-                    q = zero.denominator
-                    top = max(len(uparts) for uparts, _ in uterms)
-                    setup = setups[ucharge, usum, charge] = (
-                        b, e0, zero.numerator, q, u._den * v._den * q ** top,
-                        [(uparts, x * q ** (top - len(uparts))) for uparts, x in uterms])
-                b, e0, num, q, den, terms = setup
+                b, e0 = self._exponent(ucharge, zero)
                 height = usum + vsum - e0 - n - 1
                 if height < 0:
                     continue
+                top = max(len(uparts) for uparts, _ in uterms)
                 # annihilation: kept parts of v -> {creating oscillators T: int}
                 final: dict = {}
-                for uparts, cu in terms:
+                for uparts, cu in uterms:
+                    cu *= q ** (top - len(uparts))
                     states = {(parts, ()): cu * x for parts, x in starts}
                     for p in uparts:
                         sign = 1 if p % 2 else -1
@@ -253,7 +249,7 @@ class FockSpace:
                             for lam, c in series:
                                 _add_term(ints, _insert(base, lam), y * c)
                 if ints:
-                    out_charge = ucharge + charge
+                    out_charge, den = b + charge, u._den * v._den * q ** top
                     pieces.append((1, den * (factorial(height) if b else 1),
                                    {(new, out_charge): x for new, x in ints.items()}))
         return SparseVec._raw(*_int_sum(pieces))
@@ -262,7 +258,7 @@ class FockSpace:
         """(b, e0) as ints, e0 = b*zero with zero = 2k*charge, alpha(0) on
         the charge sector: e^{b*alpha}(z) carries z^e0 there, so its modes
         are integral only when e0 is."""
-        if (b := Fraction(b)).denominator != 1:
+        if b.denominator != 1:
             raise InputError(
                 f"operator charge {b} is not an integer; the operator lies "
                 "outside the lattice and would produce non-integer charges")
@@ -311,12 +307,12 @@ class FockSpace:
     def bilinear(self, u, v) -> Fraction:
         """Contravariant form: alpha(n) adjoint alpha(-n),
         (e^{a*alpha}, e^{b*alpha}) = delta_{a+b,0}, (1,1) = 1."""
-        v = SparseVec.of(v)
-        total = ZERO
-        for (parts, charge), au in SparseVec.of(u).items():
-            if av := v.coeff((parts, -charge)):
-                total += au * av * (2 * self.k) ** len(parts) * _z(parts)
-        return total
+        u, v = SparseVec.of(u), SparseVec.of(v)
+        total = 0
+        for (parts, charge), x in u._ints.items():
+            if y := v._ints.get((parts, -charge)):
+                total += x * y * (2 * self.k) ** len(parts) * _z(parts)
+        return Fraction(total, u._den * v._den)
 
     # -- bases and characters -------------------------------------------------
 
@@ -330,21 +326,22 @@ class FockSpace:
         if space not in ("m1", "vl"):
             raise InputError(f"unknown space {space!r}; expected 'm1' or 'vl'")
         charges = (0,) if space == "m1" else self._charges(weight)
-        return [(lam, Fraction(x)) for x in charges
+        return [(lam, x) for x in charges
                 for lam in partitions(weight - self.k * x * x, 1)]
 
     def theta_basis(self, sign: str, space: str, weight: int) -> list[SparseVec]:
         """Deterministic basis of the theta eigenspace ("+" or "-")."""
         if sign not in ("+", "-"):
             raise InputError("sign must be '+' or '-'")
-        eigenvalue = ONE if sign == "+" else -ONE
+        eigenvalue = 1 if sign == "+" else -1
         out = []
-        for mono in self.basis(space, weight):
-            vec = SparseVec.unit(mono)
-            if mono[1] > 0:
-                out.append(vec + self.theta(vec).scaled(eigenvalue))
-            elif mono[1] == 0 and self.theta(vec) == vec.scaled(eigenvalue):
-                out.append(vec)
+        for parts, charge in self.basis(space, weight):
+            # theta maps the monomial to (-1)^len(parts) (parts, -charge)
+            s = eigenvalue * (-1) ** len(parts)
+            if charge > 0:
+                out.append(SparseVec({(parts, charge): 1, (parts, -charge): s}))
+            elif charge == 0 and s == 1:
+                out.append(SparseVec.unit((parts, charge)))
         return out
 
     def char_series(self, space: str, cutoff: int) -> list[int]:
@@ -472,19 +469,19 @@ def verify_fock() -> dict:
 
         for name, b, mode, x, want, label in (("x2-lowering", -1, -2 * n - 1, x2, x3, "X3"),
                                               ("x1-raising", 1, 4 * n - 1, x3, x2, "X2")):
-            ok = sp.lattice_vertex_mode(Fraction(b), mode, x) == want
+            ok = sp.lattice_vertex_mode(b, mode, x) == want
             checks.append(check(f"{name}-product-n{n}", "PAPER", label,
                                 label if ok else "unexpected", ok))
 
         trunc_ok = all(
-            sp.lattice_vertex_mode(Fraction(-1), i, x2).is_zero()
+            sp.lattice_vertex_mode(-1, i, x2).is_zero()
             for i in range(-2 * n, -2 * n + 6))
         checks.append(check(
             f"x2-truncation-n{n}", "PAPER", "0 for modes >= -2n",
             "0" if trunc_ok else "nonzero", trunc_ok))
 
         # zero mode of the charge-0 product X1_{2n-2} X2 on X2
-        inner = sp.lattice_vertex_mode(Fraction(1), 2 * n - 2, x2)
+        inner = sp.lattice_vertex_mode(1, 2 * n - 2, x2)
         zero_mode = sp.vertex_mode(inner, 0, x2)
         engine = x2.scaled(Fraction(-2 * n))
         checks.append(check(
@@ -506,8 +503,8 @@ def verify_fock() -> dict:
 
     for sp in spaces:
         em = sp.xvec(-1)
-        ok = (sp.lattice_vertex_mode(Fraction(1), 2 * sp.k - 1, em) == one
-              and all(sp.lattice_vertex_mode(Fraction(1), nn, em).is_zero()
+        ok = (sp.lattice_vertex_mode(1, 2 * sp.k - 1, em) == one
+              and all(sp.lattice_vertex_mode(1, nn, em).is_zero()
                       for nn in range(2 * sp.k, 2 * sp.k + 3)))
         checks.append(check(
             f"e-leading-mode-k{sp.k}", "DERIVED", "1 at mode 2k-1, 0 above",

@@ -112,8 +112,8 @@ def _assert_matches(v, oracle):
 
 
 def test_sparse_vec_matches_fraction_dict_oracle():
-    """Seeded vectors built from repeated keys, zero coefficients and int or
-    Fraction input, and their sums, differences and scalings by 0, a
+    """Seeded vectors built from repeated keys, zero coefficients and int,
+    Fraction or string input, and their sums, differences and scalings by 0, a
     negative int and fractions, against {key: Fraction} dicts."""
     rng = random.Random(5)
     keys = [("x", i) for i in range(5)] + [((3, 1), Fraction(-1, 2))]
@@ -129,7 +129,7 @@ def test_sparse_vec_matches_fraction_dict_oracle():
         _assert_matches(a + b, fraction_combination((1, oa), (1, ob)))
         _assert_matches(a - b, fraction_combination((1, oa), (-1, ob)))
         # equal vectors store equal pairs, whatever the route
-        routes = [SparseVec(oa), SparseVec(reversed(pa)),
+        routes = [SparseVec(oa), SparseVec(reversed(pa)), SparseVec((k, str(c)) for k, c in pa),
                   sum((SparseVec.unit(k).scaled(c) for k, c in pa), SparseVec.zero()),
                   a + b - b,
                   (a.scaled(Fraction(-3, 5)) + b).scaled(Fraction(-5, 3)) + b.scaled(Fraction(5, 3))]

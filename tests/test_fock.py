@@ -232,8 +232,11 @@ def test_char_series_counts_the_bases(k):
     for name in ("m1", "vl"):
         assert space.char_series(name, 24) == [len(space.basis(name, n)) for n in range(25)]
         for sign in "+-":
-            assert space.char_series(name + sign, 24) == [
-                len(space.theta_basis(sign, name, n)) for n in range(25)]
+            bases = [space.theta_basis(sign, name, n) for n in range(25)]
+            assert space.char_series(name + sign, 24) == list(map(len, bases))
+            # theta_basis takes theta's sign from the number of parts
+            eigenvalue = 1 if sign == "+" else -1
+            assert all(space.theta(v) == v.scaled(eigenvalue) for vs in bases for v in vs)
 
 
 def test_character_identities_to_q20(k3):
