@@ -5,8 +5,8 @@ exact "p/q" strings, integers as integers) and exits 0 on success, 1 when a
 requested verification check fails, 2 on a usage error.  `--format csv` is
 available for the tabular commands (dims, char, gram).
 
-The VOACALC_CUTOFF environment variable overrides the default series cutoff
-used by `char` and the lemma57 suite.
+A report depends on its argv alone, which its header records: no environment
+variable is read.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import re
 import sys
 
@@ -64,16 +63,6 @@ def _m_values(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return values
-
-
-def _cutoff_or_env(cutoff: int | None) -> int:
-    """--cutoff if given, else VOACALC_CUTOFF, else 20."""
-    if cutoff is not None:
-        return cutoff
-    try:
-        return _weight(os.environ.get("VOACALC_CUTOFF", "20"))
-    except argparse.ArgumentTypeError as exc:
-        raise InputError(f"VOACALC_CUTOFF: {exc}") from exc
 
 
 # at most nine digits, so int() never meets a digit string too long to convert
@@ -163,10 +152,27 @@ def _reject_flags(args, *names, context=None) -> None:
                          f"{context or '--algebra ' + args.algebra}")
 
 
-def _vir_module(args):
-    from .virasoro import VirasoroModule
-    _reject_flags(args, "lam", "mu", "k", "b")
+# the module flags each algebra reads (`--kind` picks the Virasoro series of
+# `char`); `_module` rejects every one of them outside the algebra's row
+_MODULE_FLAGS = {"vir": ("c", "h", "vacuum", "kind"), "w3": ("c", "lam", "mu"),
+                 "fock": ("k", "b")}
+
+
+def _module(args):
+    """The Virasoro or W3 module, or the Fock space, that the flags describe.
+    `decompose` has no --lam and --mu: it always takes the W3 vacuum module."""
+    algebra = args.algebra if args.algebra in ("vir", "w3") else "fock"
+    read = _MODULE_FLAGS[algebra]
+    _reject_flags(args, *dict.fromkeys(flag for row in _MODULE_FLAGS.values()
+                                       for flag in row if flag not in read))
+    if algebra == "fock":
+        from .fock import FockSpace
+        return FockSpace(1 if args.k is None else args.k)
     c = 1 if args.c is None else args.c
+    if algebra == "w3":
+        from .w3 import W3Module
+        return W3Module.get(c, getattr(args, "lam", None), getattr(args, "mu", None))
+    from .virasoro import VirasoroModule
     if args.vacuum:
         if args.h is not None:
             raise InputError("--vacuum fixes h = 0; do not combine it with --h")
@@ -174,25 +180,6 @@ def _vir_module(args):
     if args.h is None:
         raise InputError("--h is required unless --vacuum is given")
     return VirasoroModule.get(c, args.h)
-
-
-def _w3_module(args):
-    """`decompose` has no --lam and --mu: it always takes the vacuum module."""
-    from .w3 import W3Module
-    _reject_flags(args, "h", "vacuum", "k", "b")
-    return W3Module.get(1 if args.c is None else args.c,
-                        getattr(args, "lam", None), getattr(args, "mu", None))
-
-
-def _hw_module(args):
-    """The Virasoro or W3 module the flags describe."""
-    return _vir_module(args) if args.algebra == "vir" else _w3_module(args)
-
-
-def _fock_space(args):
-    from .fock import FockSpace
-    _reject_flags(args, "c", "h", "vacuum", "lam", "mu", "kind")
-    return FockSpace(1 if args.k is None else args.k)
 
 
 def _check_dim(module, weight: int, cap: int) -> None:
@@ -206,35 +193,33 @@ def _cmd_dims(args):
     if hi < lo:
         raise InputError("need --min-weight <= --max-weight")
     weights = list(range(lo, hi + 1))
+    module = _module(args)
     if args.algebra in _FOCK_SPACES:
-        dims = _fock_space(args).char_series(args.algebra, hi)[lo:]
+        dims = module.char_series(args.algebra, hi)[lo:]
     else:
-        module = _hw_module(args)
         dims = [module.dim(w) for w in weights]
     return {"weights": weights, "dims": dims}, False
 
 
 def _cmd_char(args):
-    cutoff = _cutoff_or_env(args.cutoff)
     if args.algebra == "vir":
         _reject_flags(args, "k")
         if args.h is None:
             raise InputError("--h is required for --algebra vir")
         from .virasoro import irreducible_character_c1, verma_character
         character = verma_character if args.kind == "verma" else irreducible_character_c1
-        series = character(args.h, cutoff)
+        series = character(args.h, args.cutoff)
     else:
-        series = _fock_space(args).char_series(args.algebra, cutoff)
-    return {"cutoff": cutoff, "series": series}, False
+        series = _module(args).char_series(args.algebra, args.cutoff)
+    return {"cutoff": args.cutoff, "series": series}, False
 
 
 def _cmd_basis(args):
+    module = _module(args)
     if args.algebra in ("m1", "vl"):
         from .fock import monomial_str
-        space = _fock_space(args)
-        names = [monomial_str(m) for m in space.basis(args.algebra, args.weight)]
+        names = [monomial_str(m) for m in module.basis(args.algebra, args.weight)]
     else:
-        module = _hw_module(args)
         _check_dim(module, args.weight, MAX_BASIS_DIM)
         names = [module.monomial_str(m) for m in module.basis(args.weight)]
     return {"weight": args.weight, "dimension": len(names), "basis": names}, False
@@ -242,13 +227,13 @@ def _cmd_basis(args):
 
 def _cmd_act(args):
     if args.algebra in ("vir", "w3"):
-        module = _hw_module(args)
+        module = _module(args)
         v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
         for mono in v.keys():
             _check_dim(module, module.level(mono), MAX_FORM_DIM)
         terms = module.terms(module.act(args.gen, args.mode, v))
     else:
-        space = _fock_space(args)
+        space = _module(args)
         v = _vector_from_args(args, _parse_fock_monomial)
         if args.gen == "e":
             if args.b is None:
@@ -276,7 +261,7 @@ def _cmd_act(args):
 
 
 def _cmd_gram(args):
-    module = _hw_module(args)
+    module = _module(args)
     _check_dim(module, args.level, MAX_FORM_DIM)
     matrix = module.gram(args.level)
     r = module.gram_rank(args.level)
@@ -290,7 +275,7 @@ def _cmd_gram(args):
 
 
 def _cmd_primary(args):
-    module = _w3_module(args)
+    module = _module(args)
     _check_dim(module, args.weight, MAX_FORM_DIM)
     vectors = module.primary_space(args.weight)
     return {
@@ -301,7 +286,7 @@ def _cmd_primary(args):
 
 
 def _cmd_decompose(args):
-    module = _w3_module(args)
+    module = _module(args)
     v = _vector_from_args(args, lambda t: _parse_hw_monomial(t, module))
     weight = module.vector_weight(v)
     _check_dim(module, weight, MAX_FORM_DIM)
@@ -346,8 +331,6 @@ def _cmd_verify(args):
     for suite, (_, _, flags) in _SUITES.items():
         if suite not in runs:
             _reject_flags(args, *flags, context=f"verify {args.suite}")
-    if "lemma57" in runs:
-        args.cutoff = _cutoff_or_env(args.cutoff)
     reports = []
     for home, name, flags in map(_SUITES.get, runs):
         given = {param: getattr(args, flag) for flag, param in flags.items()
@@ -398,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("verma", "l1"), help="virasoro series kind")
     p.add_argument("--h", type=rational, help="lowest weight (vir)")
     p.add_argument("--k", type=_positive)
-    p.add_argument("--cutoff", type=_weight,
-                   help="highest q power (default: VOACALC_CUTOFF or 20)")
+    p.add_argument("--cutoff", type=_weight, default=20, help="highest q power")
     add_format(p)
     p.set_defaults(func=_cmd_char)
 

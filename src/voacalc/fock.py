@@ -122,6 +122,11 @@ class FockSpace:
         if not isinstance(k, int) or k < 1:
             raise InputError("the lattice parameter k must be a positive integer")
         self.k = k
+        # omega and J, built once as canonical (ints, den) pairs: each has a
+        # coefficient 1, so its ints share no factor with its den
+        self._omega = SparseVec._raw({((1, 1), 0): 1}, 4 * k)
+        self._jvec = SparseVec._raw({((1, 1, 1, 1), 0): 1, ((3, 1), 0): -4 * k,
+                                     ((2, 2), 0): 3 * k}, 4 * k * k)
 
     VACUUM: FockMonomial = ((), 0)
 
@@ -139,17 +144,12 @@ class FockSpace:
 
     def omega(self) -> SparseVec:
         """Conformal vector alpha(-1)^2/(4k) . 1."""
-        return SparseVec({((1, 1), 0): Fraction(1, 4 * self.k)})
+        return self._omega
 
     def jvec(self) -> SparseVec:
         """Weight-4 theta-invariant vector
         alpha(-1)^4/(4k^2) - alpha(-3)alpha(-1)/k + 3 alpha(-2)^2/(4k) . 1."""
-        k = self.k
-        return SparseVec({
-            ((1, 1, 1, 1), 0): Fraction(1, 4 * k * k),
-            ((3, 1), 0): Fraction(-1, k),
-            ((2, 2), 0): Fraction(3, 4 * k),
-        })
+        return self._jvec
 
     def xvec(self, charge) -> SparseVec:
         """Pure exponential e^{charge*alpha}, for a charge `Fraction` takes;

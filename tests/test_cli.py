@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import shlex
@@ -52,20 +53,17 @@ def test_char_and_env_cutoff(capsys, monkeypatch):
                        "--h", "0", "--cutoff", "6")
     assert code == 0
     assert json.loads(out)["series"] == [1, 0, 1, 1, 2, 2, 4]
-    monkeypatch.setenv("VOACALC_CUTOFF", "4")
-    code, out, _ = run(capsys, "char", "--algebra", "vir", "--kind", "verma",
-                       "--h", "1")
-    assert code == 0
-    report = json.loads(out)
-    assert report["cutoff"] == 4
-    assert report["series"] == [0, 1, 1, 2, 3]
-    monkeypatch.setenv("VOACALC_CUTOFF", "oops")
-    code, _, err = run(capsys, "char", "--algebra", "vir", "--h", "1")
-    assert code == 2 and "VOACALC_CUTOFF" in err
-    code, _, err = run(capsys, "verify", "lemma57")
-    assert code == 2 and "VOACALC_CUTOFF" in err
-    # only the series cutoffs read it
-    assert run(capsys, "verify", "fock")[0] == 0
+    # a report depends on its argv alone: the environment variable that once
+    # set the default cutoff changes no byte and no exit code
+    calls = (("char", "--algebra", "vir", "--kind", "verma", "--h", "1"),
+             ("verify", "lemma57"))
+    monkeypatch.delenv("VOACALC_CUTOFF", raising=False)
+    unset = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in unset] == [0, 0]
+    assert json.loads(unset[0][1])["cutoff"] == 20
+    for value in ("4", "oops"):
+        monkeypatch.setenv("VOACALC_CUTOFF", value)
+        assert [run(capsys, *argv) for argv in calls] == unset, value
 
 
 def test_char_quarter_square_is_usage_error(capsys):
@@ -177,14 +175,22 @@ SUITE_FUNCTIONS = {"thm32": verify_theorem32, "prop21": verify_prop21,
 
 @pytest.mark.parametrize("suite", list(SUITE_FUNCTIONS))
 def test_a_cli_suite_runs_with_its_function_defaults(capsys, monkeypatch, suite):
-    """`verify <suite>` with no flags prints the report of the suite
-    function called with no arguments, after the three CLI keys; every
-    suite of the CLI is one of the cases."""
+    """`verify <suite>` with no flags calls the suite function with no
+    arguments and prints its report after the three CLI keys; every suite
+    of the CLI is one of the cases."""
     assert set(SUITE_FUNCTIONS) == set(_SUITES)
-    monkeypatch.delenv("VOACALC_CUTOFF", raising=False)
+    home, name, _ = _SUITES[suite]
+    received = []
+
+    def record(*args, **kwargs):
+        received.append((args, kwargs))
+        return SUITE_FUNCTIONS[suite](*args, **kwargs)
+    # the CLI looks the suite function up on its module at each call
+    monkeypatch.setattr(importlib.import_module(f"voacalc.{home}"), name, record)
     code, out, _ = run(capsys, "verify", suite)
     expected = {"command": "verify", "invocation": ["verify", suite],
                 "version": voacalc.__version__, **SUITE_FUNCTIONS[suite]()}
+    assert received == [((), {})]
     assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
 
 
@@ -296,7 +302,13 @@ def test_ignored_flags_are_usage_errors(capsys):
             ("verify", "lemma57", "--m", "0..4"),
             ("verify", "fusion-symmetry", "--max-level", "3"),
             ("verify", "thm32", "--cutoff", "10"),
-            ("verify", "prop21", "--seed", "1")):
+            ("verify", "prop21", "--seed", "1"),
+            ("dims", "--algebra", "w3", "--vacuum", "--max-weight", "3"),
+            ("dims", "--algebra", "vl+", "--vacuum", "--max-weight", "3"),
+            ("basis", "--algebra", "vl", "--h", "1", "--weight", "3"),
+            ("basis", "--algebra", "vir", "--h", "1", "--k", "2", "--weight", "3"),
+            ("char", "--algebra", "m1", "--h", "1"),
+            ("act", "--algebra", "fock", "--vacuum", "--gen", "a", "--mode", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "voacalc: error:" in err, argv
@@ -434,8 +446,7 @@ def _with_value(argv, flag, value):
     return argv + (flag, value)
 
 
-def test_bad_input_grid_never_tracebacks(capsys, monkeypatch):
-    monkeypatch.delenv("VOACALC_CUTOFF", raising=False)
+def test_bad_input_grid_never_tracebacks(capsys):
     grid = [_with_value(base, flag, value) for base, flags in GRID_CALLS
             for flag in flags for value in BAD_VALUES]
     grid += [("verify", value) for value in BAD_VALUES]
@@ -447,9 +458,6 @@ def test_bad_input_grid_never_tracebacks(capsys, monkeypatch):
     for argv in BAD_INPUT_REPROS:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err, argv
-    monkeypatch.setenv("VOACALC_CUTOFF", "41")
-    code, out, err = run(capsys, "char", "--algebra", "m1", "--k", "1")
-    assert code == 2 and out == "" and "VOACALC_CUTOFF" in err
 
 
 @pytest.mark.parametrize("call", [

@@ -3,6 +3,7 @@ int}, den), the pair `core._int_sum` returns. The layers that make or read
 vectors in bulk work on that pair, so `HighestWeightModule.act`,
 `FockSpace.vertex_mode`, `FockSpace.theta`, `FockSpace.theta_basis`,
 `FockSpace.basis`, `core._columns` and `core.kernel` never name `Fraction`,
+nor do ω and J, which a `FockSpace` builds once, as ints, in `__init__`,
 and the forms `HighestWeightModule.pair` and `FockSpace.bilinear` read the
 stored ints, not `coeff` or `items`, and make one `Fraction` at the end. A
 lattice charge is an int in every key the Fock layer builds from int
@@ -26,7 +27,8 @@ from voacalc.fock import FockSpace
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "voacalc"
 ON_THE_INTS = {"virasoro.py": {"HighestWeightModule.act"},
                "fock.py": {"FockSpace.vertex_mode", "FockSpace.theta",
-                           "FockSpace.theta_basis", "FockSpace.basis"},
+                           "FockSpace.theta_basis", "FockSpace.basis",
+                           "FockSpace.__init__", "FockSpace.omega", "FockSpace.jvec"},
                "core.py": {"_columns", "kernel"}}
 FORMS = {"virasoro.py": "HighestWeightModule.pair", "fock.py": "FockSpace.bilinear"}
 
@@ -55,6 +57,9 @@ def test_the_vector_layers_name_no_fraction():
                       or isinstance(node, ast.Attribute) and node.attr == "Fraction"]
     assert found == set().union(*ON_THE_INTS.values()), found
     assert not named, named
+    # `vir_act` reads the one ω of its space at every call
+    sp = FockSpace(2)
+    assert sp.omega() is sp.omega() and sp.jvec() is sp.jvec()
 
 
 def test_common_denominators_are_taken_in_three_places():
